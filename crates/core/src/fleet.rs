@@ -40,7 +40,8 @@ use crate::experiment::RunPlan;
 use hostcc_host::ConfigError;
 use hostcc_host::{FleetHost, RunError, RunMetrics, Simulation, Testbed, TestbedConfig};
 use hostcc_sim::{
-    fnv1a_64, stream_seed, ParallelEngine, SimDuration, SimTime, SnapError, SnapReader, SnapWriter,
+    check_resave, fnv1a_64, stream_seed, ParallelEngine, SimDuration, SimTime, Snap, SnapError,
+    SnapReader, SnapWriter,
 };
 
 /// Domain constant separating per-host seed derivation from every other
@@ -394,8 +395,8 @@ impl Fleet {
         &self.cfg
     }
 
-    /// Serialize the whole fleet — epoch counter plus every host's full
-    /// checkpoint — into one self-validating envelope. Call only between
+    /// Serialize the whole fleet — epoch counters plus every host's clock,
+    /// pending events and world — into one self-validating envelope. Call only between
     /// `run_to` slices (a slot boundary: cross-host messages are drained
     /// into destination queues, so there is no engine message state to
     /// save). Refuses, typed, when any host's watchdog has tripped.
@@ -406,18 +407,15 @@ impl Fleet {
     /// with local events. The campaign runner therefore slices fleets at
     /// its checkpoint cadence whether or not a checkpoint is written.
     pub fn save_checkpoint(&self) -> Result<Vec<u8>, SnapError> {
-        if self.engine.hosts().iter().any(|h| h.stalled_at().is_some()) {
-            return Err(SnapError::Unsupported("checkpoint of a stalled fleet"));
+        for h in self.engine.hosts() {
+            if h.stalled_at().is_some() {
+                return Err(SnapError::Unsupported("checkpoint of a stalled fleet"));
+            }
+            h.sim().ensure_checkpointable()?;
         }
         let mut w = SnapWriter::new();
         w.u64(self.cfg.fingerprint());
-        w.u64(self.engine.epochs());
-        w.u64(self.engine.super_epochs());
-        w.usize(self.engine.hosts().len());
-        for h in self.engine.hosts() {
-            let inner = h.sim().save_checkpoint()?;
-            w.bytes(&inner);
-        }
+        self.engine.save(&mut w);
         Ok(w.into_envelope())
     }
 
@@ -426,35 +424,28 @@ impl Fleet {
     /// may differ freely (determinism is shard-count-invariant, so a
     /// resume may use more or fewer workers than the original run). Any
     /// corruption, truncation, version or config mismatch is a typed
-    /// error, never a panic.
+    /// error, never a panic. Debug builds also re-save the restored fleet
+    /// and require the identical image.
     pub fn restore_checkpoint(cfg: &FleetConfig, bytes: &[u8]) -> Result<Fleet, RunError> {
         cfg.validate()?;
         let mut r = SnapReader::open(bytes)?;
         if r.u64()? != cfg.fingerprint() {
             return Err(SnapError::Corrupt("fleet fingerprint mismatch").into());
         }
-        let epochs = r.u64()?;
-        let super_epochs = r.u64()?;
-        // Each host entry is at least a length prefix (8 B).
-        let n = r.len(8)?;
-        if n != cfg.hosts as usize {
-            return Err(SnapError::Corrupt("fleet host count mismatch").into());
-        }
-        let mut hosts = Vec::with_capacity(n);
-        for tb in build_wired_testbeds(cfg) {
-            let inner = r.bytes()?;
-            hosts.push(FleetHost::new(Simulation::restore_checkpoint_into(
-                tb, inner,
-            )?));
-        }
-        r.finish()?;
+        let hosts = build_wired_testbeds(cfg)
+            .into_iter()
+            .map(|tb| FleetHost::new(Simulation::unstarted(tb)))
+            .collect();
         let mut engine = ParallelEngine::new(hosts, cfg.shards as usize, cfg.fabric_latency);
-        engine.set_epochs(epochs);
-        engine.set_super_epochs(super_epochs);
-        Ok(Fleet {
+        // Hosts are shape-fixed: an image with another host count fails.
+        engine.load(&mut r)?;
+        r.finish()?;
+        let fleet = Fleet {
             engine,
             cfg: cfg.clone(),
-        })
+        };
+        check_resave(bytes, || fleet.save_checkpoint().unwrap_or_default())?;
+        Ok(fleet)
     }
 
     /// Warm up, arm every host's metrics at the same instant, measure,

@@ -33,13 +33,12 @@ pub enum WireMsg {
     },
 }
 
-impl WireMsg {
-    /// Serialize an in-flight inter-host message for a checkpoint.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
+impl hostcc_sim::Snap for WireMsg {
+    fn save(&self, w: &mut hostcc_sim::SnapWriter) {
         match self {
             WireMsg::Data(pkt) => {
                 w.u8(0);
-                pkt.save_state(w);
+                pkt.save(w);
             }
             WireMsg::Ack {
                 flow,
@@ -47,25 +46,32 @@ impl WireMsg {
                 frontier,
             } => {
                 w.u8(1);
-                w.u32(*flow);
-                ack.save_state(w);
-                w.u64(*frontier);
+                flow.save(w);
+                ack.save(w);
+                frontier.save(w);
             }
         }
     }
 
-    /// Rebuild a message from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        match r.u8()? {
-            0 => Ok(WireMsg::Data(Packet::load_state(r)?)),
-            1 => Ok(WireMsg::Ack {
-                flow: r.u32()?,
-                ack: Packet::load_state(r)?,
-                frontier: r.u64()?,
-            }),
-            _ => Err(hostcc_sim::SnapError::Corrupt(
-                "wire message tag out of range",
-            )),
-        }
+    fn load(&mut self, r: &mut hostcc_sim::SnapReader<'_>) -> Result<(), hostcc_sim::SnapError> {
+        use hostcc_sim::decode;
+        *self = match r.u8()? {
+            0 => WireMsg::Data(decode(r)?),
+            1 => WireMsg::Ack {
+                flow: decode(r)?,
+                ack: decode(r)?,
+                frontier: decode(r)?,
+            },
+            _ => {
+                return Err(hostcc_sim::SnapError::Corrupt(
+                    "wire message tag out of range",
+                ))
+            }
+        };
+        Ok(())
+    }
+
+    fn blank() -> Option<Self> {
+        Some(WireMsg::Data(Packet::default()))
     }
 }

@@ -8,7 +8,7 @@
 //! any of the paper's experiments; the host is).
 
 use crate::packet::Packet;
-use hostcc_sim::{Resolution, SerialLink, SimDuration, SimTime};
+use hostcc_sim::{SerialLink, SimDuration, SimTime};
 
 /// A point-to-point link: serialisation at a fixed rate plus propagation.
 #[derive(Debug)]
@@ -19,6 +19,13 @@ pub struct Link {
     delivered_packets: u64,
 }
 
+hostcc_sim::snap_fields!(Link {
+    serial,
+    propagation,
+    delivered_bytes,
+    delivered_packets
+});
+
 impl Link {
     /// `bits_per_sec` line rate, `propagation` one-way latency.
     pub fn new(bits_per_sec: f64, propagation: SimDuration) -> Self {
@@ -28,14 +35,6 @@ impl Link {
             delivered_bytes: 0,
             delivered_packets: 0,
         }
-    }
-
-    /// Quantise per-packet serialisation boundaries up to `res`. The
-    /// 1 ns `for_bytes` ceiling is already an approximation of the true
-    /// fractional wire time; a coarse grid widens it so arrivals coalesce
-    /// onto shared wheel slots (identity at the default exact resolution).
-    pub fn set_resolution(&mut self, res: Resolution) {
-        self.serial.set_resolution(res);
     }
 
     /// Transmit a packet entering the link at `now`; returns its arrival
@@ -59,24 +58,6 @@ impl Link {
     /// (bytes, packets) delivered over the lifetime.
     pub fn delivered(&self) -> (u64, u64) {
         (self.delivered_bytes, self.delivered_packets)
-    }
-
-    /// Serialize the link (rate, in-flight serialisation state, counters).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.serial.save_state(w);
-        w.duration(self.propagation);
-        w.u64(self.delivered_bytes);
-        w.u64(self.delivered_packets);
-    }
-
-    /// Rebuild a link from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        Ok(Link {
-            serial: hostcc_sim::SerialLink::load_state(r)?,
-            propagation: r.duration()?,
-            delivered_bytes: r.u64()?,
-            delivered_packets: r.u64()?,
-        })
     }
 }
 
@@ -109,6 +90,13 @@ pub struct SwitchPort {
     forwarded: u64,
 }
 
+// The departure ring is loaded in place into the prebuilt port's
+// pre-sized ring, so steady state stays allocation-free after a restore.
+hostcc_sim::snap_fields!(SwitchPort {
+    link, propagation, buffer_bytes, ecn_threshold_bytes, queued_bytes, departures, drops, marks,
+    forwarded,
+} check { SwitchPort::check_restored });
+
 impl SwitchPort {
     /// A port draining at `bits_per_sec` with `buffer_bytes` of queue and
     /// ECN marking past `ecn_threshold_bytes` (0 disables marking; use
@@ -139,12 +127,6 @@ impl SwitchPort {
     /// Minimum Ethernet frame size; no packet on the wire is smaller, so
     /// `buffer_bytes / MIN_WIRE_BYTES` bounds the departure-ring length.
     const MIN_WIRE_BYTES: u64 = 64;
-
-    /// Quantise egress serialisation boundaries up to `res` (see
-    /// [`Link::set_resolution`]).
-    pub fn set_resolution(&mut self, res: Resolution) {
-        self.link.set_resolution(res);
-    }
 
     /// Drop packets whose serialisation finished before `now` from the
     /// occupancy accounting.
@@ -205,43 +187,13 @@ impl SwitchPort {
         self.forwarded
     }
 
-    /// Serialize the port: drain link, queue occupancy, the pending
-    /// departure ring in FIFO order, and drop/mark/forward counters.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.link.save_state(w);
-        w.duration(self.propagation);
-        w.u64(self.buffer_bytes);
-        w.u64(self.ecn_threshold_bytes);
-        w.u64(self.queued_bytes);
-        w.usize(self.departures.len());
-        for &(t, bytes) in &self.departures {
-            w.time(t);
-            w.u64(bytes);
-        }
-        w.u64(self.drops);
-        w.u64(self.marks);
-        w.u64(self.forwarded);
-    }
-
-    /// Rebuild a port from [`save_state`](Self::save_state) output. The
-    /// departure ring is re-presized from the restored buffer budget so
-    /// steady state stays allocation-free, and the occupancy invariant
-    /// (queued bytes == sum of pending departures) is revalidated.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    /// Revalidate the occupancy invariant: queued bytes == sum of pending
+    /// departures (in time order), within the buffer budget.
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let link = hostcc_sim::SerialLink::load_state(r)?;
-        let propagation = r.duration()?;
-        let buffer_bytes = r.u64()?;
-        let ecn_threshold_bytes = r.u64()?;
-        let queued_bytes = r.u64()?;
-        let n = r.len(16)?;
-        let max_entries = (buffer_bytes / Self::MIN_WIRE_BYTES + 1) as usize;
-        let mut departures = std::collections::VecDeque::with_capacity(max_entries.max(n));
-        let mut last = hostcc_sim::SimTime::ZERO;
+        let mut last = SimTime::ZERO;
         let mut pending = 0u64;
-        for _ in 0..n {
-            let t = r.time()?;
-            let bytes = r.u64()?;
+        for &(t, bytes) in &self.departures {
             if t < last {
                 return Err(SnapError::Corrupt("departure ring out of order"));
             }
@@ -249,25 +201,14 @@ impl SwitchPort {
             pending = pending
                 .checked_add(bytes)
                 .ok_or(SnapError::Corrupt("departure bytes overflow"))?;
-            departures.push_back((t, bytes));
         }
-        if pending != queued_bytes {
+        if pending != self.queued_bytes {
             return Err(SnapError::Corrupt("switch occupancy mismatch"));
         }
-        if queued_bytes > buffer_bytes {
+        if self.queued_bytes > self.buffer_bytes {
             return Err(SnapError::Corrupt("switch occupancy exceeds buffer"));
         }
-        Ok(SwitchPort {
-            link,
-            propagation,
-            buffer_bytes,
-            ecn_threshold_bytes,
-            queued_bytes,
-            departures,
-            drops: r.u64()?,
-            marks: r.u64()?,
-            forwarded: r.u64()?,
-        })
+        Ok(())
     }
 }
 

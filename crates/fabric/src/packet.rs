@@ -11,7 +11,7 @@ use hostcc_sim::{SimDuration, SimTime};
 /// Identifies a flow: one connection between a sender machine and one
 /// receiver thread (the paper's workload opens one connection per
 /// (receiver-thread, sender) pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FlowId {
     /// Sender machine index.
     pub sender: u32,
@@ -19,17 +19,39 @@ pub struct FlowId {
     pub thread: u32,
 }
 
+hostcc_sim::snap_fields!(FlowId { sender, thread } blank { FlowId::default() });
+
 /// Packet payload kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PacketKind {
     /// A data (MTU-sized) segment travelling sender → receiver.
+    #[default]
     Data,
     /// An acknowledgement travelling receiver → sender.
     Ack,
 }
 
+impl hostcc_sim::Snap for PacketKind {
+    fn save(&self, w: &mut hostcc_sim::SnapWriter) {
+        w.u8(*self as u8);
+    }
+
+    fn load(&mut self, r: &mut hostcc_sim::SnapReader<'_>) -> Result<(), hostcc_sim::SnapError> {
+        *self = match r.u8()? {
+            0 => PacketKind::Data,
+            1 => PacketKind::Ack,
+            _ => return Err(hostcc_sim::SnapError::Corrupt("packet kind out of range")),
+        };
+        Ok(())
+    }
+
+    fn blank() -> Option<Self> {
+        Some(PacketKind::Data)
+    }
+}
+
 /// A packet on the wire.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Packet {
     /// Flow this packet belongs to.
     pub flow: FlowId,
@@ -62,6 +84,10 @@ pub struct Packet {
     pub nic_buffer_frac: f64,
 }
 
+hostcc_sim::snap_fields!(Packet {
+    flow, seq, payload_bytes, wire_bytes, kind, sent_at, host_delay_echo, ecn_ce, nic_buffer_frac,
+} blank { Packet::default() });
+
 /// Header/framing overhead model for the access network.
 ///
 /// With 4 KiB MTUs the paper reports a maximum achievable application
@@ -88,64 +114,6 @@ impl Default for WireFormat {
             data_overhead: 356,
             ack_wire_bytes: 84,
         }
-    }
-}
-
-impl FlowId {
-    /// Serialize the flow identifier for a checkpoint.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u32(self.sender);
-        w.u32(self.thread);
-    }
-
-    /// Rebuild a flow identifier from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        Ok(FlowId {
-            sender: r.u32()?,
-            thread: r.u32()?,
-        })
-    }
-}
-
-impl Packet {
-    /// Serialize the full wire header for a checkpoint.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.flow.save_state(w);
-        w.u64(self.seq);
-        w.u32(self.payload_bytes);
-        w.u32(self.wire_bytes);
-        w.u8(match self.kind {
-            PacketKind::Data => 0,
-            PacketKind::Ack => 1,
-        });
-        w.time(self.sent_at);
-        w.duration(self.host_delay_echo);
-        w.bool(self.ecn_ce);
-        w.f64(self.nic_buffer_frac);
-    }
-
-    /// Rebuild a packet from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        let flow = FlowId::load_state(r)?;
-        let seq = r.u64()?;
-        let payload_bytes = r.u32()?;
-        let wire_bytes = r.u32()?;
-        let kind = match r.u8()? {
-            0 => PacketKind::Data,
-            1 => PacketKind::Ack,
-            _ => return Err(hostcc_sim::SnapError::Corrupt("packet kind out of range")),
-        };
-        Ok(Packet {
-            flow,
-            seq,
-            payload_bytes,
-            wire_bytes,
-            kind,
-            sent_at: r.time()?,
-            host_delay_echo: r.duration()?,
-            ecn_ce: r.bool()?,
-            nic_buffer_frac: r.f64()?,
-        })
     }
 }
 

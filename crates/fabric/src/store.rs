@@ -36,6 +36,8 @@ pub struct SlabRef<T> {
     _marker: PhantomData<fn() -> T>,
 }
 
+hostcc_sim::snap_fields!(impl[T] SlabRef<T> { idx, gen } skip { _marker } blank { SlabRef::from_parts(0, 0) });
+
 // Manual impls: derive would needlessly bound them on `T`.
 impl<T> Clone for SlabRef<T> {
     fn clone(&self) -> Self {
@@ -85,20 +87,6 @@ impl<T> SlabRef<T> {
             _marker: PhantomData,
         }
     }
-
-    /// Serialize the handle (index + generation) for a checkpoint.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u32(self.idx);
-        w.u32(self.gen);
-    }
-
-    /// Rebuild a handle from [`save_state`](Self::save_state) output.
-    /// Validity against a restored slab is checked by the slab itself.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        let idx = r.u32()?;
-        let gen = r.u32()?;
-        Ok(SlabRef::from_parts(idx, gen))
-    }
 }
 
 #[derive(Debug)]
@@ -108,6 +96,8 @@ struct Slot<T> {
     gen: u32,
     value: T,
 }
+
+hostcc_sim::snap_fields!(impl[T: hostcc_sim::Snap] Slot<T> { gen, value } blank { Slot { gen: 0, value: T::blank()? } });
 
 /// A generational slab: stable `u32`-indexed storage with O(1)
 /// allocate/free, slot recycling through a free list, and stale-handle
@@ -122,6 +112,14 @@ pub struct GenSlab<T: Copy> {
     allocs: u64,
     frees: u64,
 }
+
+// Every slot is in the image (generation plus value, free slots included
+// so recycled generations survive), then the free list in LIFO order and
+// the lifetime counters. Restored handles resolve to the same values and
+// the free list recycles in the same order.
+hostcc_sim::snap_fields!(impl[T: Copy + hostcc_sim::Snap] GenSlab<T> {
+    slots, free, live, peak_live, allocs, frees,
+} check { GenSlab::check_restored });
 
 impl<T: Copy> Default for GenSlab<T> {
     fn default() -> Self {
@@ -253,54 +251,13 @@ impl<T: Copy> GenSlab<T> {
         (self.allocs, self.frees)
     }
 
-    /// Serialize the whole slab for a checkpoint: every slot (generation
-    /// plus value, free slots included so recycled generations survive),
-    /// the free list in LIFO order, and the lifetime counters. `enc`
-    /// encodes one stored value.
-    pub fn save_with<F: FnMut(&T, &mut hostcc_sim::SnapWriter)>(
-        &self,
-        w: &mut hostcc_sim::SnapWriter,
-        mut enc: F,
-    ) {
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            w.u32(slot.gen);
-            enc(&slot.value, w);
-        }
-        w.seq(&self.free, |&idx, w| w.u32(idx));
-        w.u32(self.live);
-        w.u32(self.peak_live);
-        w.u64(self.allocs);
-        w.u64(self.frees);
-    }
-
-    /// Rebuild a slab from [`save_with`](Self::save_with) output. Restored
-    /// handles (same index + generation) resolve to the same values, the
-    /// free list recycles in the same order, and the odd-live/even-free
-    /// generation invariant is revalidated — any violation is a typed
-    /// [`SnapError`](hostcc_sim::SnapError), never a panic.
-    pub fn load_with<'a, F>(
-        r: &mut hostcc_sim::SnapReader<'a>,
-        mut dec: F,
-    ) -> Result<Self, hostcc_sim::SnapError>
-    where
-        F: FnMut(&mut hostcc_sim::SnapReader<'a>) -> Result<T, hostcc_sim::SnapError>,
-    {
+    /// Revalidate a restored slab: the odd-live/even-free generation
+    /// invariant, a complete duplicate-free free list, and the lifetime
+    /// counters.
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let n = r.len(5)?; // each slot: gen (4 B) + at least one value byte
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            let gen = r.u32()?;
-            let value = dec(r)?;
-            slots.push(Slot { gen, value });
-        }
-        let free = r.seq(4, |r| r.u32())?;
-        let live = r.u32()?;
-        let peak_live = r.u32()?;
-        let allocs = r.u64()?;
-        let frees = r.u64()?;
-        let mut on_free_list = vec![false; slots.len()];
-        for &idx in &free {
+        let mut on_free_list = vec![false; self.slots.len()];
+        for &idx in &self.free {
             let seen = on_free_list
                 .get_mut(idx as usize)
                 .ok_or(SnapError::Corrupt("free-list index out of range"))?;
@@ -308,30 +265,23 @@ impl<T: Copy> GenSlab<T> {
                 return Err(SnapError::Corrupt("duplicate free-list index"));
             }
             *seen = true;
-            if slots[idx as usize].gen % 2 != 0 {
+            if !self.slots[idx as usize].gen.is_multiple_of(2) {
                 return Err(SnapError::Corrupt("free-list slot marked live"));
             }
         }
-        let live_slots = slots.iter().filter(|s| s.gen % 2 == 1).count();
-        if live_slots != live as usize {
+        let live_slots = self.slots.iter().filter(|s| s.gen % 2 == 1).count();
+        if live_slots != self.live as usize {
             return Err(SnapError::Corrupt("slab live count mismatch"));
         }
         // Every non-live slot must be recyclable, or alloc would grow the
         // slab forever past the restored working set.
-        if slots.len() - live_slots != free.len() {
+        if self.slots.len() - live_slots != self.free.len() {
             return Err(SnapError::Corrupt("slab free-list incomplete"));
         }
-        if live > peak_live || allocs.wrapping_sub(frees) != live as u64 {
+        if self.live > self.peak_live || self.allocs.wrapping_sub(self.frees) != self.live as u64 {
             return Err(SnapError::Corrupt("slab lifetime counters inconsistent"));
         }
-        Ok(GenSlab {
-            slots,
-            free,
-            live,
-            peak_live,
-            allocs,
-            frees,
-        })
+        Ok(())
     }
 }
 

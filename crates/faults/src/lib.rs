@@ -179,6 +179,15 @@ pub struct FaultCounters {
     pub throttle_windows: u64,
 }
 
+hostcc_sim::snap_fields!(FaultCounters {
+    windows_opened,
+    link_dropped_packets,
+    deferred_refills,
+    iotlb_flushes,
+    preempt_ns,
+    throttle_windows,
+});
+
 impl FaultCounters {
     const KIND_NAMES: [&'static str; 6] = [
         "pcie_replay",
@@ -232,6 +241,9 @@ pub struct FaultState {
     /// Lifetime counters.
     pub counters: FaultCounters,
 }
+
+hostcc_sim::snap_fields!(FaultState { open, counters } skip { specs }
+    check { FaultState::check_restored });
 
 impl FaultState {
     /// Runtime state for `plan`.
@@ -318,50 +330,10 @@ impl FaultState {
             .any(|(s, &n)| n > 0 && pred(&s.kind))
     }
 
-    /// Serialize the evolving state: per-spec open-window refcounts and
-    /// the lifetime counters. The specs themselves come from the plan in
-    /// the experiment configuration (constructor replay).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.usize(self.open.len());
-        for &n in &self.open {
-            w.u32(n);
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if self.open.len() != self.specs.len() {
+            return Err(hostcc_sim::SnapError::Corrupt("fault spec count mismatch"));
         }
-        for &c in &self.counters.windows_opened {
-            w.u64(c);
-        }
-        w.u64(self.counters.link_dropped_packets);
-        w.u64(self.counters.deferred_refills);
-        w.u64(self.counters.iotlb_flushes);
-        w.u64(self.counters.preempt_ns);
-        w.u64(self.counters.throttle_windows);
-    }
-
-    /// Restore into a state rebuilt from the same plan. The spec count
-    /// must match; on any error `self` is untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let n = r.len(4)?;
-        if n != self.open.len() {
-            return Err(SnapError::Corrupt("fault spec count mismatch"));
-        }
-        let mut open = Vec::with_capacity(n);
-        for _ in 0..n {
-            open.push(r.u32()?);
-        }
-        let mut counters = FaultCounters::default();
-        for c in counters.windows_opened.iter_mut() {
-            *c = r.u64()?;
-        }
-        counters.link_dropped_packets = r.u64()?;
-        counters.deferred_refills = r.u64()?;
-        counters.iotlb_flushes = r.u64()?;
-        counters.preempt_ns = r.u64()?;
-        counters.throttle_windows = r.u64()?;
-        self.open = open;
-        self.counters = counters;
         Ok(())
     }
 }
@@ -381,11 +353,23 @@ pub struct RecoveryTracker {
     last_sample_ns: Option<u64>,
 }
 
+hostcc_sim::snap_fields!(RecoveryTracker {
+    open_windows,
+    first_start_ns,
+    last_end_ns,
+    before,
+    during,
+    after,
+    last_sample_ns,
+});
+
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseAccum {
     bytes: u64,
     ns: u64,
 }
+
+hostcc_sim::snap_fields!(PhaseAccum { bytes, ns });
 
 impl PhaseAccum {
     fn rate(&self) -> f64 {
@@ -451,39 +435,6 @@ impl RecoveryTracker {
             Some(_) => self.after.ns,
             None => 0,
         }
-    }
-
-    /// Serialize the tracker (phase accumulators, window bookkeeping).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u32(self.open_windows);
-        w.opt(&self.first_start_ns, |&v, w| w.u64(v));
-        w.opt(&self.last_end_ns, |&v, w| w.u64(v));
-        for p in [&self.before, &self.during, &self.after] {
-            w.u64(p.bytes);
-            w.u64(p.ns);
-        }
-        w.opt(&self.last_sample_ns, |&v, w| w.u64(v));
-    }
-
-    /// Rebuild a tracker from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        let open_windows = r.u32()?;
-        let first_start_ns = r.opt(|r| r.u64())?;
-        let last_end_ns = r.opt(|r| r.u64())?;
-        let mut phases = [PhaseAccum::default(); 3];
-        for p in phases.iter_mut() {
-            p.bytes = r.u64()?;
-            p.ns = r.u64()?;
-        }
-        Ok(RecoveryTracker {
-            open_windows,
-            first_start_ns,
-            last_end_ns,
-            before: phases[0],
-            during: phases[1],
-            after: phases[2],
-            last_sample_ns: r.opt(|r| r.u64())?,
-        })
     }
 
     /// Summarise for [`FaultSummary`]. `counters` supplies the per-kind

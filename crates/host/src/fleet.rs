@@ -23,6 +23,10 @@ pub struct FleetHost {
     stalled: Option<SimTime>,
 }
 
+// A stalled fleet is never checkpointed, so the watchdog record is not
+// in the image.
+hostcc_sim::snap_fields!(FleetHost { sim } skip { stalled });
+
 impl FleetHost {
     /// Wrap a started simulation (wire remote flows before starting it;
     /// see `Testbed::enable_fabric` / `Simulation::from_testbed`).

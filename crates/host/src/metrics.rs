@@ -171,6 +171,13 @@ pub struct MetricsCollector {
     pub stage_breakdown: StageBreakdown,
 }
 
+hostcc_sim::snap_fields!(MetricsCollector {
+    armed, started, delivered_payload_bytes, delivered_packets, nic_arrival_wire_bytes,
+    data_packets_sent, drops_buffer_full, drops_no_descriptor, drops_fabric, iotlb_lookups,
+    iotlb_misses, walk_memory_accesses, mem_bw_sum, nic_bw_sum, mem_bw_samples, host_delay, rtt,
+    retransmits, timeouts, occupancy_samples, stage_breakdown,
+} check { MetricsCollector::check_restored });
+
 impl Default for MetricsCollector {
     fn default() -> Self {
         Self::new()
@@ -212,93 +219,6 @@ impl MetricsCollector {
         self.started = now;
     }
 
-    /// Serialize the full accumulator state, in declaration order.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.bool(self.armed);
-        w.time(self.started);
-        w.u64(self.delivered_payload_bytes);
-        w.u64(self.delivered_packets);
-        w.u64(self.nic_arrival_wire_bytes);
-        w.u64(self.data_packets_sent);
-        w.u64(self.drops_buffer_full);
-        w.u64(self.drops_no_descriptor);
-        w.u64(self.drops_fabric);
-        w.u64(self.iotlb_lookups);
-        w.u64(self.iotlb_misses);
-        w.u64(self.walk_memory_accesses);
-        w.f64(self.mem_bw_sum);
-        w.f64(self.nic_bw_sum);
-        w.u64(self.mem_bw_samples);
-        self.host_delay.save_state(w);
-        self.rtt.save_state(w);
-        w.u64(self.retransmits);
-        w.u64(self.timeouts);
-        w.usize(self.occupancy_samples.len());
-        for &(t, b) in &self.occupancy_samples {
-            w.u64(t);
-            w.u64(b);
-        }
-        self.stage_breakdown.save_state(w);
-    }
-
-    /// Rebuild a collector from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let armed = r.bool()?;
-        let started = r.time()?;
-        let delivered_payload_bytes = r.u64()?;
-        let delivered_packets = r.u64()?;
-        let nic_arrival_wire_bytes = r.u64()?;
-        let data_packets_sent = r.u64()?;
-        let drops_buffer_full = r.u64()?;
-        let drops_no_descriptor = r.u64()?;
-        let drops_fabric = r.u64()?;
-        let iotlb_lookups = r.u64()?;
-        let iotlb_misses = r.u64()?;
-        let walk_memory_accesses = r.u64()?;
-        let mem_bw_sum = r.f64()?;
-        let nic_bw_sum = r.f64()?;
-        if !mem_bw_sum.is_finite() || !nic_bw_sum.is_finite() {
-            return Err(SnapError::Corrupt("non-finite bandwidth sum"));
-        }
-        let mem_bw_samples = r.u64()?;
-        let host_delay = Histogram::load_state(r)?;
-        let rtt = Histogram::load_state(r)?;
-        let retransmits = r.u64()?;
-        let timeouts = r.u64()?;
-        let n = r.len(16)?;
-        let mut occupancy_samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = r.u64()?;
-            let b = r.u64()?;
-            occupancy_samples.push((t, b));
-        }
-        let stage_breakdown = StageBreakdown::load_state(r)?;
-        Ok(MetricsCollector {
-            armed,
-            started,
-            delivered_payload_bytes,
-            delivered_packets,
-            nic_arrival_wire_bytes,
-            data_packets_sent,
-            drops_buffer_full,
-            drops_no_descriptor,
-            drops_fabric,
-            iotlb_lookups,
-            iotlb_misses,
-            walk_memory_accesses,
-            mem_bw_sum,
-            nic_bw_sum,
-            mem_bw_samples,
-            host_delay,
-            rtt,
-            retransmits,
-            timeouts,
-            occupancy_samples,
-            stage_breakdown,
-        })
-    }
-
     /// Snapshot the interval `[started, now]` into a `RunMetrics`.
     pub fn snapshot(&self, now: SimTime, nic_buffer_peak: u64, mean_cwnd: f64) -> RunMetrics {
         let samples = self.mem_bw_samples.max(1) as f64;
@@ -327,6 +247,13 @@ impl MetricsCollector {
             faults: None,
             telemetry: None,
         }
+    }
+
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if !self.mem_bw_sum.is_finite() || !self.nic_bw_sum.is_finite() {
+            return Err(hostcc_sim::SnapError::Corrupt("non-finite bandwidth sum"));
+        }
+        Ok(())
     }
 }
 

@@ -6,19 +6,17 @@
 //! sim crate is fixed-rate; this variant re-anchors its busy horizon
 //! whenever the rate is updated.
 
-use hostcc_sim::{Resolution, SimDuration, SimTime};
+use hostcc_sim::{SimDuration, SimTime};
 
 /// Serialising server with an adjustable byte rate.
 #[derive(Debug, Clone)]
 pub struct VariableRateLink {
     bytes_per_sec: f64,
     free_at: SimTime,
-    /// Per-item serialisation times are rounded up to this grid (identity
-    /// at the default exact resolution); `for_bytes` already rounds up to
-    /// whole nanoseconds, so a coarse grid is the same approximation with
-    /// a wider quantum.
-    res: Resolution,
 }
+
+hostcc_sim::snap_fields!(VariableRateLink { bytes_per_sec, free_at }
+    check { VariableRateLink::check_restored });
 
 impl VariableRateLink {
     /// A pipe draining at `bytes_per_sec`.
@@ -27,13 +25,14 @@ impl VariableRateLink {
         VariableRateLink {
             bytes_per_sec,
             free_at: SimTime::ZERO,
-            res: Resolution::EXACT,
         }
     }
 
-    /// Quantise serialisation completion times up to `res`.
-    pub fn set_resolution(&mut self, res: Resolution) {
-        self.res = res;
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if !self.bytes_per_sec.is_finite() || self.bytes_per_sec <= 0.0 {
+            return Err(hostcc_sim::SnapError::Corrupt("invalid link rate"));
+        }
+        Ok(())
     }
 
     /// Change the drain rate from `now` onwards. Work already accepted
@@ -52,9 +51,7 @@ impl VariableRateLink {
     /// time (earliest-start, FIFO).
     pub fn transmit(&mut self, at: SimTime, bytes: u64) -> SimTime {
         let start = if at > self.free_at { at } else { self.free_at };
-        let ser = self
-            .res
-            .ceil_duration(SimDuration::for_bytes(bytes, self.bytes_per_sec));
+        let ser = SimDuration::for_bytes(bytes, self.bytes_per_sec);
         let done = start + ser;
         self.free_at = done;
         done
@@ -68,30 +65,6 @@ impl VariableRateLink {
     /// Backlog an arrival at `now` would wait behind.
     pub fn backlog(&self, now: SimTime) -> SimDuration {
         self.free_at.saturating_since(now)
-    }
-
-    /// Serialize the link's full state (rate, busy horizon, grid).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.f64(self.bytes_per_sec);
-        w.time(self.free_at);
-        w.u64(self.res.nanos());
-    }
-
-    /// Rebuild a link from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let bytes_per_sec = r.f64()?;
-        if !bytes_per_sec.is_finite() || bytes_per_sec <= 0.0 {
-            return Err(SnapError::Corrupt("invalid link rate"));
-        }
-        let free_at = r.time()?;
-        let res = Resolution::from_nanos(r.u64()?)
-            .ok_or(SnapError::Corrupt("invalid link resolution"))?;
-        Ok(VariableRateLink {
-            bytes_per_sec,
-            free_at,
-            res,
-        })
     }
 }
 
@@ -125,30 +98,21 @@ mod tests {
     }
 
     #[test]
-    fn coarse_resolution_quantises_each_item() {
-        let mut v = VariableRateLink::new(1e9);
-        v.set_resolution(Resolution::from_nanos(64).unwrap());
-        // 1000 B at 1 GB/s = 1000 ns -> next 64 ns boundary = 1024; the
-        // quantum applies per item, so back-to-back stays on the grid.
-        assert_eq!(v.transmit(SimTime::ZERO, 1000).as_nanos(), 1024);
-        assert_eq!(v.transmit(SimTime::ZERO, 1000).as_nanos(), 2048);
-    }
-
-    #[test]
     fn snapshot_roundtrip_preserves_horizon() {
+        use hostcc_sim::Snap;
         let mut v = VariableRateLink::new(1e9);
-        v.set_resolution(Resolution::from_nanos(64).unwrap());
         v.transmit(SimTime::ZERO, 1000);
         v.set_rate(SimTime::ZERO, 2e9);
         let mut w = hostcc_sim::SnapWriter::new();
-        v.save_state(&mut w);
+        v.save(&mut w);
         let payload = w.into_payload();
         let mut r = hostcc_sim::SnapReader::new(&payload);
-        let mut back = VariableRateLink::load_state(&mut r).unwrap();
+        let mut back = VariableRateLink::new(1.0);
+        back.load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.rate(), v.rate());
         assert_eq!(back.free_at(), v.free_at());
-        // Same grid: the next item lands on the same quantised boundary.
+        // Same horizon and rate: the next item finishes at the same time.
         assert_eq!(
             back.transmit(SimTime::ZERO, 1000),
             v.transmit(SimTime::ZERO, 1000)
@@ -157,14 +121,14 @@ mod tests {
 
     #[test]
     fn corrupt_link_rate_is_typed_error() {
+        use hostcc_sim::Snap;
         let mut w = hostcc_sim::SnapWriter::new();
         w.f64(f64::NAN);
-        w.time(SimTime::ZERO);
-        w.u64(1);
+        SimTime::ZERO.save(&mut w);
         let payload = w.into_payload();
         let mut r = hostcc_sim::SnapReader::new(&payload);
         assert!(matches!(
-            VariableRateLink::load_state(&mut r),
+            VariableRateLink::new(1e9).load(&mut r),
             Err(hostcc_sim::SnapError::Corrupt("invalid link rate"))
         ));
     }

@@ -32,13 +32,12 @@ use hostcc_memsys::{AgentClass, AgentId, MemorySystem, StreamAntagonist};
 use hostcc_nic::Nic;
 use hostcc_pcie::{CreditState, ReplayChannel, ReplayConfig, WriteCredits};
 use hostcc_sim::{
-    fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, EventQueue, Ewma, Queue, RunOutcome,
-    Scheduler, SerialLink, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter, World,
+    check_resave, decode, fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, EventQueue,
+    Ewma, Queue, RunOutcome, Scheduler, SerialLink, SimDuration, SimRng, SimTime, Snap, SnapError,
+    SnapReader, SnapWriter, World,
 };
 use hostcc_telemetry::{SignalInputs, Telemetry};
-use hostcc_trace::{
-    CounterRegistry, SampleRing, Stage, TimelineRecorder, TraceConfig, TraceEvent, Tracer,
-};
+use hostcc_trace::{CounterRegistry, Stage, TimelineRecorder, TraceConfig, TraceEvent, Tracer};
 use hostcc_transport::{
     Dctcp, FixedWindow, FlowStats, HostAware, ReceiverFlow, RpcConfig, RpcReadChannel, SendBlocked,
     SenderFlow, Swift,
@@ -132,33 +131,20 @@ pub struct DmaJob {
     iommu_ns: u64,
 }
 
-impl DmaJob {
-    /// Serialize an in-flight DMA job for a checkpoint.
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.pkt.save_state(w);
-        w.time(self.nic_arrival);
-        w.u64(self.buffer.as_u64());
-        w.u32(self.thread);
-        w.time(self.admitted);
-        w.u64(self.pcie_ns);
-        w.u64(self.mem_ns);
-        w.u64(self.iommu_ns);
+hostcc_sim::snap_fields!(DmaJob {
+    pkt, nic_arrival, buffer, thread, admitted, pcie_ns, mem_ns, iommu_ns,
+} blank {
+    DmaJob {
+        pkt: PacketRef::from_parts(0, 0),
+        nic_arrival: SimTime::ZERO,
+        buffer: Iova(0),
+        thread: 0,
+        admitted: SimTime::ZERO,
+        pcie_ns: 0,
+        mem_ns: 0,
+        iommu_ns: 0,
     }
-
-    /// Rebuild a job from [`save_state`](Self::save_state) output.
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DmaJob {
-            pkt: PacketRef::load_state(r)?,
-            nic_arrival: r.time()?,
-            buffer: Iova(r.u64()?),
-            thread: r.u32()?,
-            admitted: r.time()?,
-            pcie_ns: r.u64()?,
-            mem_ns: r.u64()?,
-            iommu_ns: r.u64()?,
-        })
-    }
-}
+});
 
 /// Handle to a [`DmaJob`] in the testbed's DMA slab.
 pub type DmaRef = SlabRef<DmaJob>;
@@ -226,78 +212,56 @@ const _: () = assert!(
     "Event outgrew its 24-byte budget; keep payloads in slabs, not events"
 );
 
-impl Event {
-    /// Serialize one pending event for a checkpoint (tag + payload).
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// A pending event is its tag byte plus the variant's payload.
+impl Snap for Event {
+    fn save(&self, w: &mut SnapWriter) {
         match *self {
-            Event::TrySend(f) => {
-                w.u8(0);
-                w.u32(f);
-            }
-            Event::AtSwitch(p) => {
-                w.u8(1);
-                p.save_state(w);
-            }
-            Event::AtNic(p) => {
-                w.u8(2);
-                p.save_state(w);
-            }
+            Event::TrySend(f) => (0u8, f).save(w),
+            Event::AtSwitch(p) => (1u8, p).save(w),
+            Event::AtNic(p) => (2u8, p).save(w),
             Event::DmaLaunch => w.u8(3),
-            Event::DmaComplete(j) => {
-                w.u8(4);
-                j.save_state(w);
-            }
-            Event::CpuDone(j) => {
-                w.u8(5);
-                j.save_state(w);
-            }
-            Event::DmaChain(j) => {
-                w.u8(6);
-                j.save_state(w);
-            }
+            Event::DmaComplete(j) => (4u8, j).save(w),
+            Event::CpuDone(j) => (5u8, j).save(w),
+            Event::DmaChain(j) => (6u8, j).save(w),
             Event::AckToSender {
                 flow,
                 ack,
                 frontier,
-            } => {
-                w.u8(7);
-                w.u32(flow);
-                ack.save_state(w);
-                w.u64(frontier);
-            }
+            } => (7u8, (flow, ack, frontier)).save(w),
             Event::RtoSweep => w.u8(8),
             Event::MemTick => w.u8(9),
-            Event::Fault(code) => {
-                w.u8(10);
-                w.u32(code);
-            }
+            Event::Fault(code) => (10u8, code).save(w),
             Event::TelemetryTick => w.u8(11),
             Event::RemoteArrival => w.u8(12),
         }
     }
 
-    /// Rebuild an event from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Event::TrySend(r.u32()?),
-            1 => Event::AtSwitch(PacketRef::load_state(r)?),
-            2 => Event::AtNic(PacketRef::load_state(r)?),
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match r.u8()? {
+            0 => Event::TrySend(decode(r)?),
+            1 => Event::AtSwitch(decode(r)?),
+            2 => Event::AtNic(decode(r)?),
             3 => Event::DmaLaunch,
-            4 => Event::DmaComplete(DmaRef::load_state(r)?),
-            5 => Event::CpuDone(DmaRef::load_state(r)?),
-            6 => Event::DmaChain(DmaRef::load_state(r)?),
+            4 => Event::DmaComplete(decode(r)?),
+            5 => Event::CpuDone(decode(r)?),
+            6 => Event::DmaChain(decode(r)?),
             7 => Event::AckToSender {
-                flow: r.u32()?,
-                ack: PacketRef::load_state(r)?,
-                frontier: r.u64()?,
+                flow: decode(r)?,
+                ack: decode(r)?,
+                frontier: decode(r)?,
             },
             8 => Event::RtoSweep,
             9 => Event::MemTick,
-            10 => Event::Fault(r.u32()?),
+            10 => Event::Fault(decode(r)?),
             11 => Event::TelemetryTick,
             12 => Event::RemoteArrival,
             _ => return Err(SnapError::Corrupt("event tag out of range")),
-        })
+        };
+        Ok(())
+    }
+
+    fn blank() -> Option<Self> {
+        Some(Event::DmaLaunch)
     }
 }
 
@@ -346,6 +310,10 @@ struct FabricPort {
     /// FIFO-within-timestamp keeps event order aligned with this queue).
     inbox: std::collections::VecDeque<WireMsg>,
 }
+
+// Identity and latency are topology; the sequence counter and the staged
+// messages evolve.
+hostcc_sim::snap_fields!(FabricPort { wire_seq, outbox, inbox } skip { host_id, latency });
 
 /// The complete simulated testbed (implements [`World`]).
 pub struct Testbed {
@@ -428,14 +396,6 @@ pub struct Testbed {
     /// could start the fused packet's CPU work on a core an earlier
     /// packet is about to take.
     unfused_inflight: Vec<u32>,
-    /// Rolling trace of DMA-launch thread ids (diagnostics).
-    pub launch_trace: SampleRing<u32>,
-    /// Mean switch backlog accumulator (diagnostics).
-    pub switch_backlog_sum: f64,
-    /// Mean sender-link backlog accumulator (diagnostics).
-    pub link_backlog_sum: f64,
-    /// Backlog sample count (diagnostics).
-    pub backlog_samples: u64,
     /// Metrics accumulator (armed after warm-up).
     pub metrics: MetricsCollector,
     /// Datapath event tracer (disabled by default; purely observational).
@@ -480,6 +440,29 @@ pub struct Testbed {
     /// Delivered-byte watermark for recovery goodput sampling.
     last_delivered_bytes: u64,
 }
+
+// The checkpoint image: every piece of evolving state. Topology,
+// configuration and run constants are skipped: a restore loads into a
+// testbed freshly built from the identical config (and, in a fleet, the
+// same remote-flow wiring), so shape-fixed containers (flows, links,
+// pools, the fabric attachment) must match it. Derived caches are
+// recomputed after load, and scratch buffers carry no state between events
+// at a slot boundary. The cached fault aggregates are saved rather than
+// re-derived: `refresh_fault_aggregates` re-rates the memory pipe, which
+// would perturb the restored busy horizon. `faults_suppressed` is a
+// transient diagnostic switch and is never saved.
+hostcc_sim::snap_fields!(Testbed {
+    rng, flows, sender_links, recv_flows, rpc, fabric, switch, store, dma, nic, iommu, mem,
+    antagonist, credits, pcie_pipe, mem_pipe, pools, core_free_at, ring_cursor, window_payload,
+    window_walks, last_tick, nic_demand, app_demand, ddio_leak, dma_launch_pending,
+    unfused_inflight, metrics, counters, telemetry, rtx_base, timeout_base, faults, fault_rng,
+    replay, recovery, fault_link_down, fault_nak_rate, fault_refill_stalled, fault_throttle,
+    fault_pending_refills, last_nic_avail, last_delivered_bytes,
+} skip {
+    cfg, flow_ids, remote, nic_agent, app_agent, ring_pages, per_pkt_cost, cached_walk_ns,
+    cached_commit_ns, cached_read_rt_ns, cached_mem_epoch, nic_run_scratch, pkt_credits,
+    fuse_active, tracer, timeline, faults_suppressed,
+} check { Testbed::check_restored });
 
 impl Testbed {
     /// Build the testbed from a configuration. Registers all memory
@@ -609,8 +592,7 @@ impl Testbed {
         // grid step (a 400 G link quantised per-packet to 64 ns behaves
         // like 128 G), whereas quantising only the dispatch instant
         // displaces each event by < one grid step without distorting
-        // sustained rates. (Components still expose `set_resolution` for
-        // callers that want coarse internal clocks.)
+        // sustained rates. The queue boundary is the only quantiser.
         let credits = CreditState::new(cfg.credits);
         let pkt_credits = WriteCredits::for_write(wire.mtu_payload as u64, cfg.pcie.max_payload);
 
@@ -686,10 +668,6 @@ impl Testbed {
             dma_launch_pending: false,
             fuse_active: cfg.fuse_chains && cfg.faults.is_empty(),
             unfused_inflight: vec![0; threads as usize],
-            launch_trace: SampleRing::new(8192),
-            switch_backlog_sum: 0.0,
-            link_backlog_sum: 0.0,
-            backlog_samples: 0,
             metrics: MetricsCollector::new(),
             tracer: Tracer::disabled(),
             counters: CounterRegistry::new(),
@@ -1037,264 +1015,44 @@ impl Testbed {
             .collect()
     }
 
-    // ---- checkpoint/restore ----
-
-    /// Serialize every piece of evolving state into `w`, in declaration
-    /// order. Topology, configuration and run constants are *not* written:
-    /// the restore path rebuilds them by constructing a testbed from the
-    /// identical config (and, in a fleet, replaying the same remote-flow
-    /// wiring) before calling [`load_state`](Self::load_state). Derived
-    /// caches are recomputed after load, and scratch buffers carry no
-    /// state between events at a slot boundary.
-    ///
-    /// Refuses (with [`SnapError::Unsupported`]) when the tracer or the
-    /// timeline recorder is enabled: their in-memory buffers are
-    /// diagnostics, not simulation state, and restoring without them
-    /// would silently diverge from what the caller asked to record.
-    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        if self.tracer.is_enabled() || self.timeline.is_enabled() {
-            return Err(SnapError::Unsupported("checkpoint with tracing enabled"));
-        }
-        self.rng.save_state(w);
-        w.usize(self.flows.len());
-        for f in &self.flows {
-            f.save_state(w);
-        }
-        w.usize(self.sender_links.len());
-        for l in &self.sender_links {
-            l.save_state(w);
-        }
-        for rf in &self.recv_flows {
-            rf.save_state(w);
-        }
-        for ch in &self.rpc {
-            ch.save_state(w);
-        }
-        // Remote slots and the fabric attachment are topology; only their
-        // shape is written so a mis-wired restore fails typed, plus the
-        // fabric's evolving payload (sequence counter + staged messages).
-        w.usize(self.remote.len());
-        w.opt(&self.fabric, |port, w| {
-            w.u64(port.wire_seq);
-            w.usize(port.outbox.len());
-            for env in &port.outbox {
-                w.time(env.fire);
-                w.u32(env.src_host);
-                w.u64(env.seq);
-                w.u32(env.dst_host);
-                env.msg.save_state(w);
-            }
-            w.usize(port.inbox.len());
-            for msg in &port.inbox {
-                msg.save_state(w);
-            }
-        });
-        self.switch.save_state(w);
-        self.store.save_with(w, |p, w| p.save_state(w));
-        self.dma.save_with(w, |j, w| j.save_state(w));
-        self.nic.save_state(w);
-        self.iommu.save_state(w);
-        self.mem.save_state(w);
-        self.antagonist.save_state(w);
-        self.credits.save_state(w);
-        self.pcie_pipe.save_state(w);
-        self.mem_pipe.save_state(w);
-        for p in &self.pools {
-            p.save_state(w);
-        }
-        w.seq(&self.core_free_at, |&t, w| w.time(t));
-        w.usize(self.ring_cursor.len());
-        for cur in &self.ring_cursor {
-            for &c in cur {
-                w.u64(c);
-            }
-        }
-        w.u64(self.window_payload);
-        w.u64(self.window_walks);
-        w.time(self.last_tick);
-        self.nic_demand.save_state(w);
-        self.app_demand.save_state(w);
-        w.f64(self.ddio_leak);
-        w.bool(self.dma_launch_pending);
-        w.seq(&self.unfused_inflight, |&n, w| w.u32(n));
-        self.launch_trace.save_with(w, |&t, w| w.u32(t));
-        w.f64(self.switch_backlog_sum);
-        w.f64(self.link_backlog_sum);
-        w.u64(self.backlog_samples);
-        self.metrics.save_state(w);
-        self.counters.save_state(w);
-        self.telemetry.save_state(w);
-        w.u64(self.rtx_base);
-        w.u64(self.timeout_base);
-        self.faults.save_state(w);
-        self.fault_rng.save_state(w);
-        self.replay.save_state(w);
-        self.recovery.save_state(w);
-        // The cached fault aggregates are serialized directly rather than
-        // re-derived: `refresh_fault_aggregates` re-rates the memory pipe,
-        // which would perturb the just-restored busy horizon.
-        w.bool(self.fault_link_down);
-        w.f64(self.fault_nak_rate);
-        w.bool(self.fault_refill_stalled);
-        w.f64(self.fault_throttle);
-        w.seq(&self.fault_pending_refills, |&n, w| w.u32(n));
-        w.f64(self.last_nic_avail);
-        w.u64(self.last_delivered_bytes);
-        Ok(())
-    }
-
-    /// Restore evolving state from [`save_state`](Self::save_state) output
-    /// into a testbed freshly built from the *identical* configuration
-    /// (and identical fleet wiring). Every structural invariant is
-    /// revalidated against the prebuilt topology — count mismatches and
-    /// out-of-range values are typed errors, never panics.
-    ///
-    /// On error `self` may be partially overwritten (sub-component loads
-    /// are in-place); callers must discard the testbed rather than run it.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rng = SimRng::load_state(r)?;
-        let n_flows = r.len(1)?;
-        if n_flows != self.flows.len() {
-            return Err(SnapError::Corrupt("flow count mismatch"));
-        }
-        for f in &mut self.flows {
-            f.load_state(r)?;
-        }
-        let n_links = r.len(1)?;
-        if n_links != self.sender_links.len() {
-            return Err(SnapError::Corrupt("sender link count mismatch"));
-        }
-        for l in &mut self.sender_links {
-            *l = Link::load_state(r)?;
-        }
-        for rf in &mut self.recv_flows {
-            *rf = ReceiverFlow::load_state(r)?;
-        }
-        for ch in &mut self.rpc {
-            ch.load_state(r)?;
-        }
-        let n_remote = r.usize()?;
-        if n_remote != self.remote.len() {
-            return Err(SnapError::Corrupt("remote slot count mismatch"));
-        }
-        let fabric_payload = r.opt(|r| {
-            let wire_seq = r.u64()?;
-            let n_out = r.len(1)?;
-            let mut outbox = Vec::with_capacity(n_out);
-            for _ in 0..n_out {
-                outbox.push(Envelope {
-                    fire: r.time()?,
-                    src_host: r.u32()?,
-                    seq: r.u64()?,
-                    dst_host: r.u32()?,
-                    msg: WireMsg::load_state(r)?,
-                });
-            }
-            let n_in = r.len(1)?;
-            let mut inbox = std::collections::VecDeque::with_capacity(n_in);
-            for _ in 0..n_in {
-                inbox.push_back(WireMsg::load_state(r)?);
-            }
-            Ok((wire_seq, outbox, inbox))
-        })?;
-        match (self.fabric.as_mut(), fabric_payload) {
-            (Some(port), Some((wire_seq, outbox, inbox))) => {
-                port.wire_seq = wire_seq;
-                port.outbox = outbox;
-                port.inbox = inbox;
-            }
-            (None, None) => {}
-            _ => return Err(SnapError::Corrupt("fabric attachment mismatch")),
-        }
-        self.switch = SwitchPort::load_state(r)?;
-        self.store = PacketStore::load_with(r, hostcc_fabric::Packet::load_state)?;
-        self.dma = GenSlab::load_with(r, DmaJob::load_state)?;
-        self.nic.load_state(r)?;
-        self.iommu.load_state(r)?;
-        self.mem.load_state(r)?;
-        self.antagonist.load_state(r)?;
-        self.credits = CreditState::load_state(r)?;
-        self.pcie_pipe = SerialLink::load_state(r)?;
-        self.mem_pipe = VariableRateLink::load_state(r)?;
-        for p in &mut self.pools {
-            *p = RxBufferPool::load_state(r)?;
-        }
-        let core_free_at = r.seq(8, |r| r.time())?;
-        if core_free_at.len() != self.core_free_at.len() {
+    /// Revalidate restored state against the prebuilt topology (per-thread
+    /// vectors sized to the receiver threads, ring cursors inside their
+    /// hot windows) and value ranges, then recompute the derived caches.
+    fn check_restored(&mut self) -> Result<(), SnapError> {
+        let threads = self.pools.len();
+        if self.core_free_at.len() != threads {
             return Err(SnapError::Corrupt("receiver core count mismatch"));
         }
-        self.core_free_at = core_free_at;
-        let n_cursors = r.len(24)?;
-        if n_cursors != self.ring_cursor.len() {
+        if self.ring_cursor.len() != threads {
             return Err(SnapError::Corrupt("ring cursor count mismatch"));
         }
-        for t in 0..n_cursors {
-            let mut cur = [0u64; 3];
-            for (which, c) in cur.iter_mut().enumerate() {
-                *c = r.u64()?;
-                if *c >= self.ring_pages[which] {
-                    return Err(SnapError::Corrupt("ring cursor out of range"));
-                }
+        for cur in &self.ring_cursor {
+            if cur
+                .iter()
+                .zip(&self.ring_pages)
+                .any(|(c, pages)| c >= pages)
+            {
+                return Err(SnapError::Corrupt("ring cursor out of range"));
             }
-            self.ring_cursor[t] = cur;
         }
-        self.window_payload = r.u64()?;
-        self.window_walks = r.u64()?;
-        self.last_tick = r.time()?;
-        self.nic_demand = Ewma::load_state(r)?;
-        self.app_demand = Ewma::load_state(r)?;
-        let ddio_leak = r.f64()?;
-        if !(0.0..=1.0).contains(&ddio_leak) {
-            return Err(SnapError::Corrupt("ddio leak out of range"));
-        }
-        self.ddio_leak = ddio_leak;
-        self.dma_launch_pending = r.bool()?;
-        let unfused = r.seq(4, |r| r.u32())?;
-        if unfused.len() != self.unfused_inflight.len() {
+        if self.unfused_inflight.len() != threads {
             return Err(SnapError::Corrupt("unfused inflight count mismatch"));
         }
-        self.unfused_inflight = unfused;
-        self.launch_trace = SampleRing::load_with(r, |r| r.u32())?;
-        self.switch_backlog_sum = r.f64()?;
-        self.link_backlog_sum = r.f64()?;
-        self.backlog_samples = r.u64()?;
-        if !self.switch_backlog_sum.is_finite() || !self.link_backlog_sum.is_finite() {
-            return Err(SnapError::Corrupt("non-finite backlog sum"));
-        }
-        self.metrics = MetricsCollector::load_state(r)?;
-        self.counters = CounterRegistry::load_state(r)?;
-        self.telemetry.load_state(r)?;
-        self.rtx_base = r.u64()?;
-        self.timeout_base = r.u64()?;
-        self.faults.load_state(r)?;
-        self.fault_rng = SimRng::load_state(r)?;
-        self.replay = ReplayChannel::load_state(r)?;
-        self.recovery = RecoveryTracker::load_state(r)?;
-        self.fault_link_down = r.bool()?;
-        let nak_rate = r.f64()?;
-        if !(0.0..=1.0).contains(&nak_rate) {
-            return Err(SnapError::Corrupt("nak rate out of range"));
-        }
-        self.fault_nak_rate = nak_rate;
-        self.fault_refill_stalled = r.bool()?;
-        let throttle = r.f64()?;
-        if !throttle.is_finite() || throttle < 0.0 {
-            return Err(SnapError::Corrupt("invalid throttle factor"));
-        }
-        self.fault_throttle = throttle;
-        let refills = r.seq(4, |r| r.u32())?;
-        if refills.len() != self.fault_pending_refills.len() {
+        if self.fault_pending_refills.len() != threads {
             return Err(SnapError::Corrupt("pending refill count mismatch"));
         }
-        self.fault_pending_refills = refills;
-        let last_nic_avail = r.f64()?;
-        if !last_nic_avail.is_finite() || last_nic_avail < 0.0 {
+        if !(0.0..=1.0).contains(&self.ddio_leak) {
+            return Err(SnapError::Corrupt("ddio leak out of range"));
+        }
+        if !(0.0..=1.0).contains(&self.fault_nak_rate) {
+            return Err(SnapError::Corrupt("nak rate out of range"));
+        }
+        if !self.fault_throttle.is_finite() || self.fault_throttle < 0.0 {
+            return Err(SnapError::Corrupt("invalid throttle factor"));
+        }
+        if !self.last_nic_avail.is_finite() || self.last_nic_avail < 0.0 {
             return Err(SnapError::Corrupt("invalid nic bandwidth"));
         }
-        self.last_nic_avail = last_nic_avail;
-        self.last_delivered_bytes = r.u64()?;
-        // Derived caches are functions of the restored inputs; recompute
-        // rather than trust the snapshot.
         self.refresh_latency_cache();
         Ok(())
     }
@@ -1567,7 +1325,6 @@ impl Testbed {
                 let p = self.store.get(qp.pkt);
                 (p.flow.thread as usize, p.payload_bytes as u64)
             };
-            self.launch_trace.push(thread as u32);
 
             // Step 2: fetch an Rx descriptor.
             let Some(desc) = self.nic.queues[thread].ring.take() else {
@@ -2254,14 +2011,6 @@ impl Testbed {
                 self.metrics
                     .occupancy_samples
                     .push((since, self.nic.input.occupancy_bytes()));
-                self.switch_backlog_sum += self.switch.backlog_delay(now).as_micros_f64();
-                self.link_backlog_sum += self
-                    .sender_links
-                    .iter()
-                    .map(|l| l.free_at().saturating_since(now).as_micros_f64())
-                    .sum::<f64>()
-                    / self.sender_links.len() as f64;
-                self.backlog_samples += 1;
             }
             if self.timeline.is_enabled() {
                 let t = now.as_nanos();
@@ -2460,6 +2209,8 @@ pub struct Simulation<Q: Queue<Event> = EventQueue<Event>> {
     engine: Engine<Testbed, Q>,
 }
 
+hostcc_sim::snap_fields!(impl[Q: Queue<Event> + Snap] Simulation<Q> { engine });
+
 /// Progress watchdog threshold: consecutive same-timestamp dispatches
 /// before the engine gives up with [`RunOutcome::Stalled`]. The testbed's
 /// legitimate zero-time bursts (DMA launch cascades, ACK fan-out) stay in
@@ -2512,53 +2263,57 @@ impl Simulation {
         fnv1a_64(format!("{cfg:?}").as_bytes())
     }
 
+    /// An unstarted simulation over `testbed` (built from the identical
+    /// configuration and, for fleet hosts, the identical remote-flow
+    /// wiring): the shell a checkpoint loads into through [`Snap`].
+    /// Nothing is scheduled — the restored queue already holds the live
+    /// timers, so `start` must not run.
+    pub fn unstarted(testbed: Testbed) -> Simulation {
+        let res = testbed.config().resolution;
+        let mut engine = Engine::with_queue_resolution(testbed, res);
+        engine.stall_limit = Some(STALL_LIMIT);
+        Simulation { engine }
+    }
+
+    /// Refuse (typed, not a panic) to checkpoint while the tracer or the
+    /// timeline recorder is enabled: their in-memory buffers are
+    /// diagnostics, not simulation state, and restoring without them
+    /// would silently diverge from what the caller asked to record.
+    pub fn ensure_checkpointable(&self) -> Result<(), SnapError> {
+        let world = &self.engine.world;
+        if world.tracer.is_enabled() || world.timeline.is_enabled() {
+            return Err(SnapError::Unsupported("checkpoint with tracing enabled"));
+        }
+        Ok(())
+    }
+
     /// Serialize the complete simulation — clock, pending events, world —
     /// into a self-validating envelope (header + checksum). Call only
-    /// between [`run_to`](Self::run_to) slices. Refuses (typed, not a
-    /// panic) when the tracer or timeline recorder is enabled.
+    /// between [`run_to`](Self::run_to) slices. Refuses when
+    /// [`ensure_checkpointable`](Self::ensure_checkpointable) does.
     pub fn save_checkpoint(&self) -> Result<Vec<u8>, SnapError> {
+        self.ensure_checkpointable()?;
         let mut w = SnapWriter::new();
         w.u64(Self::config_fingerprint(self.engine.world.config()));
-        self.engine.sched.save_state(&mut w, |e, w| e.save_state(w));
-        self.engine.world.save_state(&mut w)?;
+        self.save(&mut w);
         Ok(w.into_envelope())
     }
 
     /// Rebuild a simulation from a checkpoint envelope and the identical
-    /// configuration the checkpointed run was built from. Single-host
-    /// form; fleet hosts go through
-    /// [`restore_checkpoint_into`](Self::restore_checkpoint_into) with a
-    /// pre-wired testbed.
+    /// configuration the checkpointed run was built from. Any corruption,
+    /// truncation, version mismatch or config mismatch is a typed
+    /// [`SnapError`]. Debug builds also re-save the restored simulation
+    /// and require the identical image.
     pub fn restore_checkpoint(cfg: TestbedConfig, bytes: &[u8]) -> Result<Simulation, SnapError> {
-        Self::restore_checkpoint_into(Testbed::new(cfg), bytes)
-    }
-
-    /// Rebuild a simulation from a checkpoint envelope into `testbed`,
-    /// which must have been constructed from the identical configuration
-    /// (and, for fleet hosts, wired with the identical remote flows) but
-    /// **not** started — the restored event queue replaces the start-up
-    /// schedule wholesale. Any corruption, truncation, version mismatch
-    /// or config mismatch is a typed [`SnapError`]; the testbed is
-    /// consumed either way.
-    pub fn restore_checkpoint_into(
-        mut testbed: Testbed,
-        bytes: &[u8],
-    ) -> Result<Simulation, SnapError> {
         let mut r = SnapReader::open(bytes)?;
-        if r.u64()? != Self::config_fingerprint(testbed.config()) {
+        if r.u64()? != Self::config_fingerprint(&cfg) {
             return Err(SnapError::Corrupt("config fingerprint mismatch"));
         }
-        let sched = Scheduler::load_state(&mut r, Event::load_state)?;
-        testbed.load_state(&mut r)?;
+        let mut sim = Simulation::unstarted(Testbed::new(cfg));
+        sim.load(&mut r)?;
         r.finish()?;
-        let res = testbed.config().resolution;
-        // Build the engine shell, then replace its (empty, unstarted)
-        // scheduler with the restored one. `start` must NOT run: the
-        // checkpoint's queue already holds the live timers.
-        let mut engine = Engine::with_queue_resolution(testbed, res);
-        engine.stall_limit = Some(STALL_LIMIT);
-        engine.sched = sched;
-        Ok(Simulation { engine })
+        check_resave(bytes, || sim.save_checkpoint().unwrap_or_default())?;
+        Ok(sim)
     }
 }
 
@@ -2858,180 +2613,5 @@ mod tests {
             off.app_throughput_gbps(),
             on.app_throughput_gbps()
         );
-    }
-}
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn calib() {
-        for threads in [6u32, 8, 10, 12, 14, 16] {
-            for (ai, rto_us, ways) in [(0.25, 1000u64, 128usize), (0.15, 1000, 128)] {
-                let on = true;
-                let mut cfg = TestbedConfig {
-                    receiver_threads: threads,
-                    ..TestbedConfig::default()
-                };
-                cfg.iommu.enabled = on;
-                cfg.iommu.iotlb_ways = ways;
-                cfg.flow.rto_floor = SimDuration::from_micros(rto_us);
-                if let crate::config::CcKind::Swift(ref mut sc) = cfg.cc {
-                    sc.ai = ai;
-                }
-                let _ = ai;
-                let mut sim = Simulation::new(cfg);
-                let m = sim.run(SimDuration::from_millis(25), SimDuration::from_millis(25));
-                let (mut fd, mut ed, mut lo) = (0u64, 0u64, 0u64);
-                for f in &sim.world().flows {
-                    if let Some((a, b, c)) = f.cc().decrease_stats() {
-                        fd += a;
-                        ed += b;
-                        lo += c;
-                    }
-                }
-                let w = sim.world();
-                let sb = w.switch_backlog_sum / w.backlog_samples.max(1) as f64;
-                let lb = w.link_backlog_sum / w.backlog_samples.max(1) as f64;
-                println!(
-                    "swq={sb:6.1}us lnkq={lb:6.1}us fabdec={fd} enddec={ed} losses={lo} rtt p50={:5.1} p99={:6.1} thr={threads:2} ai={ai:4.2} rto={rto_us:4} ways={ways} iommu={} tp={:6.2} drop={:6.3}% m/pkt={:5.2} hostd p50={:6.1} p99={:6.1} cwnd={:5.2} rtx={:6} to={:4} peak={:7}",
-                    m.rtt.p50() as f64 / 1000.0,
-                    m.rtt.p99() as f64 / 1000.0,
-                    on as u8,
-                    m.app_throughput_gbps(),
-                    m.drop_rate() * 100.0,
-                    m.iotlb_misses_per_packet(),
-                    m.host_delay_p50_us(),
-                    m.host_delay_p99_us(),
-                    m.mean_cwnd,
-                    m.retransmits,
-                    m.timeouts,
-                    m.nic_buffer_peak_bytes,
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn trace_pattern() {
-        let mut cfg = TestbedConfig {
-            receiver_threads: 16,
-            ..TestbedConfig::default()
-        };
-        cfg.iommu.iotlb_ways = 128;
-        let mut sim = Simulation::new(cfg);
-        sim.run(SimDuration::from_millis(40), SimDuration::from_millis(5));
-        {
-            let w = sim.world();
-            let threads = w.cfg.receiver_threads as usize;
-            let mut cw = vec![0.0f64; threads];
-            let mut cnt = vec![0u32; threads];
-            for (i, f) in w.flows.iter().enumerate() {
-                let t = w.flow_ids[i].thread as usize;
-                cw[t] += f.cwnd();
-                cnt[t] += 1;
-            }
-            let per: Vec<String> = (0..threads)
-                .map(|t| format!("{:.2}", cw[t] / cnt[t] as f64))
-                .collect();
-            println!("mean cwnd per thread: {:?}", per);
-        }
-        let trace: Vec<u32> = sim.world().launch_trace.iter().copied().collect();
-        // Run lengths.
-        let mut runs = vec![];
-        let mut cur = 1;
-        for w in trace.windows(2) {
-            if w[0] == w[1] {
-                cur += 1;
-            } else {
-                runs.push(cur);
-                cur = 1;
-            }
-        }
-        runs.push(cur);
-        let mean_run = runs.iter().sum::<usize>() as f64 / runs.len() as f64;
-        // Mean gap between same-thread occurrences.
-        let mut last = std::collections::HashMap::new();
-        let mut gaps = vec![];
-        for (i, &t) in trace.iter().enumerate() {
-            if let Some(&p) = last.get(&t) {
-                gaps.push(i - p);
-            }
-            last.insert(t, i);
-        }
-        gaps.sort();
-        println!(
-            "trace len={} mean_run={:.2} gap p50={} p90={} p99={}",
-            trace.len(),
-            mean_run,
-            gaps[gaps.len() / 2],
-            gaps[gaps.len() * 9 / 10],
-            gaps[gaps.len() * 99 / 100]
-        );
-        // Per-thread share balance.
-        let mut counts = [0u32; 16];
-        for &t in &trace {
-            counts[t as usize] += 1;
-        }
-        println!("thread counts: {:?}", counts);
-    }
-
-    #[test]
-    #[ignore]
-    fn fig6() {
-        for on in [false, true] {
-            for cores in [0u32, 1, 2, 4, 6, 8, 10, 12, 14, 15] {
-                let mut cfg = TestbedConfig {
-                    receiver_threads: 12,
-                    antagonist_cores: cores,
-                    ..TestbedConfig::default()
-                };
-                cfg.iommu.enabled = on;
-                let mut sim = Simulation::new(cfg);
-                let m = sim.run(SimDuration::from_millis(25), SimDuration::from_millis(25));
-                println!(
-                    "iommu={} antag={cores:2} tp={:6.2} drop={:6.3}% membw={:6.1} GB/s nicbw={:5.1} m/pkt={:4.2} hostd p50={:6.1}",
-                    on as u8,
-                    m.app_throughput_gbps(),
-                    m.drop_rate() * 100.0,
-                    m.memory_bandwidth_gbytes(),
-                    m.mean_nic_memory_bandwidth / 1e9,
-                    m.iotlb_misses_per_packet(),
-                    m.host_delay_p50_us(),
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn print_sweep() {
-        for threads in [2u32, 6, 8, 10, 12, 14, 16] {
-            for enabled in [false, true] {
-                let mut cfg = TestbedConfig {
-                    receiver_threads: threads,
-                    ..TestbedConfig::default()
-                };
-                cfg.iommu.enabled = enabled;
-                let mut sim = Simulation::new(cfg);
-                let m = sim.run(SimDuration::from_millis(15), SimDuration::from_millis(25));
-                println!(
-                    "threads={threads:2} iommu={} tp={:6.2} Gbps drop={:5.3}% m/pkt={:5.2} walks/pkt={:5.2} hostdelay p50={:6.1}us p99={:6.1}us cwnd={:5.2} peakbuf={:7} rtx={}",
-                    enabled as u8,
-                    m.app_throughput_gbps(),
-                    m.drop_rate() * 100.0,
-                    m.iotlb_misses_per_packet(),
-                    m.walk_memory_accesses as f64 / m.delivered_packets.max(1) as f64,
-                    m.host_delay_p50_us(),
-                    m.host_delay_p99_us(),
-                    m.mean_cwnd,
-                    m.nic_buffer_peak_bytes,
-                    m.retransmits,
-                );
-            }
-        }
     }
 }

@@ -98,6 +98,12 @@ pub struct IommuStats {
     pub walk_memory_accesses: u64,
 }
 
+hostcc_sim::snap_fields!(IommuStats {
+    translations,
+    faults,
+    walk_memory_accesses
+});
+
 /// The IOMMU: one or more protection domains sharing an IOTLB and a
 /// page-walk cache. The paper's testbed uses a single domain (the NIC's);
 /// additional domains model multi-device hosts.
@@ -109,6 +115,8 @@ pub struct Iommu {
     pwc: WalkCache,
     stats: IommuStats,
 }
+
+hostcc_sim::snap_fields!(Iommu { iotlb, pwc, stats } skip { config, tables });
 
 impl Iommu {
     /// Build an IOMMU with the given configuration and an empty page table.
@@ -366,43 +374,6 @@ impl Iommu {
     pub fn reset_stats(&mut self) {
         self.iotlb.reset_stats();
         self.stats = IommuStats::default();
-    }
-
-    /// Serialize the IOMMU's evolving state: IOTLB contents, page-walk
-    /// cache contents, and statistics. Page tables are not written —
-    /// mappings are registered at construction from config, so restore
-    /// targets an IOMMU rebuilt the same way.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.iotlb.save_state(w);
-        self.pwc.save_state(w);
-        w.u64(self.stats.translations);
-        w.u64(self.stats.faults);
-        w.u64(self.stats.walk_memory_accesses);
-    }
-
-    /// Overwrite this IOMMU's caches and statistics from
-    /// [`save_state`](Self::save_state) output. `self` must have been
-    /// rebuilt from the same config; a cache-geometry mismatch is a typed
-    /// error and leaves `self` untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let iotlb = Iotlb::load_state(r)?;
-        let pwc = WalkCache::load_state(r)?;
-        if iotlb.capacity() != self.iotlb.capacity() || iotlb.ways() != self.iotlb.ways() {
-            return Err(SnapError::Corrupt("iotlb geometry mismatch"));
-        }
-        let stats = IommuStats {
-            translations: r.u64()?,
-            faults: r.u64()?,
-            walk_memory_accesses: r.u64()?,
-        };
-        self.iotlb = iotlb;
-        self.pwc = pwc;
-        self.stats = stats;
-        Ok(())
     }
 }
 

@@ -72,6 +72,14 @@ pub struct IotlbStats {
     pub invalidations: u64,
 }
 
+hostcc_sim::snap_fields!(IotlbStats {
+    lookups,
+    hits,
+    misses,
+    evictions,
+    invalidations
+});
+
 impl IotlbStats {
     /// Miss ratio over all lookups (0 when idle).
     pub fn miss_ratio(&self) -> f64 {
@@ -100,6 +108,11 @@ pub struct Iotlb {
     clock: u64,
     stats: IotlbStats,
 }
+
+// Geometry is configuration: the restored arrays must match the prebuilt
+// cache's ways x sets.
+hostcc_sim::snap_fields!(Iotlb { keys, stamps, clock, stats } skip { ways, sets }
+    check { Iotlb::check_restored });
 
 impl Iotlb {
     /// A cache with `entries` total entries and `ways` entries per set.
@@ -301,62 +314,16 @@ impl Iotlb {
         self.stats = IotlbStats::default();
     }
 
-    /// Serialize the cache: geometry, every slot's packed tag + LRU stamp
-    /// (empty slots included so replacement order survives), the recency
-    /// clock and the statistics.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.usize(self.ways);
-        w.usize(self.sets);
-        for (&k, &s) in self.keys.iter().zip(self.stamps.iter()) {
-            w.u64(k);
-            w.u64(s);
-        }
-        w.u64(self.clock);
-        w.u64(self.stats.lookups);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.evictions);
-        w.u64(self.stats.invalidations);
-    }
-
-    /// Rebuild a cache from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let ways = r.usize()?;
-        let sets = r.usize()?;
-        if ways == 0 || sets == 0 || !sets.is_power_of_two() {
-            return Err(SnapError::Corrupt("iotlb geometry invalid"));
+        let entries = self.ways * self.sets;
+        if self.keys.len() != entries || self.stamps.len() != entries {
+            return Err(SnapError::Corrupt("iotlb geometry mismatch"));
         }
-        let entries = ways
-            .checked_mul(sets)
-            .ok_or(SnapError::Corrupt("iotlb geometry overflow"))?;
-        if entries.saturating_mul(16) > r.remaining() {
-            return Err(SnapError::Corrupt("iotlb entries exceed payload"));
-        }
-        let mut keys = Vec::with_capacity(entries);
-        let mut stamps = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            keys.push(r.u64()?);
-            stamps.push(r.u64()?);
-        }
-        let clock = r.u64()?;
-        if stamps.iter().any(|&s| s > clock) {
+        if self.stamps.iter().any(|&s| s > self.clock) {
             return Err(SnapError::Corrupt("iotlb stamp beyond clock"));
         }
-        Ok(Iotlb {
-            ways,
-            sets,
-            keys,
-            stamps,
-            clock,
-            stats: IotlbStats {
-                lookups: r.u64()?,
-                hits: r.u64()?,
-                misses: r.u64()?,
-                evictions: r.u64()?,
-                invalidations: r.u64()?,
-            },
-        })
+        Ok(())
     }
 }
 

@@ -29,6 +29,9 @@ pub struct WalkCache {
     misses: u64,
 }
 
+hostcc_sim::snap_fields!(WalkCache { keys, stamps, clock, hits, misses } skip { capacity }
+    check { WalkCache::check_restored });
+
 impl WalkCache {
     /// A PWC with `capacity` entries; capacity 0 disables the cache.
     pub fn new(capacity: usize) -> Self {
@@ -93,45 +96,15 @@ impl WalkCache {
         self.keys.len()
     }
 
-    /// Serialize the cache (capacity, cached paths with stamps, counters).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.usize(self.capacity);
-        w.usize(self.keys.len());
-        for (&k, &s) in self.keys.iter().zip(self.stamps.iter()) {
-            w.u64(k);
-            w.u64(s);
-        }
-        w.u64(self.clock);
-        w.u64(self.hits);
-        w.u64(self.misses);
-    }
-
-    /// Rebuild a cache from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let capacity = r.usize()?;
-        let n = r.len(16)?;
-        if n > capacity {
+        if self.keys.len() > self.capacity || self.stamps.len() != self.keys.len() {
             return Err(SnapError::Corrupt("walk cache overfull"));
         }
-        let mut keys = Vec::with_capacity(capacity);
-        let mut stamps = Vec::with_capacity(capacity);
-        for _ in 0..n {
-            keys.push(r.u64()?);
-            stamps.push(r.u64()?);
-        }
-        let clock = r.u64()?;
-        if stamps.iter().any(|&s| s > clock) {
+        if self.stamps.iter().any(|&s| s > self.clock) {
             return Err(SnapError::Corrupt("walk-cache stamp beyond clock"));
         }
-        Ok(WalkCache {
-            capacity,
-            keys,
-            stamps,
-            clock,
-            hits: r.u64()?,
-            misses: r.u64()?,
-        })
+        Ok(())
     }
 }
 

@@ -13,6 +13,8 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Iova(pub u64);
 
+hostcc_sim::snap_fields!(Iova { 0 } blank { Iova(0) });
+
 /// A host physical address: what the memory controller services.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);

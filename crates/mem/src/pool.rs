@@ -36,6 +36,29 @@ pub enum RecycleOrder {
     },
 }
 
+impl hostcc_sim::Snap for RecycleOrder {
+    fn save(&self, w: &mut hostcc_sim::SnapWriter) {
+        match *self {
+            RecycleOrder::Fifo => w.u8(0),
+            RecycleOrder::Lifo => w.u8(1),
+            RecycleOrder::Random { seed } => {
+                w.u8(2);
+                w.u64(seed);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut hostcc_sim::SnapReader<'_>) -> Result<(), hostcc_sim::SnapError> {
+        *self = match r.u8()? {
+            0 => RecycleOrder::Fifo,
+            1 => RecycleOrder::Lifo,
+            2 => RecycleOrder::Random { seed: r.u64()? },
+            _ => return Err(hostcc_sim::SnapError::Corrupt("recycle order out of range")),
+        };
+        Ok(())
+    }
+}
+
 /// A fixed-slot buffer pool within one registered region.
 #[derive(Debug)]
 pub struct RxBufferPool {
@@ -51,6 +74,11 @@ pub struct RxBufferPool {
     alloc_count: u64,
     exhausted_count: u64,
 }
+
+hostcc_sim::snap_fields!(RxBufferPool {
+    region_iova, slot_size, slots, free, order, rng_state, allocated, peak_allocated, alloc_count,
+    exhausted_count,
+} check { RxBufferPool::check_restored });
 
 impl RxBufferPool {
     /// Carve `region` into `slot_size`-byte buffers.
@@ -171,52 +199,19 @@ impl RxBufferPool {
         self.region_iova.add(idx as u64 * self.slot_size)
     }
 
-    /// Serialize the pool: geometry, the free list in recycle order, the
-    /// recycle policy (with its RNG stream state) and the counters.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.region_iova.as_u64());
-        w.u64(self.slot_size);
-        w.usize(self.slots);
-        w.usize(self.free.len());
-        for &idx in &self.free {
-            w.u32(idx);
-        }
-        match self.order {
-            RecycleOrder::Fifo => w.u8(0),
-            RecycleOrder::Lifo => w.u8(1),
-            RecycleOrder::Random { seed } => {
-                w.u8(2);
-                w.u64(seed);
-            }
-        }
-        w.u64(self.rng_state);
-        w.usize(self.allocated);
-        w.usize(self.peak_allocated);
-        w.u64(self.alloc_count);
-        w.u64(self.exhausted_count);
-    }
-
-    /// Rebuild a pool from [`save_state`](Self::save_state) output,
-    /// revalidating the free-list/outstanding invariant.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let region_iova = Iova(r.u64()?);
-        let slot_size = r.u64()?;
-        if slot_size == 0 {
+        if self.slot_size == 0 {
             return Err(SnapError::Corrupt("zero pool slot size"));
         }
-        let slots = r.usize()?;
-        if slots == 0 {
+        if self.slots == 0 {
             return Err(SnapError::Corrupt("empty buffer pool"));
         }
-        let n = r.len(4)?;
-        if n > slots {
+        if self.free.len() > self.slots {
             return Err(SnapError::Corrupt("free list larger than pool"));
         }
-        let mut free = VecDeque::with_capacity(slots);
-        let mut seen = vec![false; slots];
-        for _ in 0..n {
-            let idx = r.u32()?;
+        let mut seen = vec![false; self.slots];
+        for &idx in &self.free {
             let slot = seen
                 .get_mut(idx as usize)
                 .ok_or(SnapError::Corrupt("free index out of range"))?;
@@ -224,38 +219,17 @@ impl RxBufferPool {
                 return Err(SnapError::Corrupt("duplicate free index"));
             }
             *slot = true;
-            free.push_back(idx);
         }
-        let order = match r.u8()? {
-            0 => RecycleOrder::Fifo,
-            1 => RecycleOrder::Lifo,
-            2 => RecycleOrder::Random { seed: r.u64()? },
-            _ => return Err(SnapError::Corrupt("recycle order out of range")),
-        };
-        let rng_state = r.u64()?;
-        if matches!(order, RecycleOrder::Random { .. }) && rng_state == 0 {
+        if matches!(self.order, RecycleOrder::Random { .. }) && self.rng_state == 0 {
             return Err(SnapError::Corrupt("zero pool rng state"));
         }
-        let allocated = r.usize()?;
-        if allocated != slots - free.len() {
+        if self.allocated != self.slots - self.free.len() {
             return Err(SnapError::Corrupt("pool allocation count mismatch"));
         }
-        let peak_allocated = r.usize()?;
-        if peak_allocated < allocated {
+        if self.peak_allocated < self.allocated {
             return Err(SnapError::Corrupt("pool peak below outstanding"));
         }
-        Ok(RxBufferPool {
-            region_iova,
-            slot_size,
-            slots,
-            free,
-            order,
-            rng_state,
-            allocated,
-            peak_allocated,
-            alloc_count: r.u64()?,
-            exhausted_count: r.u64()?,
-        })
+        Ok(())
     }
 }
 

@@ -45,6 +45,8 @@ pub struct StreamAntagonist {
     cores: u32,
 }
 
+hostcc_sim::snap_fields!(StreamAntagonist { cores } skip { config, agent });
+
 impl StreamAntagonist {
     /// Register the antagonist with the memory system (initially 0 cores).
     pub fn new(mem: &mut MemorySystem, config: StreamConfig) -> Self {
@@ -87,23 +89,6 @@ impl StreamAntagonist {
             total * self.config.read_fraction,
             total * (1.0 - self.config.read_fraction),
         )
-    }
-
-    /// Serialize the evolving state (active core count). The agent handle
-    /// and config come from constructor replay.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u32(self.cores);
-    }
-
-    /// Restore the core count into an antagonist re-registered with the same
-    /// memory system. The published demand is restored separately via
-    /// [`MemorySystem::load_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        self.cores = r.u32()?;
-        Ok(())
     }
 }
 

@@ -34,6 +34,10 @@ struct Agent {
     allocation: f64,
 }
 
+// Name and class are configuration; allocations are re-derived from the
+// restored demands on the next access.
+hostcc_sim::snap_fields!(Agent { demand } skip { name, class, allocation });
+
 /// The per-NUMA-node memory subsystem.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -50,6 +54,9 @@ pub struct MemorySystem {
     /// can cache them keyed on this epoch instead of re-deriving per DMA.
     epoch: u64,
 }
+
+hostcc_sim::snap_fields!(MemorySystem { agents, epoch } skip { config, curve, dirty, latency_cache }
+    check { MemorySystem::check_restored });
 
 impl MemorySystem {
     /// Build from a configuration.
@@ -217,58 +224,17 @@ impl MemorySystem {
         self.curve
     }
 
-    /// Serialize the evolving arbitration state: each agent's class tag and
-    /// published demand, plus the model epoch. Allocations and the latency
-    /// memo are deterministic functions of demand and are recomputed after
-    /// restore rather than stored.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.usize(self.agents.len());
-        for a in &self.agents {
-            w.u8(match a.class {
-                AgentClass::Cpu => 0,
-                AgentClass::Io => 1,
-            });
-            w.f64(a.demand);
-        }
-        w.u64(self.epoch);
-    }
-
-    /// Restore demand state into a memory system rebuilt from the same
-    /// configuration (same agents registered in the same order). The agent
-    /// roster must match structurally; on any mismatch `self` is untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let n = r.len(9)?;
-        if n != self.agents.len() {
-            return Err(SnapError::Corrupt("memory agent count mismatch"));
-        }
-        let mut demands = Vec::with_capacity(n);
-        for a in &self.agents {
-            let class = match r.u8()? {
-                0 => AgentClass::Cpu,
-                1 => AgentClass::Io,
-                _ => return Err(SnapError::Corrupt("agent class out of range")),
-            };
-            if class != a.class {
-                return Err(SnapError::Corrupt("memory agent class mismatch"));
+    /// Reject invalid restored demands and mark the derived allocation
+    /// and latency state for recomputation.
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        for a in &mut self.agents {
+            if !a.demand.is_finite() || a.demand < 0.0 {
+                return Err(hostcc_sim::SnapError::Corrupt("invalid memory demand"));
             }
-            let demand = r.f64()?;
-            if !demand.is_finite() || demand < 0.0 {
-                return Err(SnapError::Corrupt("invalid memory demand"));
-            }
-            demands.push(demand);
-        }
-        let epoch = r.u64()?;
-        for (a, d) in self.agents.iter_mut().zip(demands) {
-            a.demand = d;
             a.allocation = 0.0;
         }
         self.dirty = true;
         self.latency_cache = None;
-        self.epoch = epoch;
         Ok(())
     }
 }

@@ -31,6 +31,10 @@ pub struct QueuedPacket {
     pub arrived: SimTime,
 }
 
+hostcc_sim::snap_fields!(QueuedPacket { pkt, wire_bytes, arrived } blank {
+    QueuedPacket { pkt: PacketRef::from_parts(0, 0), wire_bytes: 0, arrived: SimTime::ZERO }
+});
+
 /// Byte-bounded tail-drop FIFO.
 #[derive(Debug)]
 pub struct InputBuffer {
@@ -42,6 +46,10 @@ pub struct InputBuffer {
     enqueued: u64,
     peak_bytes: u64,
 }
+
+hostcc_sim::snap_fields!(InputBuffer {
+    capacity_bytes, queued_bytes, queue, drops, dropped_bytes, enqueued, peak_bytes,
+} check { InputBuffer::check_restored });
 
 impl InputBuffer {
     /// A buffer holding at most `capacity_bytes` of packet data.
@@ -192,69 +200,24 @@ impl InputBuffer {
         SimDuration::for_bytes(self.queued_bytes, bytes_per_sec)
     }
 
-    /// Serialize the buffer: capacity, the FIFO contents (slab handles +
-    /// byte accounting + arrival clocks) and the drop counters.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.capacity_bytes);
-        w.u64(self.queued_bytes);
-        w.usize(self.queue.len());
-        for qp in &self.queue {
-            qp.pkt.save_state(w);
-            w.u32(qp.wire_bytes);
-            w.time(qp.arrived);
-        }
-        w.u64(self.drops);
-        w.u64(self.dropped_bytes);
-        w.u64(self.enqueued);
-        w.u64(self.peak_bytes);
-    }
-
-    /// Rebuild a buffer from [`save_state`](Self::save_state) output,
-    /// revalidating the occupancy invariant (queued bytes == sum of queued
-    /// packets' wire sizes, within capacity).
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let capacity_bytes = r.u64()?;
-        if capacity_bytes == 0 {
+        if self.capacity_bytes == 0 {
             return Err(SnapError::Corrupt("zero-capacity input buffer"));
         }
-        let queued_bytes = r.u64()?;
-        let n = r.len(20)?;
-        let max_entries = (capacity_bytes / 1024 + 1) as usize;
-        let mut queue = VecDeque::with_capacity(max_entries.max(n));
         let mut sum = 0u64;
-        for _ in 0..n {
-            let pkt = PacketRef::load_state(r)?;
-            let wire_bytes = r.u32()?;
-            let arrived = r.time()?;
+        for qp in &self.queue {
             sum = sum
-                .checked_add(wire_bytes as u64)
+                .checked_add(qp.wire_bytes as u64)
                 .ok_or(SnapError::Corrupt("input-buffer bytes overflow"))?;
-            queue.push_back(QueuedPacket {
-                pkt,
-                wire_bytes,
-                arrived,
-            });
         }
-        if sum != queued_bytes || queued_bytes > capacity_bytes {
+        if sum != self.queued_bytes || self.queued_bytes > self.capacity_bytes {
             return Err(SnapError::Corrupt("input-buffer occupancy mismatch"));
         }
-        let drops = r.u64()?;
-        let dropped_bytes = r.u64()?;
-        let enqueued = r.u64()?;
-        let peak_bytes = r.u64()?;
-        if peak_bytes < queued_bytes {
+        if self.peak_bytes < self.queued_bytes {
             return Err(SnapError::Corrupt("input-buffer peak below occupancy"));
         }
-        Ok(InputBuffer {
-            capacity_bytes,
-            queued_bytes,
-            queue,
-            drops,
-            dropped_bytes,
-            enqueued,
-            peak_bytes,
-        })
+        Ok(())
     }
 }
 

@@ -48,6 +48,12 @@ pub struct RxQueue {
     pub ack_buffer: Iova,
 }
 
+hostcc_sim::snap_fields!(RxQueue {
+    ring,
+    cq,
+    ack_buffer
+});
+
 /// Delivery/drop counters for the whole NIC.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NicStats {
@@ -60,6 +66,13 @@ pub struct NicStats {
     /// Packets dropped because no Rx descriptor was available.
     pub drops_no_descriptor: u64,
 }
+
+hostcc_sim::snap_fields!(NicStats {
+    delivered_packets,
+    delivered_payload_bytes,
+    drops_buffer_full,
+    drops_no_descriptor,
+});
 
 impl NicStats {
     /// All drops regardless of cause.
@@ -80,6 +93,8 @@ pub struct Nic {
     /// Delivery/drop counters.
     pub stats: NicStats,
 }
+
+hostcc_sim::snap_fields!(Nic { input, queues, stats } skip { config });
 
 impl Nic {
     /// A NIC with no queues yet (add one per receiver thread).
@@ -113,57 +128,6 @@ impl Nic {
     /// Aggregate descriptor-ring starvation events across queues.
     pub fn descriptor_starvation(&self) -> u64 {
         self.queues.iter().map(|q| q.ring.stats().2).sum()
-    }
-
-    /// Serialize the NIC's evolving state: input buffer, every queue's
-    /// ring/CQ state, and the delivery counters. The config is not
-    /// written — restore targets a NIC rebuilt from the same config.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.input.save_state(w);
-        w.usize(self.queues.len());
-        for q in &self.queues {
-            q.ring.save_state(w);
-            q.cq.save_state(w);
-            w.u64(q.ack_buffer.0);
-        }
-        w.u64(self.stats.delivered_packets);
-        w.u64(self.stats.delivered_payload_bytes);
-        w.u64(self.stats.drops_buffer_full);
-        w.u64(self.stats.drops_no_descriptor);
-    }
-
-    /// Overwrite this NIC's evolving state from
-    /// [`save_state`](Self::save_state) output. `self` must have been
-    /// rebuilt from the same config (same queue count); a mismatch is a
-    /// typed error, and on any error `self` is left untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let input = crate::buffer::InputBuffer::load_state(r)?;
-        let n = r.len(8)?;
-        if n != self.queues.len() {
-            return Err(SnapError::Corrupt("nic queue count mismatch"));
-        }
-        let mut queues = Vec::with_capacity(n);
-        for _ in 0..n {
-            queues.push(RxQueue {
-                ring: RxRing::load_state(r)?,
-                cq: CompletionRing::load_state(r)?,
-                ack_buffer: Iova(r.u64()?),
-            });
-        }
-        let stats = NicStats {
-            delivered_packets: r.u64()?,
-            delivered_payload_bytes: r.u64()?,
-            drops_buffer_full: r.u64()?,
-            drops_no_descriptor: r.u64()?,
-        };
-        self.input = input;
-        self.queues = queues;
-        self.stats = stats;
-        Ok(())
     }
 }
 

@@ -12,13 +12,15 @@ use hostcc_mem::Iova;
 use std::collections::VecDeque;
 
 /// An Rx descriptor: points at a posted receive buffer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RxDescriptor {
     /// Ring slot the descriptor occupies (determines its own address).
     pub index: u32,
     /// IOVA of the receive buffer the payload should be DMA-ed to.
     pub buffer: Iova,
 }
+
+hostcc_sim::snap_fields!(RxDescriptor { index, buffer } blank { RxDescriptor::default() });
 
 /// A descriptor ring in host memory.
 ///
@@ -36,6 +38,10 @@ pub struct RxRing {
     consumed: u64,
     empty_events: u64,
 }
+
+hostcc_sim::snap_fields!(RxRing {
+    base, entries, desc_bytes, queue, head, posted, consumed, empty_events,
+} check { RxRing::check_restored });
 
 impl RxRing {
     /// A ring of `entries` descriptors of `desc_bytes` each, resident at
@@ -108,61 +114,21 @@ impl RxRing {
         (self.posted, self.consumed, self.empty_events)
     }
 
-    /// Serialize the ring: geometry, posted descriptors in FIFO order,
-    /// head cursor and lifetime counters.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.base.0);
-        w.u32(self.entries);
-        w.u64(self.desc_bytes);
-        w.usize(self.queue.len());
-        for d in &self.queue {
-            w.u32(d.index);
-            w.u64(d.buffer.0);
-        }
-        w.u32(self.head);
-        w.u64(self.posted);
-        w.u64(self.consumed);
-        w.u64(self.empty_events);
-    }
-
-    /// Rebuild a ring from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let base = Iova(r.u64()?);
-        let entries = r.u32()?;
-        if entries == 0 {
+        if self.entries == 0 {
             return Err(SnapError::Corrupt("empty descriptor ring"));
         }
-        let desc_bytes = r.u64()?;
-        let n = r.len(12)?;
-        if n > entries as usize {
+        if self.queue.len() > self.entries as usize {
             return Err(SnapError::Corrupt("descriptor ring overfull"));
         }
-        let mut queue = VecDeque::with_capacity(entries as usize);
-        for _ in 0..n {
-            let index = r.u32()?;
-            if index >= entries {
-                return Err(SnapError::Corrupt("descriptor slot out of range"));
-            }
-            queue.push_back(RxDescriptor {
-                index,
-                buffer: Iova(r.u64()?),
-            });
+        if self.queue.iter().any(|d| d.index >= self.entries) {
+            return Err(SnapError::Corrupt("descriptor slot out of range"));
         }
-        let head = r.u32()?;
-        if head >= entries {
+        if self.head >= self.entries {
             return Err(SnapError::Corrupt("ring head out of range"));
         }
-        Ok(RxRing {
-            base,
-            entries,
-            desc_bytes,
-            queue,
-            head,
-            posted: r.u64()?,
-            consumed: r.u64()?,
-            empty_events: r.u64()?,
-        })
+        Ok(())
     }
 }
 
@@ -177,6 +143,9 @@ pub struct CompletionRing {
     head: u32,
     written: u64,
 }
+
+hostcc_sim::snap_fields!(CompletionRing { base, entries, cqe_bytes, head, written }
+    check { CompletionRing::check_restored });
 
 impl CompletionRing {
     /// A CQ of `entries` entries of `cqe_bytes` each at `base`.
@@ -204,36 +173,15 @@ impl CompletionRing {
         self.written
     }
 
-    /// Serialize the completion queue (geometry + cursor + counter).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.base.0);
-        w.u32(self.entries);
-        w.u64(self.cqe_bytes);
-        w.u32(self.head);
-        w.u64(self.written);
-    }
-
-    /// Rebuild a completion queue from [`save_state`](Self::save_state)
-    /// output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let base = Iova(r.u64()?);
-        let entries = r.u32()?;
-        if entries == 0 {
+        if self.entries == 0 {
             return Err(SnapError::Corrupt("empty completion queue"));
         }
-        let cqe_bytes = r.u64()?;
-        let head = r.u32()?;
-        if head >= entries {
+        if self.head >= self.entries {
             return Err(SnapError::Corrupt("completion head out of range"));
         }
-        Ok(CompletionRing {
-            base,
-            entries,
-            cqe_bytes,
-            head,
-            written: r.u64()?,
-        })
+        Ok(())
     }
 }
 

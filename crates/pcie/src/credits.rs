@@ -50,6 +50,11 @@ pub struct CreditConfig {
     pub posted_data: u32,
 }
 
+hostcc_sim::snap_fields!(CreditConfig {
+    posted_header,
+    posted_data
+});
+
 impl Default for CreditConfig {
     /// A root complex advertising a ~32 KiB posted window (2048 PD) and
     /// 128 header credits — eight 4 KiB packets in flight, matching the
@@ -81,6 +86,9 @@ pub struct CreditState {
     /// Lifetime count of admitted writes.
     admissions: u64,
 }
+
+hostcc_sim::snap_fields!(CreditState { config, header_avail, data_avail, stalls, admissions }
+    check { CreditState::check_restored });
 
 impl CreditState {
     /// Fresh state with all advertised credits available.
@@ -182,37 +190,15 @@ impl CreditState {
         self.stalls
     }
 
-    /// Serialize the credit state (advertised limits, available credits,
-    /// lifetime counters).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u32(self.config.posted_header);
-        w.u32(self.config.posted_data);
-        w.u32(self.header_avail);
-        w.u32(self.data_avail);
-        w.u64(self.stalls);
-        w.u64(self.admissions);
-    }
-
-    /// Rebuild credit state from [`save_state`](Self::save_state) output.
-    /// Available credits beyond the advertised window are corruption.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let config = CreditConfig {
-            posted_header: r.u32()?,
-            posted_data: r.u32()?,
-        };
-        let header_avail = r.u32()?;
-        let data_avail = r.u32()?;
-        if header_avail > config.posted_header || data_avail > config.posted_data {
-            return Err(SnapError::Corrupt("credits exceed advertised window"));
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if self.header_avail > self.config.posted_header
+            || self.data_avail > self.config.posted_data
+        {
+            return Err(hostcc_sim::SnapError::Corrupt(
+                "credits exceed advertised window",
+            ));
         }
-        Ok(CreditState {
-            config,
-            header_avail,
-            data_avail,
-            stalls: r.u64()?,
-            admissions: r.u64()?,
-        })
+        Ok(())
     }
 }
 

@@ -88,34 +88,6 @@ impl ReadChannel {
     pub fn stats(&self) -> (u64, u64) {
         (self.issued, self.stalls)
     }
-
-    /// Serialize the read channel (limits, outstanding tags, counters).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u32(self.config.max_outstanding);
-        w.u32(self.config.completion_boundary);
-        w.u32(self.outstanding);
-        w.u64(self.issued);
-        w.u64(self.stalls);
-    }
-
-    /// Rebuild a read channel from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let config = ReadChannelConfig {
-            max_outstanding: r.u32()?,
-            completion_boundary: r.u32()?,
-        };
-        let outstanding = r.u32()?;
-        if outstanding > config.max_outstanding {
-            return Err(SnapError::Corrupt("outstanding reads exceed tag space"));
-        }
-        Ok(ReadChannel {
-            config,
-            outstanding,
-            issued: r.u64()?,
-            stalls: r.u64()?,
-        })
-    }
 }
 
 /// Latency model for one DMA read round trip.

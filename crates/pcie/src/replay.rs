@@ -22,6 +22,11 @@ pub struct ReplayConfig {
     pub max_backoff: u32,
 }
 
+hostcc_sim::snap_fields!(ReplayConfig {
+    replay_timer_ns,
+    max_backoff
+});
+
 impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
@@ -42,6 +47,9 @@ pub struct ReplayChannel {
     replays: u64,
     replay_ns: u64,
 }
+
+hostcc_sim::snap_fields!(ReplayChannel { cfg, backoff, naks, replays, replay_ns }
+    check { ReplayChannel::check_restored });
 
 impl ReplayChannel {
     /// A replay channel with the given timer parameters.
@@ -93,35 +101,11 @@ impl ReplayChannel {
         self.replay_ns
     }
 
-    /// Serialize the replay channel (timer config, backoff, counters).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.cfg.replay_timer_ns);
-        w.u32(self.cfg.max_backoff);
-        w.u32(self.backoff);
-        w.u64(self.naks);
-        w.u64(self.replays);
-        w.u64(self.replay_ns);
-    }
-
-    /// Rebuild a replay channel from [`save_state`](Self::save_state)
-    /// output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let cfg = ReplayConfig {
-            replay_timer_ns: r.u64()?,
-            max_backoff: r.u32()?,
-        };
-        let backoff = r.u32()?;
-        if backoff > cfg.max_backoff {
-            return Err(SnapError::Corrupt("replay backoff above cap"));
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if self.backoff > self.cfg.max_backoff {
+            return Err(hostcc_sim::SnapError::Corrupt("replay backoff above cap"));
         }
-        Ok(ReplayChannel {
-            cfg,
-            backoff,
-            naks: r.u64()?,
-            replays: r.u64()?,
-            replay_ns: r.u64()?,
-        })
+        Ok(())
     }
 }
 

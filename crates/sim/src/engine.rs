@@ -104,34 +104,7 @@ impl<E, Q: Queue<E>> Scheduler<E, Q> {
     }
 }
 
-impl<E, Q: crate::snap::SnapQueue<E>> Scheduler<E, Q> {
-    /// Serialize the clock and the full pending-event queue.
-    pub fn save_state<F: FnMut(&E, &mut crate::snap::SnapWriter)>(
-        &self,
-        w: &mut crate::snap::SnapWriter,
-        enc: F,
-    ) {
-        w.time(self.now);
-        self.queue.save_state(w, enc);
-    }
-
-    /// Rebuild a scheduler from [`save_state`](Self::save_state) output.
-    pub fn load_state<'a, F>(
-        r: &mut crate::snap::SnapReader<'a>,
-        dec: F,
-    ) -> Result<Self, crate::snap::SnapError>
-    where
-        F: FnMut(&mut crate::snap::SnapReader<'a>) -> Result<E, crate::snap::SnapError>,
-    {
-        let now = r.time()?;
-        let queue = Q::load_state(r, dec)?;
-        Ok(Scheduler {
-            now,
-            queue,
-            _event: PhantomData,
-        })
-    }
-}
+crate::snap_fields!(impl[E, Q: Queue<E> + crate::Snap] Scheduler<E, Q> { now, queue } skip { _event });
 
 /// The mutable simulation state and its event handler.
 ///
@@ -189,11 +162,6 @@ pub enum RunOutcome {
     },
     /// The deadline was reached with events still pending.
     DeadlineReached,
-    /// The event budget was exhausted (guard against runaway simulations).
-    EventBudgetExhausted {
-        /// Time at which the budget ran out.
-        at: SimTime,
-    },
     /// The progress watchdog tripped: more than `stall_limit` consecutive
     /// events were dispatched without the simulation clock advancing —
     /// the world is almost certainly rescheduling itself at the same
@@ -246,8 +214,6 @@ pub struct Engine<W: World, Q: Queue<W::Event> = EventQueue<<W as World>::Event>
     pub world: W,
     /// The clock and event queue.
     pub sched: Scheduler<W::Event, Q>,
-    /// Safety valve: maximum events per `run_until` call (default: no limit).
-    pub event_budget: Option<u64>,
     /// Progress watchdog: maximum consecutive events at one timestamp
     /// before the run aborts with [`RunOutcome::Stalled`] (default: no
     /// limit). Same-time bursts are normal (FIFO fan-out), so set this
@@ -265,6 +231,12 @@ pub struct Engine<W: World, Q: Queue<W::Event> = EventQueue<<W as World>::Event>
     /// nothing.
     batch: Vec<W::Event>,
 }
+
+// A simulation's image is its clock and pending events, then its world;
+// the dispatch knobs and the profiler are engine settings, not state.
+crate::snap_fields!(impl[W: World + crate::Snap, Q: Queue<W::Event> + crate::Snap] Engine<W, Q> {
+    sched, world,
+} skip { stall_limit, batched, profile, batch });
 
 impl<W: World> Engine<W> {
     /// An engine with an empty (timing-wheel) queue wrapping `world`.
@@ -285,7 +257,6 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
         Engine {
             world,
             sched: Scheduler::with_resolution(res),
-            event_budget: None,
             stall_limit: None,
             batched: true,
             profile: None,
@@ -309,7 +280,7 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
     }
 
     /// Run until `deadline` (inclusive: events stamped exactly at the
-    /// deadline still run), the queue empties, or the budget runs out.
+    /// deadline still run), the queue empties, or the watchdog trips.
     ///
     /// On return the clock is at `deadline` (clamped to the last event
     /// time when the deadline is [`SimTime::MAX`], i.e. for
@@ -331,9 +302,7 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
     }
 
     fn run_until_inner(&mut self, deadline: SimTime) -> RunOutcome {
-        // An event budget needs the exact per-event stop point, so it
-        // always takes the one-at-a-time path.
-        if self.batched && self.event_budget.is_none() {
+        if self.batched {
             self.run_batched(deadline)
         } else {
             self.run_per_event(deadline)
@@ -422,7 +391,6 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
     }
 
     fn run_per_event(&mut self, deadline: SimTime) -> RunOutcome {
-        let mut budget = self.event_budget;
         // Progress watchdog: count consecutive dispatches at one
         // timestamp; any clock advance resets the count.
         let mut same_time_run = 0u64;
@@ -443,12 +411,6 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
                 self.sched.now = deadline;
                 return RunOutcome::DeadlineReached;
             }
-            if let Some(b) = budget.as_mut() {
-                if *b == 0 {
-                    return RunOutcome::EventBudgetExhausted { at: self.sched.now };
-                }
-                *b -= 1;
-            }
             let (t, ev) = self.sched.queue.pop().expect("peeked");
             // Defence in depth (queues clamp on push already): never let
             // the clock move backwards, in any build profile.
@@ -467,7 +429,7 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
         }
     }
 
-    /// Run until the queue is empty (or budget exhausted).
+    /// Run until the queue is empty (or the watchdog trips).
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
@@ -605,19 +567,6 @@ mod tests {
         // event that scheduled it.
         assert_eq!(eng.world.log, [(100, 0), (100, 1)]);
         assert_eq!(eng.now().as_nanos(), 100);
-    }
-
-    #[test]
-    fn event_budget_guards_runaway() {
-        let mut eng = Engine::new(PingPong {
-            remaining: u32::MAX,
-            log: vec![],
-        });
-        eng.event_budget = Some(10);
-        eng.sched.immediately(Ev::Ping);
-        let out = eng.run_to_completion();
-        assert!(matches!(out, RunOutcome::EventBudgetExhausted { .. }));
-        assert_eq!(eng.world.log.len(), 10);
     }
 
     #[test]

@@ -185,10 +185,20 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Serialize the histogram for a checkpoint. Buckets are written
-    /// sparsely — `(index, count)` pairs for the non-zero ones — since a
-    /// latency histogram touches a few dozen of its ~2k buckets.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
+    /// Discard all samples.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.total = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+        self.sum = 0;
+    }
+}
+
+/// Sparse codec: `(index, count)` pairs for the non-zero buckets only,
+/// since a latency histogram touches a few dozen of its ~2k buckets.
+impl crate::Snap for Histogram {
+    fn save(&self, w: &mut crate::SnapWriter) {
         w.u32(self.sub_bits);
         w.u64(self.total);
         w.u64(self.min);
@@ -204,24 +214,27 @@ impl Histogram {
         }
     }
 
-    /// Rebuild a histogram from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
+    fn load(&mut self, r: &mut crate::SnapReader<'_>) -> Result<(), crate::SnapError> {
+        use crate::SnapError;
         let sub_bits = r.u32()?;
         if !(1..=8).contains(&sub_bits) {
             return Err(SnapError::Corrupt("histogram precision out of range"));
         }
-        let mut h = Histogram::with_precision(sub_bits);
-        h.total = r.u64()?;
-        h.min = r.u64()?;
-        h.max = r.u64()?;
-        h.sum = r.u128()?;
+        if sub_bits == self.sub_bits {
+            self.counts.fill(0);
+        } else {
+            *self = Histogram::with_precision(sub_bits);
+        }
+        self.total = r.u64()?;
+        self.min = r.u64()?;
+        self.max = r.u64()?;
+        self.sum = r.u128()?;
         let n = r.len(16)?;
         let mut running = 0u64;
         for _ in 0..n {
             let idx = r.usize()?;
             let c = r.u64()?;
-            let slot = h
+            let slot = self
                 .counts
                 .get_mut(idx)
                 .ok_or(SnapError::Corrupt("histogram bucket out of range"))?;
@@ -233,19 +246,14 @@ impl Histogram {
                 .checked_add(c)
                 .ok_or(SnapError::Corrupt("histogram count overflow"))?;
         }
-        if running != h.total {
+        if running != self.total {
             return Err(SnapError::Corrupt("histogram total mismatch"));
         }
-        Ok(h)
+        Ok(())
     }
 
-    /// Discard all samples.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-        self.sum = 0;
+    fn blank() -> Option<Self> {
+        Some(Histogram::new())
     }
 }
 

@@ -44,9 +44,11 @@ pub use pacer::{SerialLink, TokenBucket};
 pub use parallel::{Envelope, ParallelEngine, ShardHost};
 pub use queue::{BinaryHeapQueue, Queue};
 pub use rng::{stream_seed, SimRng, SplitMix64};
+#[doc(hidden)]
+pub use snap::field_min_bytes as snap_field_min_bytes;
 pub use snap::{
-    fnv1a_64, SnapError, SnapQueue, SnapReader, SnapWriter, SNAP_HEADER_LEN, SNAP_MAGIC,
-    SNAP_VERSION,
+    check_resave, decode, fnv1a_64, Snap, SnapError, SnapReader, SnapWriter, SNAP_HEADER_LEN,
+    SNAP_MAGIC, SNAP_VERSION,
 };
 pub use wheel::TimingWheel;
 

@@ -1,7 +1,7 @@
 //! Rate pacing primitives: a byte-granularity token bucket and a serialised
 //! link gate, both driven by simulation time.
 
-use crate::time::{Resolution, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 
 /// Token bucket refilled continuously at `rate` bytes/sec with a burst cap.
 ///
@@ -13,11 +13,9 @@ pub struct TokenBucket {
     burst: f64,    // max accumulated tokens, bytes
     tokens: f64,
     last: SimTime,
-    /// Grant wake-up times are rounded up to this grid (identity at the
-    /// default exact resolution); pacer delays are already estimates, so
-    /// coarse-time runs coalesce them onto wheel slots.
-    res: Resolution,
 }
+
+crate::snap_fields!(TokenBucket { rate_bps, burst, tokens, last } check { TokenBucket::check_restored });
 
 impl TokenBucket {
     /// A bucket refilling at `rate_bytes_per_sec`, holding at most
@@ -30,14 +28,15 @@ impl TokenBucket {
             burst: burst_bytes,
             tokens: burst_bytes,
             last: SimTime::ZERO,
-            res: Resolution::EXACT,
         }
     }
 
-    /// Quantise future grant-ready times up to `res` (the strict-progress
-    /// contract is preserved: rounding up can only move a wake-up later).
-    pub fn set_resolution(&mut self, res: Resolution) {
-        self.res = res;
+    fn check_restored(&mut self) -> Result<(), crate::SnapError> {
+        let pos_finite = |x: f64| x.is_finite() && x > 0.0;
+        if !pos_finite(self.rate_bps) || !pos_finite(self.burst) || !self.tokens.is_finite() {
+            return Err(crate::SnapError::Corrupt("token bucket state out of range"));
+        }
+        Ok(())
     }
 
     /// Change the fill rate (tokens already accrued are kept, capped at burst).
@@ -85,42 +84,10 @@ impl TokenBucket {
             } else {
                 wait
             };
-            let ready = self.res.ceil_time(now + wait);
+            let ready = now + wait;
             debug_assert!(ready > now, "pacer wakeups must advance time");
             Err(ready)
         }
-    }
-
-    /// Serialize the bucket (configuration and fill state) for a checkpoint.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.f64(self.rate_bps);
-        w.f64(self.burst);
-        w.f64(self.tokens);
-        w.time(self.last);
-        w.u32(self.res.shift());
-    }
-
-    /// Rebuild a bucket from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let rate_bps = r.f64()?;
-        let burst = r.f64()?;
-        let tokens = r.f64()?;
-        let last = r.time()?;
-        let res = u64::checked_shl(1, r.u32()?)
-            .and_then(Resolution::from_nanos)
-            .ok_or(SnapError::Corrupt("bad pacer resolution"))?;
-        let pos_finite = |x: f64| x.is_finite() && x > 0.0;
-        if !pos_finite(rate_bps) || !pos_finite(burst) || !tokens.is_finite() {
-            return Err(SnapError::Corrupt("token bucket state out of range"));
-        }
-        Ok(TokenBucket {
-            rate_bps,
-            burst,
-            tokens,
-            last,
-            res,
-        })
     }
 }
 
@@ -132,12 +99,9 @@ pub struct SerialLink {
     bytes_per_sec: f64,
     free_at: SimTime,
     busy: SimDuration,
-    /// Serialisation completion times are rounded up to this grid
-    /// (identity at the default exact resolution). `for_bytes` already
-    /// rounds the true transfer time up to whole nanoseconds, so a coarse
-    /// grid is the same approximation, one knob wider.
-    res: Resolution,
 }
+
+crate::snap_fields!(SerialLink { bytes_per_sec, free_at, busy } check { SerialLink::check_restored });
 
 impl SerialLink {
     /// A link serialising at `bytes_per_sec`.
@@ -147,13 +111,14 @@ impl SerialLink {
             bytes_per_sec,
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            res: Resolution::EXACT,
         }
     }
 
-    /// Quantise serialisation completion times up to `res`.
-    pub fn set_resolution(&mut self, res: Resolution) {
-        self.res = res;
+    fn check_restored(&mut self) -> Result<(), crate::SnapError> {
+        if !(self.bytes_per_sec.is_finite() && self.bytes_per_sec > 0.0) {
+            return Err(crate::SnapError::Corrupt("link rate out of range"));
+        }
+        Ok(())
     }
 
     /// Serialisation rate, bytes/sec.
@@ -169,9 +134,7 @@ impl SerialLink {
         } else {
             self.free_at
         };
-        let ser = self
-            .res
-            .ceil_duration(SimDuration::for_bytes(bytes, self.bytes_per_sec));
+        let ser = SimDuration::for_bytes(bytes, self.bytes_per_sec);
         self.busy += ser;
         self.free_at = start + ser;
         self.free_at
@@ -190,34 +153,6 @@ impl SerialLink {
     /// Total busy (serialising) time accumulated; utilisation = busy/elapsed.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Serialize the link (rate and occupancy) for a checkpoint.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.f64(self.bytes_per_sec);
-        w.time(self.free_at);
-        w.duration(self.busy);
-        w.u32(self.res.shift());
-    }
-
-    /// Rebuild a link from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let bytes_per_sec = r.f64()?;
-        let free_at = r.time()?;
-        let busy = r.duration()?;
-        let res = u64::checked_shl(1, r.u32()?)
-            .and_then(Resolution::from_nanos)
-            .ok_or(SnapError::Corrupt("bad link resolution"))?;
-        if !(bytes_per_sec.is_finite() && bytes_per_sec > 0.0) {
-            return Err(SnapError::Corrupt("link rate out of range"));
-        }
-        Ok(SerialLink {
-            bytes_per_sec,
-            free_at,
-            busy,
-            res,
-        })
     }
 }
 
@@ -295,30 +230,6 @@ mod tests {
         let d3 = l.transmit(SimTime::from_nanos(10_000), 500);
         assert_eq!(d3.as_nanos(), 10_500);
         assert_eq!(l.busy_time().as_nanos(), 2500);
-    }
-
-    #[test]
-    fn coarse_resolution_quantises_grants_and_serialisation() {
-        let res = Resolution::from_nanos(64).unwrap();
-        // Token bucket: the ready time rounds up to the grid and stays
-        // strictly after `now`.
-        let mut tb = TokenBucket::new(1e9, 4096.0);
-        tb.set_resolution(res);
-        let t0 = SimTime::ZERO;
-        assert!(tb.try_consume(t0, 4096).is_ok());
-        match tb.try_consume(t0, 100) {
-            // 100 ns deficit → next 64 ns boundary at/after 100 = 128.
-            Err(ready) => assert_eq!(ready.as_nanos(), 128),
-            Ok(()) => panic!("should pace"),
-        }
-        assert!(tb.try_consume(SimTime::from_nanos(128), 100).is_ok());
-        // Serial link: per-item serialisation rounds up, so back-to-back
-        // completions stay on the grid without compounding drift.
-        let mut l = SerialLink::new(1e9);
-        l.set_resolution(res);
-        assert_eq!(l.transmit(SimTime::ZERO, 1000).as_nanos(), 1024);
-        assert_eq!(l.transmit(SimTime::ZERO, 1000).as_nanos(), 2048);
-        assert_eq!(l.busy_time().as_nanos(), 2048);
     }
 
     #[test]

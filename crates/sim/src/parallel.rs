@@ -96,6 +96,9 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
+crate::snap_fields!(impl[M: crate::Snap] Envelope<M> { fire, src_host, seq, dst_host, msg }
+    blank { Envelope { fire: SimTime::ZERO, src_host: 0, seq: 0, dst_host: 0, msg: M::blank()? } });
+
 /// One host in a sharded world: an independent sub-simulation that the
 /// parallel engine advances in lookahead-bounded epochs.
 ///
@@ -297,6 +300,13 @@ pub struct ParallelEngine<H: ShardHost> {
     amortize: bool,
 }
 
+// Placement, shard count and lookahead are execution settings, never in
+// the image, so a restore may run on a different shard count. The epoch
+// counters are part of the observable run record.
+crate::snap_fields!(impl[H: ShardHost + crate::Snap] ParallelEngine<H> {
+    epochs, super_epochs, hosts,
+} skip { shards, lookahead, placement, amortize });
+
 impl<H: ShardHost> ParallelEngine<H> {
     /// Build an engine over `hosts`, running on `shards` worker threads
     /// (clamped to at least 1), with the given lookahead and round-robin
@@ -394,19 +404,6 @@ impl<H: ShardHost> ParallelEngine<H> {
     /// placement-invariant, like `epochs`.
     pub fn super_epochs(&self) -> u64 {
         self.super_epochs
-    }
-
-    /// Overwrite the lifetime epoch counters. Checkpoint restore only:
-    /// the counters are part of the observable run record, so a resumed
-    /// fleet must report the same totals as an uninterrupted one.
-    pub fn set_epochs(&mut self, epochs: u64) {
-        self.epochs = epochs;
-    }
-
-    /// Companion to [`set_epochs`](Self::set_epochs) for the
-    /// super-epoch counter.
-    pub fn set_super_epochs(&mut self, super_epochs: u64) {
-        self.super_epochs = super_epochs;
     }
 
     /// Enable or disable super-epoch batching. **This changes the epoch

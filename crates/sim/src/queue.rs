@@ -151,12 +151,9 @@ impl<E> BinaryHeapQueue<E> {
     }
 }
 
-impl<E: Clone> crate::snap::SnapQueue<E> for BinaryHeapQueue<E> {
-    fn save_state<F: FnMut(&E, &mut crate::snap::SnapWriter)>(
-        &self,
-        w: &mut crate::snap::SnapWriter,
-        mut enc: F,
-    ) {
+/// Same image as the timing wheel: pending events in dispatch order.
+impl<E: Clone + crate::Snap> crate::Snap for BinaryHeapQueue<E> {
+    fn save(&self, w: &mut crate::SnapWriter) {
         w.u32(self.res.shift());
         w.u64(self.next_seq);
         w.u64(self.popped);
@@ -164,21 +161,14 @@ impl<E: Clone> crate::snap::SnapQueue<E> for BinaryHeapQueue<E> {
         // Drain a clone so serialization is in exact dispatch order.
         let mut drain = self.heap.clone();
         while let Some(e) = drain.pop() {
-            w.time(e.time);
-            enc(&e.event, w);
+            crate::Snap::save(&e.time, w);
+            e.event.save(w);
         }
     }
 
-    fn load_state<
-        'a,
-        F: FnMut(&mut crate::snap::SnapReader<'a>) -> Result<E, crate::snap::SnapError>,
-    >(
-        r: &mut crate::snap::SnapReader<'a>,
-        mut dec: F,
-    ) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let shift = r.u32()?;
-        let res = u64::checked_shl(1, shift)
+    fn load(&mut self, r: &mut crate::SnapReader<'_>) -> Result<(), crate::SnapError> {
+        use crate::SnapError;
+        let res = u64::checked_shl(1, r.u32()?)
             .and_then(Resolution::from_nanos)
             .ok_or(SnapError::Corrupt("bad queue resolution"))?;
         let next_seq = r.u64()?;
@@ -190,16 +180,17 @@ impl<E: Clone> crate::snap::SnapQueue<E> for BinaryHeapQueue<E> {
         let mut q = BinaryHeapQueue::with_resolution(res);
         let mut last = SimTime::ZERO;
         for _ in 0..n {
-            let t = r.time()?;
+            let t: SimTime = crate::decode(r)?;
             if t < last {
                 return Err(SnapError::Corrupt("queue events out of order"));
             }
             last = t;
-            Queue::push(&mut q, t, dec(r)?);
+            Queue::push(&mut q, t, crate::decode(r)?);
         }
         q.next_seq = next_seq;
         q.popped = popped;
-        Ok(q)
+        *self = q;
+        Ok(())
     }
 }
 

@@ -65,6 +65,8 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+crate::snap_fields!(SimRng { s } check { SimRng::check_restored });
+
 impl SimRng {
     /// Create a generator from a seed. Any seed (including 0) is valid.
     pub fn new(seed: u64) -> Self {
@@ -168,26 +170,13 @@ impl SimRng {
         mean + std_dev * r * (core::f64::consts::TAU * u2).cos()
     }
 
-    /// Serialize the generator state for a checkpoint.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        for &word in &self.s {
-            w.u64(word);
-        }
-    }
-
-    /// Rebuild a generator from [`save_state`](Self::save_state) output;
-    /// the restored stream continues bit-for-bit where the saved one was.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        if s.iter().all(|&x| x == 0) {
+    fn check_restored(&mut self) -> Result<(), crate::SnapError> {
+        if self.s.iter().all(|&x| x == 0) {
             // All-zero is a fixed point of xoshiro256**: unreachable from
             // any seed, so it can only mean corruption.
-            return Err(crate::snap::SnapError::Corrupt("all-zero rng state"));
+            return Err(crate::SnapError::Corrupt("all-zero rng state"));
         }
-        Ok(SimRng { s })
+        Ok(())
     }
 
     /// Shuffle a slice in place (Fisher–Yates).

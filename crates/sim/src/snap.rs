@@ -2,7 +2,7 @@
 //!
 //! Checkpoint/restore has to be bit-exact and dependency-free, so the
 //! format is hand-rolled: little-endian fixed-width integers, `f64` as raw
-//! IEEE-754 bits, length-prefixed byte strings, and an outer envelope of
+//! IEEE-754 bits, length-prefixed collections, and an outer envelope of
 //!
 //! ```text
 //! magic (8 B) | version (u32) | payload_len (u64) | fnv1a64(payload) | payload
@@ -12,13 +12,45 @@
 //! corrupt, truncated, or version-mismatched snapshot must never panic,
 //! only fail loudly so callers can fall back to restart-from-scratch.
 //!
-//! The codec deliberately has no reflection or schema: each component
-//! writes and reads its own fields in a fixed order, so the byte stream is
-//! exactly as stable as the component code that produced it, and the
-//! envelope version is bumped whenever any component's layout changes.
+//! Every checkpointed type implements one trait, [`Snap`]: `save` appends
+//! its bytes, `load` overwrites its state in place. A struct whose image
+//! is "its fields in order" states that layout exactly once, in a
+//! [`snap_fields!`](crate::snap_fields) field list; the macro generates
+//! both directions from it, and both destructure the struct exhaustively,
+//! so a field added to the struct does not compile until it is either
+//! listed or named in the list of fields rebuilt from configuration.
+//! Value checks (every [`SnapError::Corrupt`] a restore can raise beyond
+//! the codec's own) live in one per-type function that runs after the
+//! fields load.
+//!
+//! Loading is in place because a restore targets a testbed freshly built
+//! from the identical configuration: topology and run constants are
+//! already there and are not in the image. Containers resize to the
+//! image's lengths using [`Snap::blank`]; types without a blank value are
+//! *shape-fixed* (built only from configuration), so a container of them
+//! must already have the image's length or the restore fails typed.
+//!
+//! A few codecs are not a field list and are written by hand, each as one
+//! `Snap` impl:
+//!
+//! - the timing wheel and the reference heap: pending events in pop
+//!   order, so slab addresses and tier placement never leak into the
+//!   image;
+//! - `SampleRing`: the retained samples oldest first, refilled in place
+//!   so the ring keeps its prebuilt capacity;
+//! - `Histogram`: sparse `(bucket, count)` pairs for the few non-zero
+//!   buckets;
+//! - the tagged enums: a tag byte plus the variant's payload.
+//!
+//! Debug builds re-save every restored simulation and compare it with the
+//! input ([`check_resave`]), so a lossy `load` fails typed instead of
+//! diverging silently. The envelope version is bumped whenever any type's
+//! layout changes.
 
 use crate::time::{SimDuration, SimTime};
+use core::convert::identity;
 use core::fmt;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Magic bytes opening every snapshot envelope.
 pub const SNAP_MAGIC: [u8; 8] = *b"HCCSNAP\0";
@@ -26,7 +58,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"HCCSNAP\0";
 /// Current snapshot format version. Bump on any layout change; old
 /// versions are rejected, never migrated (a checkpoint is a cache of
 /// re-runnable work, not an archive).
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Envelope header size: magic + version + payload length + checksum.
 pub const SNAP_HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -87,24 +119,371 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Event queues whose pending contents can be serialized in dispatch
-/// order and rebuilt bit-exactly. Both engine queues implement it, so the
-/// checkpoint layer is generic over the queue the simulation runs on.
-pub trait SnapQueue<E>: crate::queue::Queue<E> {
-    /// Serialize lifetime counters plus every pending `(time, event)` in
-    /// exactly the order repeated `pop` calls would return them.
-    fn save_state<F: FnMut(&E, &mut SnapWriter)>(&self, w: &mut SnapWriter, enc: F);
+/// The checkpoint codec: one impl per checkpointed type.
+///
+/// `load` must consume exactly the bytes `save` wrote and leave the value
+/// so that saving it again writes them back unchanged — restores check
+/// that in debug builds (see [`check_resave`]).
+pub trait Snap {
+    /// Append this value's checkpointed state.
+    fn save(&self, w: &mut SnapWriter);
 
-    /// Rebuild a queue from [`save_state`](SnapQueue::save_state) output.
-    /// The restored queue is observationally identical: same pop sequence,
-    /// same FIFO tie-breaks against future pushes, same lifetime counters.
-    fn load_state<'a, F: FnMut(&mut SnapReader<'a>) -> Result<E, SnapError>>(
-        r: &mut SnapReader<'a>,
-        dec: F,
-    ) -> Result<Self, SnapError>
+    /// Overwrite this value's checkpointed state from `r`. On error the
+    /// value may be partially overwritten; callers discard it.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+
+    /// A fresh value for a growing container to load into. `None` (the
+    /// default) marks a shape-fixed type: one built only from
+    /// configuration, whose containers must keep their prebuilt length.
+    fn blank() -> Option<Self>
     where
-        Self: Sized;
+        Self: Sized,
+    {
+        None
+    }
+
+    /// A lower bound on the encoded size: the allocation guard applied to
+    /// every length prefix of a container of this type.
+    fn min_bytes() -> usize
+    where
+        Self: Sized,
+    {
+        1
+    }
 }
+
+/// Decode one fresh value of a blank-able type.
+pub fn decode<T: Snap>(r: &mut SnapReader<'_>) -> Result<T, SnapError> {
+    let mut v = T::blank().ok_or(SnapError::Corrupt("shape-fixed value in a growing slot"))?;
+    v.load(r)?;
+    Ok(v)
+}
+
+/// `min_bytes` of a field, named by an accessor (used by `snap_fields!`,
+/// which knows field names but not their types).
+#[doc(hidden)]
+pub fn field_min_bytes<S, T: Snap>(_field: fn(&S) -> &T) -> usize {
+    T::min_bytes()
+}
+
+/// Debug-build restore check: the state rebuilt from `payload` must save
+/// back to exactly `payload`. A mismatch means some type's `load` dropped
+/// or altered state its `save` wrote — a resume that would silently
+/// diverge — and is reported as [`SnapError::Corrupt`]. Release builds
+/// skip the re-save.
+pub fn check_resave(payload: &[u8], resave: impl FnOnce() -> Vec<u8>) -> Result<(), SnapError> {
+    if cfg!(debug_assertions) && resave() != payload {
+        return Err(SnapError::Corrupt(
+            "restored state does not re-save identically",
+        ));
+    }
+    Ok(())
+}
+
+/// Implement [`Snap`] for a struct from one list of its fields.
+///
+/// ```text
+/// snap_fields!(Type { field, field, ... }
+///     skip { field, ... }      // optional: rebuilt from configuration
+///     blank { expr }           // optional: fresh value for growing containers
+///     check { path });         // optional: fn(&mut Type) -> Result<(), SnapError>
+/// snap_fields!(impl[T: Snap] Generic<T> { ... });
+/// ```
+///
+/// Listed fields are saved and loaded in order with their own `Snap`
+/// impls. Both directions destructure the struct exhaustively, so a new
+/// field fails to compile until it is listed or skipped. The `check`
+/// function runs after every field has loaded: it rejects values that
+/// cannot be valid state and may recompute derived caches.
+///
+/// ```compile_fail,E0027
+/// struct Counter { hits: u64, misses: u64 }
+/// // `misses` is neither listed nor skipped: does not compile.
+/// hostcc_sim::snap_fields!(Counter { hits });
+/// ```
+///
+/// ```
+/// struct Counter { hits: u64, misses: u64 }
+/// hostcc_sim::snap_fields!(Counter { hits, misses });
+/// ```
+#[macro_export]
+macro_rules! snap_fields {
+    (impl[$($gen:tt)*] $ty:ty { $($f:tt),* $(,)? }
+        $(skip { $($s:tt),* $(,)? })?
+        $(blank { $blank:expr })?
+        $(check { $check:path })?
+    ) => {
+        impl<$($gen)*> $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                let Self { $($f: _,)* $($($s: _,)*)? } = self;
+                $($crate::Snap::save(&self.$f, w);)*
+            }
+
+            fn load(
+                &mut self,
+                r: &mut $crate::SnapReader<'_>,
+            ) -> ::core::result::Result<(), $crate::SnapError> {
+                let Self { $($f: _,)* $($($s: _,)*)? } = self;
+                $($crate::Snap::load(&mut self.$f, r)?;)*
+                $($check(self)?;)?
+                ::core::result::Result::Ok(())
+            }
+
+            $(fn blank() -> ::core::option::Option<Self> {
+                ::core::option::Option::Some($blank)
+            })?
+
+            fn min_bytes() -> usize {
+                0 $(+ $crate::snap_field_min_bytes::<Self, _>(|s| &s.$f))*
+            }
+        }
+    };
+    ($ty:ty { $($f:tt),* $(,)? }
+        $(skip { $($s:tt),* $(,)? })?
+        $(blank { $blank:expr })?
+        $(check { $check:path })?
+    ) => {
+        $crate::snap_fields!(impl[] $ty { $($f),* }
+            $(skip { $($s),* })?
+            $(blank { $blank })?
+            $(check { $check })?);
+    };
+}
+
+/// Scalars: written through one writer/reader primitive, converted by
+/// `to`/`from` (identity for the primitives themselves).
+macro_rules! snap_scalar {
+    ($($t:ty: $w:ident, $to:expr, $from:expr, $bytes:expr;)*) => {$(
+        impl Snap for $t {
+            #[inline]
+            fn save(&self, w: &mut SnapWriter) {
+                w.$w($to(*self));
+            }
+            #[inline]
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                *self = $from(r.$w()?);
+                Ok(())
+            }
+            fn blank() -> Option<Self> {
+                Some(Default::default())
+            }
+            fn min_bytes() -> usize {
+                $bytes
+            }
+        }
+    )*};
+}
+
+snap_scalar! {
+    u8: u8, identity, identity, 1;
+    u32: u32, identity, identity, 4;
+    u64: u64, identity, identity, 8;
+    u128: u128, identity, identity, 16;
+    usize: usize, identity, identity, 8;
+    f64: f64, identity, identity, 8;
+    bool: bool, identity, identity, 1;
+    SimTime: u64, SimTime::as_nanos, SimTime::from_nanos, 8;
+    SimDuration: u64, SimDuration::as_nanos, SimDuration::from_nanos, 8;
+}
+
+impl Snap for String {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(self);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let s = r.str()?;
+        self.clear();
+        self.push_str(s);
+        Ok(())
+    }
+    fn blank() -> Option<Self> {
+        Some(String::new())
+    }
+    fn min_bytes() -> usize {
+        8
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    /// Loads into an existing value in place. A shape-fixed value can be
+    /// neither created nor dropped by a restore.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        const MISMATCH: SnapError = SnapError::Corrupt("optional shape-fixed value mismatch");
+        match (r.bool()?, self.as_mut()) {
+            (true, Some(v)) => v.load(r)?,
+            (true, None) => *self = Some(decode(r).map_err(|_| MISMATCH)?),
+            (false, Some(_)) if T::blank().is_none() => return Err(MISMATCH),
+            (false, _) => *self = None,
+        }
+        Ok(())
+    }
+    fn blank() -> Option<Self> {
+        Some(None)
+    }
+}
+
+impl<T: Snap + ?Sized> Snap for Box<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        (**self).save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        (**self).load(r)
+    }
+    fn min_bytes() -> usize {
+        0
+    }
+}
+
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        for v in self {
+            v.load(r)?;
+        }
+        Ok(())
+    }
+    fn blank() -> Option<Self> {
+        let v: Vec<T> = (0..N).map(|_| T::blank()).collect::<Option<_>>()?;
+        v.try_into().ok()
+    }
+    fn min_bytes() -> usize {
+        N * T::min_bytes()
+    }
+}
+
+/// Resize a container about to be loaded to `n` elements: truncate or
+/// grow with blanks, or refuse when the element type is shape-fixed.
+fn resize_for_load<T: Snap>(
+    len: usize,
+    n: usize,
+    truncate: impl FnOnce(usize),
+    mut push: impl FnMut(T),
+) -> Result<(), SnapError> {
+    if n == len {
+        return Ok(());
+    }
+    if T::blank().is_none() {
+        return Err(SnapError::Corrupt("shape-fixed container length mismatch"));
+    }
+    truncate(n);
+    for _ in len..n {
+        push(T::blank().ok_or(SnapError::Corrupt("blank value missing"))?);
+    }
+    Ok(())
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len(T::min_bytes())?;
+        let len = self.len();
+        let mut grown = Vec::new();
+        resize_for_load(len, n, |n| self.truncate(n), |v| grown.push(v))?;
+        self.append(&mut grown);
+        for v in self.iter_mut() {
+            v.load(r)?;
+        }
+        Ok(())
+    }
+    fn blank() -> Option<Self> {
+        Some(Vec::new())
+    }
+    fn min_bytes() -> usize {
+        8
+    }
+}
+
+impl<T: Snap> Snap for VecDeque<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len(T::min_bytes())?;
+        let len = self.len();
+        let mut grown = VecDeque::new();
+        resize_for_load(len, n, |n| self.truncate(n), |v| grown.push_back(v))?;
+        self.append(&mut grown);
+        for v in self.iter_mut() {
+            v.load(r)?;
+        }
+        Ok(())
+    }
+    fn blank() -> Option<Self> {
+        Some(VecDeque::new())
+    }
+    fn min_bytes() -> usize {
+        8
+    }
+}
+
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len(K::min_bytes() + V::min_bytes())?;
+        self.clear();
+        for _ in 0..n {
+            let k = decode(r)?;
+            let v = decode(r)?;
+            if self.insert(k, v).is_some() {
+                return Err(SnapError::Corrupt("duplicate map key"));
+            }
+        }
+        Ok(())
+    }
+    fn blank() -> Option<Self> {
+        Some(BTreeMap::new())
+    }
+    fn min_bytes() -> usize {
+        8
+    }
+}
+
+macro_rules! snap_tuple {
+    ($($n:tt: $t:ident),*) => {
+        impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn save(&self, w: &mut SnapWriter) {
+                $(self.$n.save(w);)*
+            }
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                $(self.$n.load(r)?;)*
+                Ok(())
+            }
+            fn blank() -> Option<Self> {
+                Some(($($t::blank()?,)*))
+            }
+            fn min_bytes() -> usize {
+                0 $(+ $t::min_bytes())*
+            }
+        }
+    };
+}
+
+snap_tuple!(0: A, 1: B);
+snap_tuple!(0: A, 1: B, 2: C);
 
 /// Append-only snapshot payload writer.
 #[derive(Debug, Default)]
@@ -165,11 +544,6 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Write a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Write a `usize` as `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
@@ -186,16 +560,6 @@ impl SnapWriter {
         self.u8(v as u8);
     }
 
-    /// Write a [`SimTime`].
-    pub fn time(&mut self, t: SimTime) {
-        self.u64(t.as_nanos());
-    }
-
-    /// Write a [`SimDuration`].
-    pub fn duration(&mut self, d: SimDuration) {
-        self.u64(d.as_nanos());
-    }
-
     /// Write a length-prefixed byte string.
     pub fn bytes(&mut self, b: &[u8]) {
         self.usize(b.len());
@@ -205,25 +569,6 @@ impl SnapWriter {
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
-    }
-
-    /// Write an `Option` as a presence byte plus the value.
-    pub fn opt<T>(&mut self, v: &Option<T>, mut enc: impl FnMut(&T, &mut SnapWriter)) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                enc(x, self);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    /// Write a slice as a length prefix plus each element.
-    pub fn seq<T>(&mut self, items: &[T], mut enc: impl FnMut(&T, &mut SnapWriter)) {
-        self.usize(items.len());
-        for it in items {
-            enc(it, self);
-        }
     }
 }
 
@@ -327,11 +672,6 @@ impl<'a> SnapReader<'a> {
         ))
     }
 
-    /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 B")))
-    }
-
     /// Read a `u64` written as a `usize`.
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         let v = self.u64()?;
@@ -363,16 +703,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Read a [`SimTime`].
-    pub fn time(&mut self) -> Result<SimTime, SnapError> {
-        Ok(SimTime::from_nanos(self.u64()?))
-    }
-
-    /// Read a [`SimDuration`].
-    pub fn duration(&mut self) -> Result<SimDuration, SnapError> {
-        Ok(SimDuration::from_nanos(self.u64()?))
-    }
-
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.len(1)?;
@@ -383,72 +713,61 @@ impl<'a> SnapReader<'a> {
     pub fn str(&mut self) -> Result<&'a str, SnapError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| SnapError::Corrupt("invalid utf-8"))
     }
-
-    /// Read an `Option` written by [`SnapWriter::opt`].
-    pub fn opt<T>(
-        &mut self,
-        mut dec: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapError>,
-    ) -> Result<Option<T>, SnapError> {
-        if self.bool()? {
-            Ok(Some(dec(self)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Read a sequence written by [`SnapWriter::seq`] into a `Vec`.
-    pub fn seq<T>(
-        &mut self,
-        min_elem_bytes: usize,
-        mut dec: impl FnMut(&mut SnapReader<'a>) -> Result<T, SnapError>,
-    ) -> Result<Vec<T>, SnapError> {
-        let n = self.len(min_elem_bytes)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(dec(self)?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn scalar_round_trip() {
+    fn round_trip<T: Snap + fmt::Debug>(v: &T, fresh: &mut T) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.u8(7);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX);
-        w.u128(u128::MAX - 5);
-        w.i64(-42);
-        w.f64(-0.0);
-        w.f64(f64::NAN);
-        w.bool(true);
-        w.time(SimTime::from_nanos(123));
-        w.duration(SimDuration::from_nanos(456));
-        w.str("héllo");
-        w.opt(&Some(9u64), |v, w| w.u64(*v));
-        w.opt(&None::<u64>, |v, w| w.u64(*v));
-        w.seq(&[1u64, 2, 3], |v, w| w.u64(*v));
+        v.save(&mut w);
         let payload = w.into_payload();
         let mut r = SnapReader::new(&payload);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.u128().unwrap(), u128::MAX - 5);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64().unwrap().is_nan());
-        assert!(r.bool().unwrap());
-        assert_eq!(r.time().unwrap(), SimTime::from_nanos(123));
-        assert_eq!(r.duration().unwrap(), SimDuration::from_nanos(456));
-        assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(9));
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
-        assert_eq!(r.seq(8, |r| r.u64()).unwrap(), vec![1, 2, 3]);
+        fresh.load(&mut r).unwrap();
         r.finish().unwrap();
+        payload
+    }
+
+    #[test]
+    fn scalar_round_trip() {
+        type All = (
+            (u8, u32, u64),
+            (u128, f64, f64),
+            (bool, SimTime, SimDuration),
+        );
+        let v: All = (
+            (7, 0xDEAD_BEEF, u64::MAX),
+            (u128::MAX - 5, -0.0, f64::NAN),
+            (true, SimTime::from_nanos(123), SimDuration::from_nanos(456)),
+        );
+        let mut back = All::blank().unwrap();
+        round_trip(&v, &mut back);
+        assert_eq!(back.0, v.0);
+        assert_eq!(back.1 .0, v.1 .0);
+        assert_eq!(back.1 .1.to_bits(), (-0.0f64).to_bits());
+        assert!(back.1 .2.is_nan());
+        assert_eq!(back.2, v.2);
+
+        let s = (String::from("héllo"), (Some(9u64), None::<u64>));
+        let mut back = <(String, (Option<u64>, Option<u64>))>::blank().unwrap();
+        back.1 .1 = Some(3); // a present value the image says is absent
+        round_trip(&s, &mut back);
+        assert_eq!(back, s);
+
+        let c = (
+            vec![1u64, 2, 3],
+            VecDeque::from(vec![(1u32, true)]),
+            [4u64; 3],
+        );
+        let mut back = (vec![9u64; 7], VecDeque::new(), [0u64; 3]);
+        round_trip(&c, &mut back);
+        assert_eq!(back, c);
+
+        let m: BTreeMap<String, u64> = [("a".to_string(), 1), ("b".to_string(), 2)].into();
+        let mut back = BTreeMap::new();
+        round_trip(&m, &mut back);
+        assert_eq!(back, m);
     }
 
     #[test]
@@ -496,8 +815,120 @@ mod tests {
         let mut w = SnapWriter::new();
         w.u64(u64::MAX / 2);
         let payload = w.into_payload();
-        let mut r = SnapReader::new(&payload);
-        assert!(matches!(r.seq(8, |r| r.u64()), Err(SnapError::Corrupt(_))));
+        let mut v: Vec<u64> = Vec::new();
+        assert!(matches!(
+            v.load(&mut SnapReader::new(&payload)),
+            Err(SnapError::Corrupt(_))
+        ));
+        // Out-of-range bools and duplicate map keys are corruption.
+        let mut flag = false;
+        assert!(matches!(
+            flag.load(&mut SnapReader::new(&[2])),
+            Err(SnapError::Corrupt(_))
+        ));
+        let mut w = SnapWriter::new();
+        w.usize(2);
+        for _ in 0..2 {
+            w.u32(1);
+            w.u32(5);
+        }
+        let payload = w.into_payload();
+        let mut m: BTreeMap<u32, u32> = BTreeMap::new();
+        assert_eq!(
+            m.load(&mut SnapReader::new(&payload)),
+            Err(SnapError::Corrupt("duplicate map key"))
+        );
+    }
+
+    /// A type built only from configuration: containers of it keep their
+    /// prebuilt shape.
+    #[derive(Debug, PartialEq)]
+    struct Port {
+        id: u32,
+        sent: u64,
+    }
+    snap_fields!(Port { sent } skip { id });
+
+    #[test]
+    fn shape_fixed_containers_refuse_to_resize() {
+        let two = vec![Port { id: 0, sent: 5 }, Port { id: 1, sent: 6 }];
+        let mut back = vec![Port { id: 0, sent: 0 }, Port { id: 1, sent: 0 }];
+        round_trip(&two, &mut back);
+        assert_eq!(back, two);
+
+        let mut w = SnapWriter::new();
+        two.save(&mut w);
+        let payload = w.into_payload();
+        let mut three: Vec<Port> = (0..3).map(|id| Port { id, sent: 0 }).collect();
+        assert!(matches!(
+            three.load(&mut SnapReader::new(&payload)),
+            Err(SnapError::Corrupt(_))
+        ));
+        let mut w = SnapWriter::new();
+        None::<Port>.save(&mut w);
+        let payload = w.into_payload();
+        let mut attached = Some(Port { id: 0, sent: 0 });
+        assert!(attached.load(&mut SnapReader::new(&payload)).is_err());
+    }
+
+    /// A deliberately lossy codec: `load` forgets what `save` wrote.
+    #[derive(Debug)]
+    struct Lossy {
+        kept: u64,
+        dropped: u64,
+    }
+
+    impl Snap for Lossy {
+        fn save(&self, w: &mut SnapWriter) {
+            self.kept.save(w);
+            self.dropped.save(w);
+        }
+        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            self.kept.load(r)?;
+            let _ = r.u64()?;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn resave_check_catches_lossy_loads() {
+        let saved = Lossy {
+            kept: 1,
+            dropped: 2,
+        };
+        let mut w = SnapWriter::new();
+        saved.save(&mut w);
+        let payload = w.into_payload();
+        let mut restored = Lossy {
+            kept: 0,
+            dropped: 0,
+        };
+        restored.load(&mut SnapReader::new(&payload)).unwrap();
+        let resave = || {
+            let mut w = SnapWriter::new();
+            restored.save(&mut w);
+            w.into_payload()
+        };
+        let verdict = check_resave(&payload, resave);
+        if cfg!(debug_assertions) {
+            assert!(matches!(verdict, Err(SnapError::Corrupt(_))));
+        } else {
+            assert_eq!(verdict, Ok(()));
+        }
+        // A faithful codec passes.
+        let mut w = SnapWriter::new();
+        (1u64, 2u64).save(&mut w);
+        let payload = w.into_payload();
+        let mut back = (0u64, 0u64);
+        back.load(&mut SnapReader::new(&payload)).unwrap();
+        assert_eq!(
+            check_resave(&payload, || {
+                let mut w = SnapWriter::new();
+                back.save(&mut w);
+                w.into_payload()
+            }),
+            Ok(())
+        );
     }
 
     #[test]

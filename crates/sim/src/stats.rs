@@ -14,6 +14,8 @@ pub struct Running {
     max: f64,
 }
 
+crate::snap_fields!(Running { n, mean, m2, min, max } blank { Running::new() });
+
 impl Running {
     /// An empty accumulator.
     pub fn new() -> Self {
@@ -86,26 +88,6 @@ impl Running {
         }
     }
 
-    /// Serialize the accumulator for a checkpoint.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.n);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-
-    /// Rebuild an accumulator from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Running {
-            n: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        })
-    }
-
     /// Merge another accumulator into this one (Chan's parallel algorithm).
     pub fn merge(&mut self, other: &Running) {
         if other.n == 0 {
@@ -136,6 +118,8 @@ pub struct RateMeter {
     last: SimTime,
     started: bool,
 }
+
+crate::snap_fields!(RateMeter { total, start, last, started } blank { RateMeter::default() });
 
 impl Default for RateMeter {
     fn default() -> Self {
@@ -193,24 +177,6 @@ impl RateMeter {
     pub fn rate_bits_per_sec(&self, now: SimTime) -> f64 {
         self.rate_per_sec(now) * 8.0
     }
-
-    /// Serialize the meter for a checkpoint.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.total);
-        w.time(self.start);
-        w.time(self.last);
-        w.bool(self.started);
-    }
-
-    /// Rebuild a meter from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(RateMeter {
-            total: r.u64()?,
-            start: r.time()?,
-            last: r.time()?,
-            started: r.bool()?,
-        })
-    }
 }
 
 /// Exponentially-weighted moving average with a configurable gain.
@@ -223,6 +189,8 @@ pub struct Ewma {
     gain: f64,
     initialized: bool,
 }
+
+crate::snap_fields!(Ewma { value, gain, initialized } check { Ewma::check_restored });
 
 impl Ewma {
     /// `gain` in (0, 1]: weight of each new sample.
@@ -255,28 +223,11 @@ impl Ewma {
         self.initialized
     }
 
-    /// Serialize the filter (value and initialisation flag; the gain is
-    /// configuration and is written too so restore needs no constructor
-    /// arguments).
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.f64(self.value);
-        w.f64(self.gain);
-        w.bool(self.initialized);
-    }
-
-    /// Rebuild a filter from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let value = r.f64()?;
-        let gain = r.f64()?;
-        let initialized = r.bool()?;
-        if !(gain > 0.0 && gain <= 1.0) {
-            return Err(crate::snap::SnapError::Corrupt("ewma gain out of range"));
+    fn check_restored(&mut self) -> Result<(), crate::SnapError> {
+        if !(self.gain > 0.0 && self.gain <= 1.0) {
+            return Err(crate::SnapError::Corrupt("ewma gain out of range"));
         }
-        Ok(Ewma {
-            value,
-            gain,
-            initialized,
-        })
+        Ok(())
     }
 }
 

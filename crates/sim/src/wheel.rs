@@ -673,40 +673,28 @@ impl<E> TimingWheel<E> {
     }
 }
 
-impl<E: Clone> crate::snap::SnapQueue<E> for TimingWheel<E> {
-    /// Serialize by draining a clone in dispatch order. The restored wheel
-    /// re-pushes the events into a fresh window (base 0), which may place
-    /// them in different tiers than the original — that only shifts
-    /// *where* bookkeeping work happens, never the pop order: pushes in
-    /// ascending dispatch order get ascending seqs, and the wheel's
-    /// cross-tier ordering guarantee makes the pop sequence a pure
-    /// function of `(time, seq)`.
-    fn save_state<F: FnMut(&E, &mut crate::snap::SnapWriter)>(
-        &self,
-        w: &mut crate::snap::SnapWriter,
-        mut enc: F,
-    ) {
+/// Serialized by draining a clone in dispatch order. The restored wheel
+/// re-pushes the events into a fresh window (base 0), which may place them
+/// in different tiers than the original — that only shifts *where*
+/// bookkeeping work happens, never the pop order: pushes in ascending
+/// dispatch order get ascending seqs, and the wheel's cross-tier ordering
+/// guarantee makes the pop sequence a pure function of `(time, seq)`.
+impl<E: Clone + crate::Snap> crate::Snap for TimingWheel<E> {
+    fn save(&self, w: &mut crate::SnapWriter) {
         w.u32(self.shift);
         w.u64(self.next_seq);
         w.u64(self.popped);
         w.usize(self.len());
         let mut drain = self.clone();
         while let Some((t, ev)) = drain.pop() {
-            w.time(t);
-            enc(&ev, w);
+            crate::Snap::save(&t, w);
+            ev.save(w);
         }
     }
 
-    fn load_state<
-        'a,
-        F: FnMut(&mut crate::snap::SnapReader<'a>) -> Result<E, crate::snap::SnapError>,
-    >(
-        r: &mut crate::snap::SnapReader<'a>,
-        mut dec: F,
-    ) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let shift = r.u32()?;
-        let res = u64::checked_shl(1, shift)
+    fn load(&mut self, r: &mut crate::SnapReader<'_>) -> Result<(), crate::SnapError> {
+        use crate::SnapError;
+        let res = u64::checked_shl(1, r.u32()?)
             .and_then(Resolution::from_nanos)
             .ok_or(SnapError::Corrupt("bad wheel resolution"))?;
         let next_seq = r.u64()?;
@@ -718,18 +706,19 @@ impl<E: Clone> crate::snap::SnapQueue<E> for TimingWheel<E> {
         let mut q = TimingWheel::with_resolution(res);
         let mut last = SimTime::ZERO;
         for _ in 0..n {
-            let t = r.time()?;
+            let t: SimTime = crate::decode(r)?;
             if t < last {
                 return Err(SnapError::Corrupt("wheel events out of order"));
             }
             last = t;
-            q.push(t, dec(r)?);
+            q.push(t, crate::decode(r)?);
         }
         // Lifetime counters continue from the checkpoint, and future
         // pushes' seqs sort after every restored entry.
         q.next_seq = next_seq;
         q.popped = popped;
-        Ok(q)
+        *self = q;
+        Ok(())
     }
 }
 

@@ -71,6 +71,21 @@ impl RootCause {
     }
 }
 
+impl hostcc_sim::Snap for RootCause {
+    fn save(&self, w: &mut hostcc_sim::SnapWriter) {
+        w.u8(self.tag());
+    }
+
+    fn load(&mut self, r: &mut hostcc_sim::SnapReader<'_>) -> Result<(), hostcc_sim::SnapError> {
+        *self = Self::from_tag(r.u8()?)?;
+        Ok(())
+    }
+
+    fn blank() -> Option<Self> {
+        Some(RootCause::Unknown)
+    }
+}
+
 /// One detected host-congestion episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpisodeRecord {
@@ -105,6 +120,17 @@ pub struct EpisodeRecord {
     pub cpu_ns_per_packet: f64,
 }
 
+hostcc_sim::snap_fields!(EpisodeRecord {
+    onset_ns, peak_ns, clear_ns, open, samples, drops, peak_buffer_frac, cause, z,
+    walks_per_packet, mem_util, mem_latency_ns, credit_stalls, cpu_ns_per_packet,
+} blank {
+    EpisodeRecord {
+        onset_ns: 0, peak_ns: 0, clear_ns: 0, open: false, samples: 0, drops: 0,
+        peak_buffer_frac: 0.0, cause: RootCause::Unknown, z: 0.0, walks_per_packet: 0.0,
+        mem_util: 0.0, mem_latency_ns: 0.0, credit_stalls: 0, cpu_ns_per_packet: 0.0,
+    }
+});
+
 /// Welford online mean/variance.
 #[derive(Debug, Clone, Copy, Default)]
 struct Welford {
@@ -112,6 +138,8 @@ struct Welford {
     mean: f64,
     m2: f64,
 }
+
+hostcc_sim::snap_fields!(Welford { count, mean, m2 } blank { Welford::default() });
 
 impl Welford {
     fn push(&mut self, x: f64) {
@@ -145,6 +173,20 @@ struct EpisodeAcc {
     mem_util_sum: f64,
 }
 
+hostcc_sim::snap_fields!(EpisodeAcc {
+    onset_ns,
+    peak_ns,
+    peak_frac,
+    samples,
+    packets,
+    walks,
+    drops,
+    stalls,
+    cpu_ns,
+    mem_latency_sum,
+    mem_util_sum,
+});
+
 impl EpisodeAcc {
     fn reset(&mut self, onset_ns: u64) {
         *self = EpisodeAcc {
@@ -170,44 +212,6 @@ impl EpisodeAcc {
     }
 }
 
-impl EpisodeRecord {
-    fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.onset_ns);
-        w.u64(self.peak_ns);
-        w.u64(self.clear_ns);
-        w.bool(self.open);
-        w.u32(self.samples);
-        w.u64(self.drops);
-        w.f64(self.peak_buffer_frac);
-        w.u8(self.cause.tag());
-        w.f64(self.z);
-        w.f64(self.walks_per_packet);
-        w.f64(self.mem_util);
-        w.f64(self.mem_latency_ns);
-        w.u64(self.credit_stalls);
-        w.f64(self.cpu_ns_per_packet);
-    }
-
-    fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        Ok(EpisodeRecord {
-            onset_ns: r.u64()?,
-            peak_ns: r.u64()?,
-            clear_ns: r.u64()?,
-            open: r.bool()?,
-            samples: r.u32()?,
-            drops: r.u64()?,
-            peak_buffer_frac: r.f64()?,
-            cause: RootCause::from_tag(r.u8()?)?,
-            z: r.f64()?,
-            walks_per_packet: r.f64()?,
-            mem_util: r.f64()?,
-            mem_latency_ns: r.f64()?,
-            credit_stalls: r.u64()?,
-            cpu_ns_per_packet: r.f64()?,
-        })
-    }
-}
-
 /// Cause-signal order shared by the baseline array, the z-score vector
 /// and the fallback scores: [iotlb, mem, pcie, cpu].
 const CAUSES: [RootCause; 4] = [
@@ -230,6 +234,10 @@ pub struct EpisodeDetector {
     episodes: Vec<EpisodeRecord>,
     dropped: u64,
 }
+
+hostcc_sim::snap_fields!(EpisodeDetector {
+    in_episode, onset_run, clear_run, acc, baselines, episodes, dropped,
+} skip { cfg } check { EpisodeDetector::check_restored });
 
 impl EpisodeDetector {
     /// A detector with thresholds from `cfg`; episode storage is
@@ -306,83 +314,6 @@ impl EpisodeDetector {
     /// mutating detector state (for end-of-run summaries).
     pub fn open_episode(&self, end_ns: u64) -> Option<EpisodeRecord> {
         self.in_episode.then(|| self.attribute(end_ns, true))
-    }
-
-    /// Serialize the segmentation state machine, baselines, and the
-    /// closed-episode table.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.bool(self.in_episode);
-        w.u32(self.onset_run);
-        w.u32(self.clear_run);
-        w.u64(self.acc.onset_ns);
-        w.u64(self.acc.peak_ns);
-        w.f64(self.acc.peak_frac);
-        w.u32(self.acc.samples);
-        w.u64(self.acc.packets);
-        w.u64(self.acc.walks);
-        w.u64(self.acc.drops);
-        w.u64(self.acc.stalls);
-        w.u64(self.acc.cpu_ns);
-        w.f64(self.acc.mem_latency_sum);
-        w.f64(self.acc.mem_util_sum);
-        for b in &self.baselines {
-            w.u64(b.count);
-            w.f64(b.mean);
-            w.f64(b.m2);
-        }
-        w.usize(self.episodes.len());
-        for e in &self.episodes {
-            e.save_state(w);
-        }
-        w.u64(self.dropped);
-    }
-
-    /// Restore into a detector rebuilt from the same configuration; on any
-    /// error `self` is untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let in_episode = r.bool()?;
-        let onset_run = r.u32()?;
-        let clear_run = r.u32()?;
-        let acc = EpisodeAcc {
-            onset_ns: r.u64()?,
-            peak_ns: r.u64()?,
-            peak_frac: r.f64()?,
-            samples: r.u32()?,
-            packets: r.u64()?,
-            walks: r.u64()?,
-            drops: r.u64()?,
-            stalls: r.u64()?,
-            cpu_ns: r.u64()?,
-            mem_latency_sum: r.f64()?,
-            mem_util_sum: r.f64()?,
-        };
-        let mut baselines = [Welford::default(); 4];
-        for b in baselines.iter_mut() {
-            b.count = r.u64()?;
-            b.mean = r.f64()?;
-            b.m2 = r.f64()?;
-        }
-        let n = r.len(16)?;
-        if self.cfg.enabled && n > self.cfg.max_episodes {
-            return Err(SnapError::Corrupt("episode table overfull"));
-        }
-        let mut episodes = Vec::with_capacity(self.episodes.capacity().max(n));
-        for _ in 0..n {
-            episodes.push(EpisodeRecord::load_state(r)?);
-        }
-        let dropped = r.u64()?;
-        self.in_episode = in_episode;
-        self.onset_run = onset_run;
-        self.clear_run = clear_run;
-        self.acc = acc;
-        self.baselines = baselines;
-        self.episodes = episodes;
-        self.dropped = dropped;
-        Ok(())
     }
 
     /// Attribute the accumulated episode: z-scores against episode-free
@@ -470,6 +401,13 @@ impl EpisodeDetector {
             credit_stalls: a.stalls,
             cpu_ns_per_packet: cpp,
         }
+    }
+
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if self.cfg.enabled && self.episodes.len() > self.cfg.max_episodes {
+            return Err(hostcc_sim::SnapError::Corrupt("episode table overfull"));
+        }
+        Ok(())
     }
 }
 

@@ -103,6 +103,13 @@ pub struct Telemetry {
     line_buf: String,
 }
 
+// The sink and its line buffer are transient I/O, never checkpointed.
+hostcc_sim::snap_fields!(Telemetry {
+    ring, detector, recorder, base_delivered, base_drops, base_stalls, base_lookups, base_misses,
+    base_walks, win_packets, win_host_delay_ns, win_cpu_ns, win_acks, win_fabric_ns,
+    samples_taken, last,
+} skip { cfg, sink, line_buf });
+
 impl std::fmt::Debug for Telemetry {
     // Manual: `dyn Write` sinks are not `Debug`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -305,61 +312,6 @@ impl Telemetry {
             flight_dumps: self.recorder.triggered(),
             last: self.last,
         }
-    }
-
-    /// Serialize the full telemetry runtime: retained ring, detector,
-    /// flight recorder, counter bases and window accumulators. The sink is
-    /// *not* serialized — the caller re-installs it after restore, and the
-    /// stream resumes exactly where the checkpointed run's sink left off.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.ring.save_with(w, |s, w| s.save_state(w));
-        self.detector.save_state(w);
-        self.recorder.save_state(w);
-        w.u64(self.base_delivered);
-        w.u64(self.base_drops);
-        w.u64(self.base_stalls);
-        w.u64(self.base_lookups);
-        w.u64(self.base_misses);
-        w.u64(self.base_walks);
-        w.u64(self.win_packets);
-        w.u64(self.win_host_delay_ns);
-        w.u64(self.win_cpu_ns);
-        w.u64(self.win_acks);
-        w.u64(self.win_fabric_ns);
-        w.u64(self.samples_taken);
-        w.opt(&self.last, |s, w| s.save_state(w));
-    }
-
-    /// Restore into a runtime rebuilt from the same configuration. The
-    /// ring capacity must match. A decode error part-way through can leave
-    /// the detector/recorder already restored; callers discard the whole
-    /// testbed on any restore error, so no mixed state is ever observed.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let ring = SampleRing::load_with(r, TelemetrySample::load_state)?;
-        if ring.capacity() != self.ring.capacity() {
-            return Err(SnapError::Corrupt("telemetry ring capacity mismatch"));
-        }
-        self.detector.load_state(r)?;
-        self.recorder.load_state(r)?;
-        self.ring = ring;
-        self.base_delivered = r.u64()?;
-        self.base_drops = r.u64()?;
-        self.base_stalls = r.u64()?;
-        self.base_lookups = r.u64()?;
-        self.base_misses = r.u64()?;
-        self.base_walks = r.u64()?;
-        self.win_packets = r.u64()?;
-        self.win_host_delay_ns = r.u64()?;
-        self.win_cpu_ns = r.u64()?;
-        self.win_acks = r.u64()?;
-        self.win_fabric_ns = r.u64()?;
-        self.samples_taken = r.u64()?;
-        self.last = r.opt(TelemetrySample::load_state)?;
-        Ok(())
     }
 
     /// Append one JSONL line for `s` to the sink, if any. Uses the

@@ -50,6 +50,21 @@ impl TriggerKind {
     }
 }
 
+impl hostcc_sim::Snap for TriggerKind {
+    fn save(&self, w: &mut hostcc_sim::SnapWriter) {
+        w.u8(self.tag());
+    }
+
+    fn load(&mut self, r: &mut hostcc_sim::SnapReader<'_>) -> Result<(), hostcc_sim::SnapError> {
+        *self = Self::from_tag(r.u8()?)?;
+        Ok(())
+    }
+
+    fn blank() -> Option<Self> {
+        Some(TriggerKind::DropBurst)
+    }
+}
+
 /// One captured dump: the trigger, when it fired, and the last N samples
 /// leading into it (oldest first).
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +77,12 @@ pub struct FlightDump {
     /// `flight_dump_samples` of them.
     pub samples: Vec<TelemetrySample>,
 }
+
+hostcc_sim::snap_fields!(FlightDump {
+    trigger,
+    t_ns,
+    samples
+});
 
 /// Bounded retroactive dump capture (see module docs). Disabled unless
 /// both telemetry and the flight recorder are switched on.
@@ -78,6 +99,11 @@ pub struct FlightRecorder {
     slots: Vec<FlightDump>,
     triggered: u64,
 }
+
+// Every preallocated slot is in the image (unfilled ones are empty), and
+// loads into the prebuilt slots in place, keeping their capacity.
+hostcc_sim::snap_fields!(FlightRecorder { last_capture_ns, triggered, captured, slots }
+    skip { enabled, dump_samples, cooldown_ns } check { FlightRecorder::check_restored });
 
 impl FlightRecorder {
     /// A recorder with all dump storage preallocated (no-op slots when the
@@ -142,58 +168,17 @@ impl FlightRecorder {
         self.triggered
     }
 
-    /// Serialize the captured dumps and trigger bookkeeping. The slot
-    /// geometry (enabled, dump size, cooldown) comes from the config.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.last_capture_ns);
-        w.u64(self.triggered);
-        w.usize(self.captured);
-        for dump in &self.slots[..self.captured] {
-            w.u8(dump.trigger.tag());
-            w.u64(dump.t_ns);
-            w.usize(dump.samples.len());
-            for s in &dump.samples {
-                s.save_state(w);
-            }
-        }
-    }
-
-    /// Restore into a recorder rebuilt from the same configuration; on any
-    /// error `self` is untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let last_capture_ns = r.u64()?;
-        let triggered = r.u64()?;
-        let captured = r.usize()?;
-        if captured > self.slots.len() {
+        if self.captured > self.slots.len() {
             return Err(SnapError::Corrupt("flight dumps exceed slots"));
         }
-        let mut dumps = Vec::with_capacity(captured);
-        for _ in 0..captured {
-            let trigger = TriggerKind::from_tag(r.u8()?)?;
-            let t_ns = r.u64()?;
-            let n = r.len(64)?;
-            if n > self.dump_samples {
-                return Err(SnapError::Corrupt("flight dump overfull"));
-            }
-            let mut samples = Vec::with_capacity(self.dump_samples);
-            for _ in 0..n {
-                samples.push(TelemetrySample::load_state(r)?);
-            }
-            dumps.push(FlightDump {
-                trigger,
-                t_ns,
-                samples,
-            });
-        }
-        self.last_capture_ns = last_capture_ns;
-        self.triggered = triggered;
-        self.captured = captured;
-        for (slot, dump) in self.slots.iter_mut().zip(dumps) {
-            *slot = dump;
+        if self
+            .slots
+            .iter()
+            .any(|d| d.samples.len() > self.dump_samples)
+        {
+            return Err(SnapError::Corrupt("flight dump overfull"));
         }
         Ok(())
     }

@@ -33,7 +33,7 @@ pub struct SignalInputs {
 /// One telemetry sample: gauges at the tick instant plus deltas/sums over
 /// the window since the previous tick. `Copy` and compact so the ring
 /// and flight dumps shuttle plain words.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetrySample {
     /// Sample time, nanoseconds.
     pub t_ns: u64,
@@ -72,6 +72,12 @@ pub struct TelemetrySample {
     /// Queued-read memory latency, ns.
     pub mem_latency_ns: f64,
 }
+
+hostcc_sim::snap_fields!(TelemetrySample {
+    t_ns, buffer_occupancy_bytes, buffer_frac, ring_free_slots, delivered, drops, credit_stalls,
+    iotlb_lookups, iotlb_misses, walks, packets, host_delay_ns, cpu_ns, acks, fabric_delay_ns,
+    mem_util, mem_latency_ns,
+} blank { TelemetrySample::default() });
 
 impl TelemetrySample {
     /// Page-walk accesses per processed packet (0 when idle).
@@ -112,50 +118,6 @@ impl TelemetrySample {
             return 0.0;
         }
         self.fabric_delay_ns as f64 / self.acks as f64
-    }
-
-    /// Serialize the sample (all 17 fields, in declaration order).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.t_ns);
-        w.u64(self.buffer_occupancy_bytes);
-        w.f64(self.buffer_frac);
-        w.u32(self.ring_free_slots);
-        w.u64(self.delivered);
-        w.u64(self.drops);
-        w.u64(self.credit_stalls);
-        w.u64(self.iotlb_lookups);
-        w.u64(self.iotlb_misses);
-        w.u64(self.walks);
-        w.u64(self.packets);
-        w.u64(self.host_delay_ns);
-        w.u64(self.cpu_ns);
-        w.u64(self.acks);
-        w.u64(self.fabric_delay_ns);
-        w.f64(self.mem_util);
-        w.f64(self.mem_latency_ns);
-    }
-
-    /// Rebuild a sample from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        Ok(TelemetrySample {
-            t_ns: r.u64()?,
-            buffer_occupancy_bytes: r.u64()?,
-            buffer_frac: r.f64()?,
-            ring_free_slots: r.u32()?,
-            delivered: r.u64()?,
-            drops: r.u64()?,
-            credit_stalls: r.u64()?,
-            iotlb_lookups: r.u64()?,
-            iotlb_misses: r.u64()?,
-            walks: r.u64()?,
-            packets: r.u64()?,
-            host_delay_ns: r.u64()?,
-            cpu_ns: r.u64()?,
-            acks: r.u64()?,
-            fabric_delay_ns: r.u64()?,
-            mem_util: r.f64()?,
-            mem_latency_ns: r.f64()?,
-        })
     }
 }
 

@@ -26,6 +26,8 @@ pub struct CounterRegistry {
     baseline: BTreeMap<String, u64>,
 }
 
+hostcc_sim::snap_fields!(CounterRegistry { values, baseline } blank { CounterRegistry::default() });
+
 impl CounterRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -81,40 +83,6 @@ impl CounterRegistry {
     /// Whether no counters are registered.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-
-    /// Serialize both maps (current values and the measurement baseline),
-    /// in name order.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        let map = |m: &BTreeMap<String, u64>, w: &mut hostcc_sim::SnapWriter| {
-            w.usize(m.len());
-            for (name, &v) in m {
-                w.str(name);
-                w.u64(v);
-            }
-        };
-        map(&self.values, w);
-        map(&self.baseline, w);
-    }
-
-    /// Rebuild a registry from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        let map = |r: &mut hostcc_sim::SnapReader<'_>| {
-            // Each entry: name length (8 B) + name bytes + value (8 B).
-            let n = r.len(16)?;
-            let mut m = BTreeMap::new();
-            for _ in 0..n {
-                let name = r.str()?.to_string();
-                let v = r.u64()?;
-                if m.insert(name, v).is_some() {
-                    return Err(hostcc_sim::SnapError::Corrupt("duplicate counter name"));
-                }
-            }
-            Ok(m)
-        };
-        let values = map(r)?;
-        let baseline = map(r)?;
-        Ok(CounterRegistry { values, baseline })
     }
 }
 

@@ -69,52 +69,40 @@ impl<T: Copy> SampleRing<T> {
         self.slots.clear();
         self.head = 0;
     }
+}
 
-    /// Serialize the ring: capacity, the retained samples oldest first
-    /// (each encoded by `enc`), and the lifetime push count.
-    pub fn save_with<F: FnMut(&T, &mut hostcc_sim::SnapWriter)>(
-        &self,
-        w: &mut hostcc_sim::SnapWriter,
-        mut enc: F,
-    ) {
+/// The image is the capacity, the retained samples oldest first, and the
+/// lifetime push count; a restore refills the ring in place, which must
+/// have been built with the same capacity.
+impl<T: Copy + hostcc_sim::Snap> hostcc_sim::Snap for SampleRing<T> {
+    fn save(&self, w: &mut hostcc_sim::SnapWriter) {
         w.usize(self.capacity);
         w.usize(self.len());
         for s in self.iter() {
-            enc(s, w);
+            s.save(w);
         }
         w.u64(self.pushed);
     }
 
-    /// Rebuild a ring from [`save_with`](Self::save_with) output. The
-    /// retained samples are re-pushed oldest first, so iteration order and
-    /// future overwrite behaviour are preserved (the head is normalised to
-    /// slot 0, which is equivalent for every observable).
-    pub fn load_with<'a, F>(
-        r: &mut hostcc_sim::SnapReader<'a>,
-        mut dec: F,
-    ) -> Result<Self, hostcc_sim::SnapError>
-    where
-        F: FnMut(&mut hostcc_sim::SnapReader<'a>) -> Result<T, hostcc_sim::SnapError>,
-    {
+    fn load(&mut self, r: &mut hostcc_sim::SnapReader<'_>) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let capacity = r.usize()?;
-        if capacity == 0 {
-            return Err(SnapError::Corrupt("zero-capacity sample ring"));
+        if r.usize()? != self.capacity {
+            return Err(SnapError::Corrupt("sample ring capacity mismatch"));
         }
-        let n = r.len(1)?;
-        if n > capacity {
+        let n = r.len(T::min_bytes())?;
+        if n > self.capacity {
             return Err(SnapError::Corrupt("sample ring overfull"));
         }
-        let mut ring = SampleRing::new(capacity);
+        self.clear();
         for _ in 0..n {
-            ring.push(dec(r)?);
+            self.push(hostcc_sim::decode(r)?);
         }
         let pushed = r.u64()?;
         if pushed < n as u64 {
             return Err(SnapError::Corrupt("ring push count below length"));
         }
-        ring.pushed = pushed;
-        Ok(ring)
+        self.pushed = pushed;
+        Ok(())
     }
 }
 

@@ -132,6 +132,8 @@ pub struct StageBreakdown {
     pub cpu: Histogram,
 }
 
+hostcc_sim::snap_fields!(StageBreakdown { buffer, pcie, iommu, memory, cpu } blank { StageBreakdown::default() });
+
 impl StageBreakdown {
     /// An empty breakdown.
     pub fn new() -> Self {
@@ -182,26 +184,6 @@ impl StageBreakdown {
             return 0.0;
         }
         self.stage(class).sum() as f64 / total as f64
-    }
-
-    /// Serialize the five stage histograms, in datapath order.
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.buffer.save_state(w);
-        self.pcie.save_state(w);
-        self.iommu.save_state(w);
-        self.memory.save_state(w);
-        self.cpu.save_state(w);
-    }
-
-    /// Rebuild a breakdown from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        Ok(StageBreakdown {
-            buffer: hostcc_sim::Histogram::load_state(r)?,
-            pcie: hostcc_sim::Histogram::load_state(r)?,
-            iommu: hostcc_sim::Histogram::load_state(r)?,
-            memory: hostcc_sim::Histogram::load_state(r)?,
-            cpu: hostcc_sim::Histogram::load_state(r)?,
-        })
     }
 }
 

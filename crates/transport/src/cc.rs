@@ -40,7 +40,7 @@ pub enum LossKind {
 ///
 /// `Send` is required so a `Testbed` (which boxes its controllers) can be
 /// moved onto a parallel-engine worker thread.
-pub trait CongestionControl: Send {
+pub trait CongestionControl: Send + hostcc_sim::Snap {
     /// Process ACK feedback.
     fn on_ack(&mut self, sample: AckSample);
 
@@ -75,20 +75,6 @@ pub trait CongestionControl: Send {
     fn decrease_stats(&self) -> Option<(u64, u64, u64)> {
         None
     }
-
-    /// Serialize the controller's evolving state (windows, per-round
-    /// accounting, counters). Stateless controllers keep the default no-op.
-    fn save_state(&self, _w: &mut hostcc_sim::SnapWriter) {}
-
-    /// Restore evolving state into a controller rebuilt from the same
-    /// configuration. Implementations must fully decode before mutating
-    /// `self`, so an error leaves the controller untouched.
-    fn load_state(
-        &mut self,
-        _r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        Ok(())
-    }
 }
 
 /// Smoothed RTT estimate (EWMA with the classic 1/8 gain) shared by
@@ -99,6 +85,12 @@ pub struct RttEstimator {
     rttvar: SimDuration,
     min_rtt: SimDuration,
 }
+
+hostcc_sim::snap_fields!(RttEstimator {
+    srtt,
+    rttvar,
+    min_rtt
+});
 
 impl Default for RttEstimator {
     fn default() -> Self {
@@ -151,22 +143,6 @@ impl RttEstimator {
         }
     }
 
-    /// Serialize the estimator (smoothed RTT, variance, observed minimum).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.opt(&self.srtt, |d, w| w.duration(*d));
-        w.duration(self.rttvar);
-        w.duration(self.min_rtt);
-    }
-
-    /// Rebuild an estimator from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        Ok(RttEstimator {
-            srtt: r.opt(|r| r.duration())?,
-            rttvar: r.duration()?,
-            min_rtt: r.duration()?,
-        })
-    }
-
     /// Retransmission timeout: `srtt + 4·rttvar`, floored.
     pub fn rto(&self, floor: SimDuration) -> SimDuration {
         match self.srtt {
@@ -188,6 +164,7 @@ mod tests {
     use super::*;
 
     struct Stub(f64);
+    hostcc_sim::snap_fields!(Stub {} skip { 0 });
     impl CongestionControl for Stub {
         fn on_ack(&mut self, _s: AckSample) {}
         fn on_loss(&mut self, _n: SimTime, _k: LossKind) {}

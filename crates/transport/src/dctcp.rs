@@ -51,6 +51,10 @@ pub struct Dctcp {
     losses: u64,
 }
 
+hostcc_sim::snap_fields!(Dctcp {
+    cwnd, ssthresh, alpha, round_end, round_acked, round_marked, losses,
+} skip { cfg } check { Dctcp::check_restored });
+
 impl Dctcp {
     /// A flow starting at `initial_cwnd` packets.
     pub fn new(cfg: DctcpConfig, initial_cwnd: f64) -> Self {
@@ -96,6 +100,23 @@ impl Dctcp {
         self.round_marked = 0;
         self.round_end = now + rtt;
     }
+
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        use hostcc_sim::SnapError;
+        if !self.cwnd.is_finite() || self.cwnd <= 0.0 {
+            return Err(SnapError::Corrupt("dctcp window out of bounds"));
+        }
+        if !self.ssthresh.is_finite() || self.ssthresh <= 0.0 {
+            return Err(SnapError::Corrupt("dctcp ssthresh out of bounds"));
+        }
+        if !(0.0..=1.0).contains(&self.alpha) {
+            return Err(SnapError::Corrupt("dctcp alpha out of range"));
+        }
+        if self.round_marked > self.round_acked {
+            return Err(SnapError::Corrupt("dctcp marks exceed acks"));
+        }
+        Ok(())
+    }
 }
 
 impl CongestionControl for Dctcp {
@@ -124,50 +145,6 @@ impl CongestionControl for Dctcp {
 
     fn name(&self) -> &'static str {
         "dctcp"
-    }
-
-    fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.f64(self.alpha);
-        w.time(self.round_end);
-        w.u64(self.round_acked);
-        w.u64(self.round_marked);
-        w.u64(self.losses);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let cwnd = r.f64()?;
-        if !cwnd.is_finite() || cwnd <= 0.0 {
-            return Err(SnapError::Corrupt("dctcp window out of bounds"));
-        }
-        let ssthresh = r.f64()?;
-        if !ssthresh.is_finite() || ssthresh <= 0.0 {
-            return Err(SnapError::Corrupt("dctcp ssthresh out of bounds"));
-        }
-        let alpha = r.f64()?;
-        if !(0.0..=1.0).contains(&alpha) {
-            return Err(SnapError::Corrupt("dctcp alpha out of range"));
-        }
-        let round_end = r.time()?;
-        let round_acked = r.u64()?;
-        let round_marked = r.u64()?;
-        if round_marked > round_acked {
-            return Err(SnapError::Corrupt("dctcp marks exceed acks"));
-        }
-        let losses = r.u64()?;
-        self.cwnd = cwnd;
-        self.ssthresh = ssthresh;
-        self.alpha = alpha;
-        self.round_end = round_end;
-        self.round_acked = round_acked;
-        self.round_marked = round_marked;
-        self.losses = losses;
-        Ok(())
     }
 }
 

@@ -13,6 +13,9 @@ pub struct FixedWindow {
     cwnd: f64,
 }
 
+// The window is configuration: nothing evolves, nothing is checkpointed.
+hostcc_sim::snap_fields!(FixedWindow {} skip { cwnd });
+
 impl FixedWindow {
     /// A window fixed at `cwnd` packets forever.
     pub fn new(cwnd: f64) -> Self {

@@ -56,6 +56,10 @@ pub struct FlowStats {
     pub timeouts: u64,
 }
 
+hostcc_sim::snap_fields!(FlowStats {
+    data_sent, retransmits, acked, fast_retransmits, timeouts,
+} blank { FlowStats::default() });
+
 /// Why the sender cannot transmit right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendBlocked {
@@ -86,6 +90,9 @@ struct SentWindow {
     slots: VecDeque<Option<SimTime>>,
     live: usize,
 }
+
+// `live` is derived: the restore recounts it from the slots.
+hostcc_sim::snap_fields!(SentWindow { base, slots } skip { live } check { SentWindow::check_restored });
 
 impl SentWindow {
     fn with_capacity(cap: usize) -> Self {
@@ -178,27 +185,9 @@ impl SentWindow {
         }
     }
 
-    fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.base);
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            w.opt(slot, |t, w| w.time(*t));
-        }
-    }
-
-    fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        let base = r.u64()?;
-        let n = r.len(1)?;
-        let mut slots = VecDeque::with_capacity(n.max(64));
-        let mut live = 0usize;
-        for _ in 0..n {
-            let slot = r.opt(|r| r.time())?;
-            if slot.is_some() {
-                live += 1;
-            }
-            slots.push_back(slot);
-        }
-        Ok(SentWindow { base, slots, live })
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        self.live = self.slots.iter().filter(|s| s.is_some()).count();
+        Ok(())
     }
 }
 
@@ -225,6 +214,11 @@ pub struct SenderFlow {
     backoff: u32,
     stats: FlowStats,
 }
+
+hostcc_sim::snap_fields!(SenderFlow {
+    next_new_seq, cum_acked, outstanding, rtx_queue, dup_acks, recovery_end, rtx_next,
+    data_frontier, next_pace_at, backoff, stats, rtt, cc,
+} skip { cfg } check { SenderFlow::check_restored });
 
 impl std::fmt::Debug for SenderFlow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -462,85 +456,17 @@ impl SenderFlow {
         self.oldest_sent_at().map(|t| t + self.backed_off_rto())
     }
 
-    /// Serialize the flow's evolving state, including the boxed congestion
-    /// controller (via [`CongestionControl::save_state`]).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.next_new_seq);
-        w.u64(self.cum_acked);
-        self.outstanding.save_state(w);
-        w.usize(self.rtx_queue.len());
-        for &seq in &self.rtx_queue {
-            w.u64(seq);
-        }
-        w.u32(self.dup_acks);
-        w.u64(self.recovery_end);
-        w.u64(self.rtx_next);
-        w.u64(self.data_frontier);
-        w.time(self.next_pace_at);
-        w.u32(self.backoff);
-        w.u64(self.stats.data_sent);
-        w.u64(self.stats.retransmits);
-        w.u64(self.stats.acked);
-        w.u64(self.stats.fast_retransmits);
-        w.u64(self.stats.timeouts);
-        self.rtt.save_state(w);
-        self.cc.save_state(w);
-    }
-
-    /// Restore into a flow rebuilt with the same config and controller
-    /// type. All plain fields are decoded before anything is assigned, and
-    /// the controller itself restores all-or-nothing, so an error leaves
-    /// `self` untouched.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
         use hostcc_sim::SnapError;
-        let next_new_seq = r.u64()?;
-        let cum_acked = r.u64()?;
-        if cum_acked > next_new_seq {
+        if self.cum_acked > self.next_new_seq {
             return Err(SnapError::Corrupt("flow acked beyond sent"));
         }
-        let outstanding = SentWindow::load_state(r)?;
-        if outstanding.base > next_new_seq {
+        if self.outstanding.base > self.next_new_seq {
             return Err(SnapError::Corrupt("sent window beyond frontier"));
         }
-        let n = r.len(8)?;
-        let mut rtx_queue = VecDeque::with_capacity(n.max(32));
-        for _ in 0..n {
-            let seq = r.u64()?;
-            if seq >= next_new_seq {
-                return Err(SnapError::Corrupt("retransmit of unsent data"));
-            }
-            rtx_queue.push_back(seq);
+        if self.rtx_queue.iter().any(|&seq| seq >= self.next_new_seq) {
+            return Err(SnapError::Corrupt("retransmit of unsent data"));
         }
-        let dup_acks = r.u32()?;
-        let recovery_end = r.u64()?;
-        let rtx_next = r.u64()?;
-        let data_frontier = r.u64()?;
-        let next_pace_at = r.time()?;
-        let backoff = r.u32()?;
-        let stats = FlowStats {
-            data_sent: r.u64()?,
-            retransmits: r.u64()?,
-            acked: r.u64()?,
-            fast_retransmits: r.u64()?,
-            timeouts: r.u64()?,
-        };
-        let rtt = RttEstimator::load_state(r)?;
-        self.cc.load_state(r)?;
-        self.next_new_seq = next_new_seq;
-        self.cum_acked = cum_acked;
-        self.outstanding = outstanding;
-        self.rtx_queue = rtx_queue;
-        self.dup_acks = dup_acks;
-        self.recovery_end = recovery_end;
-        self.rtx_next = rtx_next;
-        self.data_frontier = data_frontier;
-        self.next_pace_at = next_pace_at;
-        self.backoff = backoff;
-        self.stats = stats;
-        self.rtt = rtt;
         Ok(())
     }
 }
@@ -560,6 +486,9 @@ pub struct ReceiverFlow {
     delivered_packets: u64,
     duplicates: u64,
 }
+
+hostcc_sim::snap_fields!(ReceiverFlow { expected, out_of_order, delivered_packets, duplicates }
+    check { ReceiverFlow::check_restored });
 
 impl ReceiverFlow {
     /// A fresh receive state expecting sequence 0.
@@ -627,38 +556,13 @@ impl ReceiverFlow {
         self.duplicates
     }
 
-    /// Serialize the receive state (expected sequence, reorder bitmap,
-    /// delivery counters).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.expected);
-        w.usize(self.out_of_order.len());
-        for &bit in &self.out_of_order {
-            w.bool(bit);
-        }
-        w.u64(self.delivered_packets);
-        w.u64(self.duplicates);
-    }
-
-    /// Rebuild receive state from [`save_state`](Self::save_state) output.
-    pub fn load_state(r: &mut hostcc_sim::SnapReader<'_>) -> Result<Self, hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        let expected = r.u64()?;
-        let n = r.len(1)?;
-        let mut out_of_order = VecDeque::with_capacity(n.max(64));
-        for _ in 0..n {
-            out_of_order.push_back(r.bool()?);
-        }
-        if out_of_order.front() == Some(&true) {
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        if self.out_of_order.front() == Some(&true) {
             // Bit 0 arriving means `expected` arrived — the receiver would
             // have advanced past it immediately.
-            return Err(SnapError::Corrupt("reorder bitmap head set"));
+            return Err(hostcc_sim::SnapError::Corrupt("reorder bitmap head set"));
         }
-        Ok(ReceiverFlow {
-            expected,
-            out_of_order,
-            delivered_packets: r.u64()?,
-            duplicates: r.u64()?,
-        })
+        Ok(())
     }
 }
 

@@ -59,6 +59,9 @@ pub struct HostAware {
     occupancy_decreases: u64,
 }
 
+hostcc_sim::snap_fields!(HostAware { swift, occ_cwnd, occupancy_decreases } skip { cfg }
+    check { HostAware::check_restored });
+
 impl HostAware {
     /// A flow starting at `initial_cwnd` packets.
     pub fn new(cfg: HostAwareConfig, initial_cwnd: f64) -> Self {
@@ -83,6 +86,16 @@ impl HostAware {
     /// The wrapped Swift controller (diagnostics).
     pub fn swift(&self) -> &Swift {
         &self.swift
+    }
+
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        let w = self.occ_cwnd;
+        if !w.is_finite() || w < self.cfg.swift.min_cwnd || w > self.cfg.swift.max_cwnd {
+            return Err(hostcc_sim::SnapError::Corrupt(
+                "occupancy window out of bounds",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -124,35 +137,6 @@ impl CongestionControl for HostAware {
     fn decrease_stats(&self) -> Option<(u64, u64, u64)> {
         let (f, e, l) = self.swift.decrease_stats()?;
         Some((f, e + self.occupancy_decreases, l))
-    }
-
-    fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        self.swift.save_state(w);
-        w.f64(self.occ_cwnd);
-        w.u64(self.occupancy_decreases);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        use hostcc_sim::SnapError;
-        // Decode the occupancy window into a scratch Swift first so a
-        // failure past the Swift bytes cannot leave `self` half-restored.
-        let mut swift = Swift::new(self.cfg.swift.clone(), self.occ_cwnd.max(1.0));
-        swift.load_state(r)?;
-        let occ_cwnd = r.f64()?;
-        if !occ_cwnd.is_finite()
-            || occ_cwnd < self.cfg.swift.min_cwnd
-            || occ_cwnd > self.cfg.swift.max_cwnd
-        {
-            return Err(SnapError::Corrupt("occupancy window out of bounds"));
-        }
-        let occupancy_decreases = r.u64()?;
-        self.swift = swift;
-        self.occ_cwnd = occ_cwnd;
-        self.occupancy_decreases = occupancy_decreases;
-        Ok(())
     }
 }
 

@@ -43,6 +43,8 @@ pub struct RpcReadChannel {
     delivered_packets: u64,
 }
 
+hostcc_sim::snap_fields!(RpcReadChannel { delivered_packets } skip { cfg });
+
 impl RpcReadChannel {
     /// A channel with `cfg.outstanding_reads` reads issued immediately.
     pub fn new(cfg: RpcConfig) -> Self {
@@ -85,20 +87,6 @@ impl RpcReadChannel {
     /// issued beyond the last completed one.
     pub fn data_frontier(&self) -> u64 {
         (self.completed_reads() + self.cfg.outstanding_reads as u64) * self.cfg.packets_per_read()
-    }
-
-    /// Serialize the evolving state (delivered-packet count).
-    pub fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        w.u64(self.delivered_packets);
-    }
-
-    /// Restore into a channel rebuilt from the same configuration.
-    pub fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        self.delivered_packets = r.u64()?;
-        Ok(())
     }
 }
 

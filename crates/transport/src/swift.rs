@@ -71,6 +71,11 @@ struct DelayWindow {
     last_decrease: SimTime,
 }
 
+hostcc_sim::snap_fields!(DelayWindow {
+    cwnd,
+    last_decrease
+});
+
 impl DelayWindow {
     fn new(initial: f64) -> Self {
         DelayWindow {
@@ -124,6 +129,13 @@ pub struct SwiftStats {
     pub losses: u64,
 }
 
+hostcc_sim::snap_fields!(SwiftStats {
+    acks,
+    fabric_decreases,
+    endpoint_decreases,
+    losses
+});
+
 /// The Swift congestion controller for one flow.
 #[derive(Debug)]
 pub struct Swift {
@@ -132,6 +144,9 @@ pub struct Swift {
     endpoint: DelayWindow,
     stats: SwiftStats,
 }
+
+hostcc_sim::snap_fields!(Swift { fabric, endpoint, stats } skip { cfg }
+    check { Swift::check_restored });
 
 impl Swift {
     /// A flow starting at `initial_cwnd` packets.
@@ -171,23 +186,14 @@ impl Swift {
         (self.fabric.cwnd, self.endpoint.cwnd)
     }
 
-    fn save_window(win: &DelayWindow, w: &mut hostcc_sim::SnapWriter) {
-        w.f64(win.cwnd);
-        w.time(win.last_decrease);
-    }
-
-    fn load_window(
-        r: &mut hostcc_sim::SnapReader<'_>,
-        cfg: &SwiftConfig,
-    ) -> Result<DelayWindow, hostcc_sim::SnapError> {
-        let cwnd = r.f64()?;
-        if !cwnd.is_finite() || cwnd < cfg.min_cwnd || cwnd > cfg.max_cwnd {
-            return Err(hostcc_sim::SnapError::Corrupt("swift window out of bounds"));
+    fn check_restored(&mut self) -> Result<(), hostcc_sim::SnapError> {
+        for win in [&self.fabric, &self.endpoint] {
+            if !win.cwnd.is_finite() || win.cwnd < self.cfg.min_cwnd || win.cwnd > self.cfg.max_cwnd
+            {
+                return Err(hostcc_sim::SnapError::Corrupt("swift window out of bounds"));
+            }
         }
-        Ok(DelayWindow {
-            cwnd,
-            last_decrease: r.time()?,
-        })
+        Ok(())
     }
 }
 
@@ -241,33 +247,6 @@ impl CongestionControl for Swift {
             self.stats.endpoint_decreases,
             self.stats.losses,
         ))
-    }
-
-    fn save_state(&self, w: &mut hostcc_sim::SnapWriter) {
-        Self::save_window(&self.fabric, w);
-        Self::save_window(&self.endpoint, w);
-        w.u64(self.stats.acks);
-        w.u64(self.stats.fabric_decreases);
-        w.u64(self.stats.endpoint_decreases);
-        w.u64(self.stats.losses);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut hostcc_sim::SnapReader<'_>,
-    ) -> Result<(), hostcc_sim::SnapError> {
-        let fabric = Self::load_window(r, &self.cfg)?;
-        let endpoint = Self::load_window(r, &self.cfg)?;
-        let stats = SwiftStats {
-            acks: r.u64()?,
-            fabric_decreases: r.u64()?,
-            endpoint_decreases: r.u64()?,
-            losses: r.u64()?,
-        };
-        self.fabric = fabric;
-        self.endpoint = endpoint;
-        self.stats = stats;
-        Ok(())
     }
 }
 

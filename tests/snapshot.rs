@@ -16,7 +16,7 @@
 
 use hostcc::fleet::{Fleet, FleetConfig};
 use hostcc::scenarios;
-use hostcc::substrate::sim::{SimDuration, SimTime, SnapError};
+use hostcc::substrate::sim::{fnv1a_64, SimDuration, SimTime, SnapError, SNAP_VERSION};
 use hostcc::{RunMetrics, Simulation, TelemetryConfig, TestbedConfig};
 
 const WARMUP: SimDuration = SimDuration::from_millis(1);
@@ -302,4 +302,142 @@ fn malformed_checkpoints_fail_typed_not_panicking() {
         Simulation::restore_checkpoint(cfg, b"not a checkpoint at all"),
         Err(SnapError::BadMagic) | Err(SnapError::Eof) | Err(SnapError::Truncated)
     ));
+}
+
+/// The image layout is pinned: each golden's mid-warm-up checkpoint
+/// hashes to a recorded digest under the current format version. A
+/// layout change that forgets to bump `SNAP_VERSION` fails here; a bump
+/// must re-record the table.
+#[test]
+fn golden_checkpoint_images_are_pinned_to_the_format_version() {
+    // incast, antagonist_0 and baseline are the same configuration.
+    const PINNED: [(&str, u32, u64); 6] = [
+        ("incast", 2, 0xd594_9315_a74c_13a7),
+        ("antagonist_0", 2, 0xd594_9315_a74c_13a7),
+        ("antagonist_8", 2, 0x8a0e_9846_d3d3_fea6),
+        ("antagonist_15", 2, 0x097f_e32f_c63f_fba8),
+        ("baseline", 2, 0xd594_9315_a74c_13a7),
+        ("blindspot", 2, 0x59fa_1b92_99d7_8c35),
+    ];
+    for ((name, cfg), (pinned_name, version, digest)) in goldens().into_iter().zip(PINNED) {
+        assert_eq!(name, pinned_name);
+        let mut sim = Simulation::new(cfg);
+        sim.run_to(SimTime::ZERO + MID);
+        let image = sim.save_checkpoint().expect("slot-boundary checkpoint");
+        assert_eq!(
+            (SNAP_VERSION, fnv1a_64(&image)),
+            (version, digest),
+            "{name}: checkpoint image changed"
+        );
+    }
+}
+
+/// Run `cfg` with metrics armed at `arm`, a checkpoint boundary at `ck`
+/// and the end at `end`; when `interrupt` is set, the run continues from
+/// a restored copy at `ck`. `at_ck` inspects the live simulation at the
+/// boundary (so a test can assert what state the checkpoint captures).
+fn run_through(
+    cfg: &TestbedConfig,
+    (arm, ck, end): (SimTime, SimTime, SimTime),
+    interrupt: bool,
+    at_ck: impl Fn(&Simulation),
+) -> (u64, u64, u64, u64, u64, u64, Vec<u8>) {
+    let mut sim = Simulation::new(cfg.clone());
+    sim.run_to(arm);
+    sim.world_mut().arm_metrics(arm);
+    sim.run_to(ck);
+    at_ck(&sim);
+    if interrupt {
+        let bytes = sim.save_checkpoint().expect("slot-boundary checkpoint");
+        sim = Simulation::restore_checkpoint(cfg.clone(), &bytes).expect("valid checkpoint");
+    }
+    sim.run_to(end);
+    let m = sim.world_mut().snapshot(end);
+    let final_ckpt = sim.save_checkpoint().expect("final checkpoint");
+    fingerprint(&m, &final_ckpt)
+}
+
+/// A restore inside an open fault window (the chaos windows open at
+/// 6 ms and last 1 ms) resumes bit-identically: the open-window
+/// bookkeeping, the cached fault aggregates and the recovery tracker all
+/// ride in the image.
+#[test]
+fn restore_inside_a_fault_window_is_bit_identical() {
+    let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+    let span = (at(6_000), at(6_900), at(7_400));
+    for (name, cfg) in [
+        ("chaos_replay", scenarios::chaos_replay()),
+        ("chaos_flap", scenarios::chaos_flap()),
+    ] {
+        let in_window = |sim: &Simulation| {
+            assert!(
+                sim.world().faults.open_windows() > 0,
+                "{name}: the checkpoint must fall inside a fault window"
+            );
+        };
+        let straight = run_through(&cfg, span, false, in_window);
+        let resumed = run_through(&cfg, span, true, in_window);
+        assert_eq!(
+            straight, resumed,
+            "{name}: resume inside a fault window diverged"
+        );
+    }
+}
+
+/// A restore while a telemetry episode is open resumes bit-identically,
+/// including the detector's in-progress episode accumulator.
+#[test]
+fn restore_during_an_open_telemetry_episode_is_bit_identical() {
+    let mut cfg = scenarios::cc_blindspot(14, 100);
+    cfg.telemetry = TelemetryConfig::enabled();
+    // Find the first 50 µs boundary at which an episode is open.
+    let step = SimDuration::from_micros(50);
+    let mut probe = Simulation::new(cfg.clone());
+    let mut ck = SimTime::ZERO;
+    while probe
+        .world()
+        .telemetry
+        .detector()
+        .open_episode(ck.as_nanos())
+        .is_none()
+    {
+        assert!(ck < SimTime::ZERO + WARMUP + MEASURE, "no episode opened");
+        ck += step;
+        probe.run_to(ck);
+    }
+    let span = (SimTime::ZERO, ck, ck + MID);
+    let episode_open = |sim: &Simulation| {
+        let t = &sim.world().telemetry;
+        assert!(t.detector().open_episode(ck.as_nanos()).is_some());
+    };
+    let straight = run_through(&cfg, span, false, episode_open);
+    let resumed = run_through(&cfg, span, true, episode_open);
+    assert_eq!(straight, resumed, "resume with an open episode diverged");
+}
+
+/// A coupled fleet restored at a `run_to` deadline off the 8 µs
+/// lookahead grid (an odd nanosecond count) resumes bit-identically.
+#[test]
+fn fleet_restored_off_the_lookahead_grid_is_bit_identical() {
+    let cfg = small_fleet();
+    let ck = SimTime::ZERO + MID + SimDuration::from_nanos(3_217);
+    let end = ck + MID;
+    let finish = |fleet: &mut Fleet| {
+        fleet.run_to(end).expect("no stalls");
+        fleet.save_checkpoint().expect("final fleet checkpoint")
+    };
+    let mut reference = Fleet::new(&cfg).expect("valid fleet");
+    reference.run_to(ck).expect("no stalls");
+    let expected = finish(&mut reference);
+
+    let mut interrupted = Fleet::new(&cfg).expect("valid fleet");
+    interrupted.run_to(ck).expect("no stalls");
+    let bytes = interrupted.save_checkpoint().expect("fleet checkpoint");
+    drop(interrupted);
+    let mut restored = Fleet::restore_checkpoint(&cfg, &bytes).expect("valid checkpoint");
+    assert_eq!(
+        expected,
+        finish(&mut restored),
+        "fleet resume off-grid diverged"
+    );
 }
