@@ -80,18 +80,18 @@ pub struct SwitchPort {
     ecn_threshold_bytes: u64,
     queued_bytes: u64,
     /// (time, bytes) of queued packets, used to age out departures. Every
-    /// entry accounts for >= `MIN_WIRE_BYTES` of `queued_bytes`, which is
-    /// capped at `buffer_bytes`, so the ring's length is bounded by
-    /// `buffer_bytes / MIN_WIRE_BYTES` regardless of run length; it is
-    /// pre-sized to that bound so steady state never reallocates.
+    /// entry accounts for at least a minimum-size (64 B) Ethernet frame of
+    /// `queued_bytes`, which is capped at `buffer_bytes`, so the ring's
+    /// length is bounded by `buffer_bytes / 64` regardless of run length.
+    /// The ring grows to its high-water mark, then is allocation-free.
     departures: std::collections::VecDeque<(SimTime, u64)>,
     drops: u64,
     marks: u64,
     forwarded: u64,
 }
 
-// The departure ring is loaded in place into the prebuilt port's
-// pre-sized ring, so steady state stays allocation-free after a restore.
+// The departure ring is loaded in place into the prebuilt port's ring,
+// which grows to its high-water mark, then is allocation-free.
 hostcc_sim::snap_fields!(SwitchPort {
     link, propagation, buffer_bytes, ecn_threshold_bytes, queued_bytes, departures, drops, marks,
     forwarded,
@@ -107,26 +107,18 @@ impl SwitchPort {
         buffer_bytes: u64,
         ecn_threshold_bytes: u64,
     ) -> Self {
-        // Worst case the queue is full of minimum-size frames; one ring
-        // entry each. Pre-sizing to that bound makes enqueue
-        // allocation-free for the life of the port.
-        let max_entries = (buffer_bytes / Self::MIN_WIRE_BYTES + 1) as usize;
         SwitchPort {
             link: SerialLink::new(bits_per_sec / 8.0),
             propagation,
             buffer_bytes,
             ecn_threshold_bytes,
             queued_bytes: 0,
-            departures: std::collections::VecDeque::with_capacity(max_entries),
+            departures: std::collections::VecDeque::new(),
             drops: 0,
             marks: 0,
             forwarded: 0,
         }
     }
-
-    /// Minimum Ethernet frame size; no packet on the wire is smaller, so
-    /// `buffer_bytes / MIN_WIRE_BYTES` bounds the departure-ring length.
-    const MIN_WIRE_BYTES: u64 = 64;
 
     /// Drop packets whose serialisation finished before `now` from the
     /// occupancy accounting.
@@ -302,19 +294,29 @@ mod tests {
     }
 
     #[test]
-    fn departure_ring_is_presized_and_bounded() {
+    fn departure_ring_grows_to_high_water_mark_then_holds() {
+        /// Minimum Ethernet frame size; no packet on the wire is smaller.
+        const MIN_WIRE_BYTES: u64 = 64;
         let buffer = 1 << 20;
         let mut p = SwitchPort::new(100e9, SimDuration::ZERO, buffer, 0);
+        assert_eq!(p.departures.capacity(), 0, "ring starts empty");
+        // Worst-case occupancy: minimum-size frames filling the buffer.
+        let fill = |p: &mut SwitchPort, now: SimTime| {
+            let mut frame = pkt();
+            frame.wire_bytes = MIN_WIRE_BYTES as u32;
+            while matches!(p.enqueue(now, &mut frame), EnqueueOutcome::DeliverAt(_)) {}
+        };
+        fill(&mut p, SimTime::ZERO);
+        let worst = (buffer / MIN_WIRE_BYTES) as usize;
+        assert_eq!(p.departures.len(), worst);
         let cap = p.departures.capacity();
-        assert!(cap >= (buffer / SwitchPort::MIN_WIRE_BYTES) as usize);
-        // Fill-and-drain repeatedly; the ring must never outgrow its
-        // pre-sized bound.
-        for round in 0..50u64 {
-            let now = SimTime::from_micros(100 * round);
-            while matches!(p.enqueue(now, &mut pkt()), EnqueueOutcome::DeliverAt(_)) {}
-            assert!(p.departures.len() <= cap);
+        // Every later round drains the ring and refills it to the same
+        // occupancy; the ring must not reallocate.
+        for round in 1..=50u64 {
+            fill(&mut p, SimTime::from_micros(100 * round));
+            assert_eq!(p.departures.len(), worst);
+            assert_eq!(p.departures.capacity(), cap, "ring reallocated");
         }
-        assert_eq!(p.departures.capacity(), cap, "ring reallocated");
     }
 }
 

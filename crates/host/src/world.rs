@@ -212,6 +212,14 @@ const _: () = assert!(
     "Event outgrew its 24-byte budget; keep payloads in slabs, not events"
 );
 
+// Every host owns an event queue, so its fixed slot arrays are paid once
+// per host however little the host schedules; at fleet scale they set
+// the memory floor.
+const _: () = assert!(
+    hostcc_sim::TimingWheel::<Event>::SLOT_ARRAY_BYTES <= 96 * 1024,
+    "the wheel's fixed slot arrays outgrew their 96 KiB per-queue budget"
+);
+
 /// A pending event is its tag byte plus the variant's payload.
 impl Snap for Event {
     fn save(&self, w: &mut SnapWriter) {

@@ -55,15 +55,12 @@ impl InputBuffer {
     /// A buffer holding at most `capacity_bytes` of packet data.
     pub fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0, "zero-capacity buffer");
-        // The queue can never hold more packets than fit in the byte
-        // budget; 1 KiB is a conservative lower bound on wire size (data
-        // packets are ~4.4 KiB), so this pre-size makes enqueue
-        // allocation-free for the life of the buffer.
-        let max_entries = (capacity_bytes / 1024 + 1) as usize;
+        // The byte budget bounds the queue's length, so the queue grows
+        // to its high-water mark, then is allocation-free.
         InputBuffer {
             capacity_bytes,
             queued_bytes: 0,
-            queue: VecDeque::with_capacity(max_entries),
+            queue: VecDeque::new(),
             drops: 0,
             dropped_bytes: 0,
             enqueued: 0,
@@ -425,8 +422,24 @@ mod more_tests {
     }
 
     #[test]
-    fn queue_is_presized_for_capacity() {
-        let b = InputBuffer::new(2 << 20);
-        assert!(b.queue.capacity() >= ((2 << 20) / 1024) as usize);
+    fn queue_grows_to_high_water_mark_then_holds() {
+        const MIN_FRAME: u32 = 64;
+        let capacity = 2 << 20;
+        let mut b = InputBuffer::new(capacity);
+        assert_eq!(b.queue.capacity(), 0, "queue starts empty");
+        // Worst-case occupancy: minimum-size frames filling the buffer.
+        let fill = |b: &mut InputBuffer| {
+            while b.enqueue(SimTime::ZERO, PacketRef::from_parts(0, 0), MIN_FRAME) {}
+        };
+        fill(&mut b);
+        let worst = (capacity / MIN_FRAME as u64) as usize;
+        assert_eq!(b.occupancy_packets(), worst);
+        let cap = b.queue.capacity();
+        for _ in 0..50 {
+            while b.dequeue().is_some() {}
+            fill(&mut b);
+            assert_eq!(b.occupancy_packets(), worst);
+            assert_eq!(b.queue.capacity(), cap, "queue reallocated");
+        }
     }
 }

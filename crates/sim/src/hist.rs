@@ -1,14 +1,18 @@
 //! Log-linear latency histogram (HdrHistogram-style).
 //!
 //! Values are bucketed with bounded relative error (~1/32 by default), which
-//! is plenty for reporting p50/p99/p999 queueing delays while using a few KiB
-//! of memory regardless of sample count.
+//! is plenty for reporting p50/p99/p999 queueing delays. Memory does not
+//! depend on the sample count: the bucket array grows only up to the
+//! highest bucket recorded, at most ~15 KiB for the full `u64` range.
 
 /// A histogram over `u64` values (we use nanoseconds) with log-linear buckets.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     /// 2^sub_bits linear sub-buckets per power-of-two range.
     sub_bits: u32,
+    /// Counts up to the highest bucket recorded so far; every bucket past
+    /// the end is zero. Latency samples touch a few dozen low buckets of
+    /// the layout, so growing on demand saves a zeroed array per histogram.
     counts: Vec<u64>,
     total: u64,
     min: u64,
@@ -31,16 +35,19 @@ impl Histogram {
     /// `sub_bits` linear sub-bucket bits per octave (1..=8).
     pub fn with_precision(sub_bits: u32) -> Self {
         assert!((1..=8).contains(&sub_bits), "sub_bits out of range");
-        // 64 octaves max for u64 values.
-        let buckets = (64 - sub_bits as usize + 1) * (1 << sub_bits);
         Histogram {
             sub_bits,
-            counts: vec![0; buckets],
+            counts: Vec::new(),
             total: 0,
             min: u64::MAX,
             max: 0,
             sum: 0,
         }
+    }
+
+    /// Buckets in the full layout: 64 octaves max for `u64` values.
+    fn layout_len(sub_bits: u32) -> usize {
+        (64 - sub_bits as usize + 1) << sub_bits
     }
 
     /// Bucket layout: values below `2^sub_bits` are stored exactly
@@ -91,6 +98,9 @@ impl Histogram {
             return;
         }
         let idx = self.index_of(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
         self.counts[idx] += count;
         self.total += count;
         self.sum += value as u128 * count as u128;
@@ -176,6 +186,9 @@ impl Histogram {
     /// Merge another histogram recorded with the same precision.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.sub_bits, other.sub_bits, "precision mismatch");
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -187,7 +200,7 @@ impl Histogram {
 
     /// Discard all samples.
     pub fn clear(&mut self) {
-        self.counts.fill(0);
+        self.counts.clear();
         self.total = 0;
         self.min = u64::MAX;
         self.max = 0;
@@ -196,7 +209,8 @@ impl Histogram {
 }
 
 /// Sparse codec: `(index, count)` pairs for the non-zero buckets only,
-/// since a latency histogram touches a few dozen of its ~2k buckets.
+/// since a latency histogram touches a few dozen of its ~2k buckets. The
+/// image does not depend on how far `counts` has grown.
 impl crate::Snap for Histogram {
     fn save(&self, w: &mut crate::SnapWriter) {
         w.u32(self.sub_bits);
@@ -221,7 +235,7 @@ impl crate::Snap for Histogram {
             return Err(SnapError::Corrupt("histogram precision out of range"));
         }
         if sub_bits == self.sub_bits {
-            self.counts.fill(0);
+            self.counts.clear();
         } else {
             *self = Histogram::with_precision(sub_bits);
         }
@@ -234,14 +248,16 @@ impl crate::Snap for Histogram {
         for _ in 0..n {
             let idx = r.usize()?;
             let c = r.u64()?;
-            let slot = self
-                .counts
-                .get_mut(idx)
-                .ok_or(SnapError::Corrupt("histogram bucket out of range"))?;
+            if idx >= Self::layout_len(sub_bits) {
+                return Err(SnapError::Corrupt("histogram bucket out of range"));
+            }
             if c == 0 {
                 return Err(SnapError::Corrupt("zero count in sparse histogram"));
             }
-            *slot = c;
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
+            }
+            self.counts[idx] = c;
             running = running
                 .checked_add(c)
                 .ok_or(SnapError::Corrupt("histogram count overflow"))?;
@@ -367,5 +383,154 @@ mod tests {
                 "value {v} quantized to {lo} exceeds the 1/32 bound"
             );
         }
+    }
+
+    /// A histogram holding the full bucket layout up front: the reference
+    /// the lazily grown one must match.
+    fn dense() -> Histogram {
+        Histogram {
+            counts: vec![0; Histogram::layout_len(5)],
+            ..Histogram::new()
+        }
+    }
+
+    /// Latency-like samples across a few octaves plus rare huge outliers.
+    fn samples(seed: u64, n: usize) -> Vec<u64> {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::new(seed);
+        (0..n)
+            .map(|_| match rng.next_below(20) {
+                0 => rng.next_range(1 << 40, u64::MAX),
+                _ => rng.next_range(0, 200_000),
+            })
+            .collect()
+    }
+
+    fn assert_same_stats(got: &Histogram, want: &Histogram) {
+        assert_eq!(got.count(), want.count());
+        assert_eq!(got.min(), want.min());
+        assert_eq!(got.max(), want.max());
+        assert_eq!(got.sum(), want.sum());
+        assert_eq!(got.mean().to_bits(), want.mean().to_bits());
+        for q in [0.0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(got.quantile(q), want.quantile(q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn lazy_buckets_match_a_dense_reference() {
+        let mut lazy = Histogram::new();
+        let mut reference = dense();
+        assert!(lazy.counts.is_empty(), "no buckets before the first sample");
+        for (i, v) in samples(0x1A2E, 5_000).into_iter().enumerate() {
+            lazy.record_n(v, 1 + i as u64 % 3);
+            reference.record_n(v, 1 + i as u64 % 3);
+            if i % 997 == 0 {
+                assert_same_stats(&lazy, &reference);
+            }
+        }
+        assert_same_stats(&lazy, &reference);
+        assert_eq!(lazy.counts.len(), lazy.index_of(lazy.max()) + 1);
+        lazy.clear();
+        reference.clear();
+        assert_same_stats(&lazy, &reference);
+        // Cleared histograms record exactly like fresh ones.
+        for v in [7, 3_000, 90] {
+            lazy.record(v);
+            reference.record(v);
+        }
+        assert_same_stats(&lazy, &reference);
+    }
+
+    #[test]
+    fn merge_works_short_into_long_and_long_into_short() {
+        let small = samples(0x5A11, 300)
+            .into_iter()
+            .map(|v| v % 64)
+            .collect::<Vec<_>>();
+        let large = samples(0x1A26E, 300);
+        let mut all = dense();
+        let (mut short, mut long) = (Histogram::new(), Histogram::new());
+        for &v in &small {
+            short.record(v);
+            all.record(v);
+        }
+        for &v in &large {
+            long.record(v);
+            all.record(v);
+        }
+        assert!(short.counts.len() < long.counts.len());
+        let mut short_into_long = long.clone();
+        short_into_long.merge(&short);
+        let mut long_into_short = short.clone();
+        long_into_short.merge(&long);
+        assert_same_stats(&short_into_long, &all);
+        assert_same_stats(&long_into_short, &all);
+    }
+
+    fn image(h: &Histogram) -> Vec<u8> {
+        let mut w = crate::SnapWriter::new();
+        crate::Snap::save(h, &mut w);
+        w.into_payload()
+    }
+
+    #[test]
+    fn checkpoint_round_trips_to_identical_bytes() {
+        let mut lazy = Histogram::new();
+        let mut reference = dense();
+        for v in samples(0xC4EC, 2_000) {
+            lazy.record(v);
+            reference.record(v);
+        }
+        let bytes = image(&lazy);
+        assert_eq!(bytes, image(&reference), "image depends on bucket growth");
+        // Into a fresh histogram and into one that already grew further.
+        let mut grown = Histogram::new();
+        grown.record(u64::MAX);
+        for mut target in [Histogram::new(), grown] {
+            let mut r = crate::SnapReader::new(&bytes);
+            crate::Snap::load(&mut target, &mut r).unwrap();
+            assert!(r.is_exhausted());
+            assert_same_stats(&target, &reference);
+            assert_eq!(image(&target), bytes);
+        }
+    }
+
+    /// A one-bucket image of precision 5 with `n` claimed entries.
+    fn one_bucket_image(n: usize, idx: usize) -> Vec<u8> {
+        let mut w = crate::SnapWriter::new();
+        w.u32(5);
+        w.u64(1); // total
+        w.u64(0); // min
+        w.u64(0); // max
+        w.u128(0); // sum
+        w.usize(n);
+        w.usize(idx);
+        w.u64(1);
+        w.into_payload()
+    }
+
+    #[test]
+    fn load_bounds_buckets_by_the_full_layout() {
+        let load = |bytes: Vec<u8>| {
+            let mut h = Histogram::new();
+            crate::Snap::load(&mut h, &mut crate::SnapReader::new(&bytes)).map(|_| h)
+        };
+        assert_eq!(Histogram::layout_len(5), 1_920);
+        // The last bucket of the layout loads, growing `counts` to reach it.
+        let h = load(one_bucket_image(1, 1_919)).unwrap();
+        assert_eq!(h.counts.len(), 1_920);
+        for idx in [1_920, usize::MAX] {
+            assert_eq!(
+                load(one_bucket_image(1, idx)).err(),
+                Some(crate::SnapError::Corrupt("histogram bucket out of range"))
+            );
+        }
+        // The length prefix is bounded by the payload before any bucket
+        // is read or allocated for.
+        assert_eq!(
+            load(one_bucket_image(2, 0)).err(),
+            Some(crate::SnapError::Corrupt("length exceeds payload"))
+        );
     }
 }

@@ -14,8 +14,8 @@
 //!   plus one linked-list splice, and *every event in a slot shares one
 //!   quantised timestamp*, so the engine can drain a whole slot as one
 //!   batch;
-//! * a **far ring** of `2^16` slots, each `2^10` near-slots wide, covers
-//!   the next `2^26` steps (~67 ms at 1 ns resolution). Far slots hold
+//! * a **far ring** of `2^12` slots, each `2^10` near-slots wide, covers
+//!   the next `2^22` steps (~4.2 ms at 1 ns resolution). Far slots hold
 //!   mixed timestamps; as the near horizon sweeps past a far slot the
 //!   whole slot is *scattered* into exact near slots in one pass;
 //! * events beyond both horizons go to a small overflow heap keyed by
@@ -76,8 +76,12 @@ const NEAR_SUM_WORDS: usize = NEAR_WORDS / 64;
 
 /// log2 of a far slot's width in near-slot (resolution) steps.
 const FAR_SUB_BITS: u32 = 10;
-/// log2 of the far-ring slot count.
-const FAR_BITS: u32 = 16;
+/// log2 of the far-ring slot count. At 1 ns resolution 89–93% of pushes
+/// land in the near ring and 99.7% or more within 2^18 steps (262 µs); only
+/// fault windows and rare RTOs reach past the 4.2 ms horizon, and those
+/// few go to the overflow heap (measurements in DESIGN.md). A wider
+/// ring would cost every queue 4 bytes per slot of `NIL`-filled heads.
+const FAR_BITS: u32 = 12;
 /// Number of far-ring slots.
 const FAR_SLOTS: usize = 1 << FAR_BITS;
 /// Far slot index mask.
@@ -86,7 +90,7 @@ const FAR_MASK: usize = FAR_SLOTS - 1;
 const FAR_WORDS: usize = FAR_SLOTS / 64;
 /// Far summary words.
 const FAR_SUM_WORDS: usize = FAR_WORDS / 64;
-/// Far horizon in resolution steps: 2^16 slots × 2^10 steps = 2^26.
+/// Far horizon in resolution steps: 2^12 slots × 2^10 steps = 2^22.
 const FAR_SPAN: u64 = (FAR_SLOTS as u64) << FAR_SUB_BITS;
 
 /// Null link in the node arena.
@@ -199,6 +203,12 @@ impl<E> TimingWheel<E> {
             popped: 0,
         }
     }
+
+    /// Bytes of slot arrays every queue allocates and fills up front,
+    /// whatever it holds: the near and far list heads plus their
+    /// occupancy and summary bitmaps.
+    pub const SLOT_ARRAY_BYTES: usize = std::mem::size_of::<u32>() * (NEAR_SLOTS + FAR_SLOTS)
+        + std::mem::size_of::<u64>() * (NEAR_WORDS + NEAR_SUM_WORDS + FAR_WORDS + FAR_SUM_WORDS);
 
     /// An empty queue with pre-allocated node and overflow capacity.
     pub fn with_capacity(cap: usize) -> Self {
@@ -770,13 +780,14 @@ mod tests {
     #[test]
     fn far_future_events_round_trip_through_far_ring_and_overflow() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
-        // Far ring (ms range) and overflow heap (beyond ~67 ms).
-        q.push(SimTime::from_millis(5), 1);
-        q.push(SimTime::from_millis(1), 0);
+        // From t = 0 the far ring owns [NEAR_SLOTS, NEAR_SLOTS + FAR_SPAN).
+        let far = |sixteenths: u64| NEAR_SLOTS as u64 + FAR_SPAN * sixteenths / 16;
+        q.push(SimTime::from_nanos(far(5)), 1);
+        q.push(SimTime::from_nanos(far(1)), 0);
         q.push(SimTime::from_nanos(HEAP_NS), 3);
-        q.push(SimTime::from_millis(9), 2);
+        q.push(SimTime::from_nanos(far(9)), 2);
         q.push(SimTime::from_nanos(HEAP_NS + 7), 4);
-        assert_eq!(q.len(), 5);
+        assert_eq!((q.near_len, q.far_len, q.overflow.len()), (0, 3, 2));
         for want in 0..5 {
             let (_, got) = q.pop().unwrap();
             assert_eq!(got, want);
@@ -874,21 +885,27 @@ mod tests {
     #[test]
     fn same_timestamp_pushes_across_tiers_pop_in_seq_order() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
-        let x = SimTime::from_nanos(HEAP_NS); // beyond the heap edge from base 0
-        q.push(x, 0); // → overflow heap
-        q.push(SimTime::from_millis(20), 100); // far ring marker
-        assert_eq!(q.pop().unwrap().1, 100); // base → 20 ms; x now in far range
-        q.push(x, 1); // → far ring (same slot, later seq)
-        q.push(SimTime::from_millis(40), 101);
-        assert_eq!(q.pop().unwrap().1, 101); // base → 40 ms; x still far
-        q.push(x, 2); // → far ring again
-        q.push(SimTime::from_nanos(HEAP_NS - 100), 102); // near the target
+        let x = HEAP_NS; // beyond the far horizon from base 0
+        let at = SimTime::from_nanos;
+        q.push(at(x), 0); // → overflow heap
+        assert_eq!(q.overflow.len(), 1);
+        // Far-ring marker; once it pops, x sits 3/4 of the far span ahead.
+        q.push(at(x - FAR_SPAN * 3 / 4), 100);
+        assert_eq!(q.pop().unwrap().1, 100);
+        q.push(at(x), 1); // → far ring (same slot, later seq)
+        assert_eq!(q.far_len, 1);
+        q.push(at(x - FAR_SPAN / 4), 101);
+        assert_eq!(q.pop().unwrap().1, 101); // x still a far slot ahead
+        q.push(at(x), 2); // → far ring again
+        assert_eq!(q.far_len, 2);
+        q.push(at(x - 100), 102); // near the target
         assert_eq!(q.pop().unwrap().1, 102); // base → x-100; scatters x's slot
-        q.push(x, 3); // → near ring directly
-                      // Heap entry (0) first, then far entries (1, 2), then the direct
-                      // near push (3): exactly push order.
+        q.push(at(x), 3); // → near ring directly
+        assert_eq!((q.near_len, q.far_len, q.overflow.len()), (4, 0, 0));
+        // Heap entry (0) first, then far entries (1, 2), then the direct
+        // near push (3): exactly push order.
         for want in 0..4 {
-            assert_eq!(q.pop().unwrap(), (x, want));
+            assert_eq!(q.pop().unwrap(), (at(x), want));
         }
         assert!(q.is_empty());
     }
