@@ -214,11 +214,20 @@ const _: () = assert!(
 
 // Every host owns an event queue, so its fixed slot arrays are paid once
 // per host however little the host schedules; at fleet scale they set
-// the memory floor.
-const _: () = assert!(
-    hostcc_sim::TimingWheel::<Event>::SLOT_ARRAY_BYTES <= 96 * 1024,
-    "the wheel's fixed slot arrays outgrew their 96 KiB per-queue budget"
-);
+// the memory floor. Fleets run at exact resolution; coarse queues keep a
+// list head per slot and get the larger budget.
+const _: () = {
+    use hostcc_sim::{Resolution, TimingWheel};
+    assert!(
+        TimingWheel::<Event>::slot_array_bytes(Resolution::EXACT) <= 24 * 1024,
+        "the exact wheel's fixed slot arrays outgrew their 24 KiB per-queue budget"
+    );
+    let coarse = Resolution::from_nanos(64).expect("64 ns is a resolution");
+    assert!(
+        TimingWheel::<Event>::slot_array_bytes(coarse) <= 96 * 1024,
+        "the coarse wheel's fixed slot arrays outgrew their 96 KiB per-queue budget"
+    );
+};
 
 /// A pending event is its tag byte plus the variant's payload.
 impl Snap for Event {

@@ -362,16 +362,24 @@ mod tests {
         let mut heap: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut now = 0u64;
+        let mut cluster = 0u64;
         let mut id = 0u32;
         for _ in 0..200_000 {
             if rng.chance(0.55) || heap.is_empty() {
                 // Mix of near-future (wheel) and far-future (overflow)
-                // horizons, including exact ties at the current time.
-                let delay = match rng.next_below(10) {
+                // horizons, including exact ties at the current time and
+                // repeated same-time clusters within one 16 ns bucket.
+                let delay = match rng.next_below(11) {
                     0 => 0,
                     1..=6 => rng.next_below(2_000),
                     7 | 8 => rng.next_below(200_000),
-                    _ => rng.next_below(20_000_000),
+                    9 => rng.next_below(20_000_000),
+                    _ => {
+                        if rng.chance(0.3) {
+                            cluster = now + rng.next_below(16);
+                        }
+                        cluster.saturating_sub(now)
+                    }
                 };
                 let t = SimTime::from_nanos(now + delay);
                 heap.push(t, id);
@@ -407,14 +415,21 @@ mod tests {
         let mut slot_drain: TimingWheel<u32> = TimingWheel::new();
         let mut buf: Vec<u32> = Vec::new();
         let mut now = 0u64;
+        let mut cluster = 0u64;
         let mut id = 0u32;
         for _ in 0..200_000 {
             if rng.chance(0.55) || per_event.is_empty() {
-                let delay = match rng.next_below(10) {
+                let delay = match rng.next_below(11) {
                     0 => 0,
                     1..=6 => rng.next_below(2_000),
                     7 | 8 => rng.next_below(200_000),
-                    _ => rng.next_below(20_000_000),
+                    9 => rng.next_below(20_000_000),
+                    _ => {
+                        if rng.chance(0.3) {
+                            cluster = now + rng.next_below(16);
+                        }
+                        cluster.saturating_sub(now)
+                    }
                 };
                 let t = SimTime::from_nanos(now + delay);
                 per_event.push(t, id);

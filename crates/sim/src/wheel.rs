@@ -13,7 +13,9 @@
 //!   the immediate horizon; pushing inside it is one index computation
 //!   plus one linked-list splice, and *every event in a slot shares one
 //!   quantised timestamp*, so the engine can drain a whole slot as one
-//!   batch;
+//!   batch. Slots keep one occupancy bit each but share list heads in
+//!   16 ns **buckets** (16 slots at 1 ns, one slot at 16 ns resolution
+//!   and coarser);
 //! * a **far ring** of `2^12` slots, each `2^10` near-slots wide, covers
 //!   the next `2^22` steps (~4.2 ms at 1 ns resolution). Far slots hold
 //!   mixed timestamps; as the near horizon sweeps past a far slot the
@@ -29,14 +31,19 @@
 //!
 //! The cache layout is the point. Events live in one contiguous node
 //! arena recycled through a LIFO free list, so the handful of in-flight
-//! nodes stay hot; a slot is a single `u32` list head (4 bytes — a cache
-//! line covers 16 adjacent slots, and near-future schedules cluster);
-//! and slot lists are stored *reversed* (push-at-head) so pushes never
-//! chase a tail pointer. A near list is reversed once, in place, when the
-//! cursor reaches the slot — O(1) amortised per event — which restores
-//! FIFO order exactly. Two-level occupancy bitmaps (one bit per slot, one
-//! summary bit per bitmap word) find the next non-empty slot in a handful
-//! of word reads regardless of how sparse the schedule is.
+//! nodes stay hot. A near bucket is a single `u32` list head covering
+//! 16 ns, so at 1 ns resolution the near heads take 4 KiB and a cache
+//! line of them covers 256 ns: a light host's events, ~120 ns apart,
+//! share lines on push and pop rather than each touching its own.
+//! Bucket lists are stored *reversed* (push-at-head) so pushes never
+//! chase a tail pointer. When the cursor reaches a slot, its nodes move
+//! to the drain list, each prepended, which restores FIFO order exactly;
+//! nodes of the bucket's other slots stay where they are. When the
+//! occupancy bits show the bucket holds only this slot — the usual case
+//! at 1 ns, and always so at 16 ns and coarser — this is an in-place
+//! reversal of the whole list. Two-level occupancy bitmaps (one bit per
+//! slot, one summary bit per bitmap word) find the next non-empty slot
+//! in a handful of word reads regardless of how sparse the schedule is.
 //!
 //! # Ordering across tiers
 //!
@@ -53,7 +60,7 @@
 //! direct near pushes at such times were impossible), then heap
 //! migrations in heap order, then far-slot scatters in per-slot seq
 //! order; scatters and migrations that land on *future* near slots
-//! push-at-head, which the later lazy reversal restores to seq order
+//! push-at-head, which the drain-time unlinking restores to seq order
 //! ahead of any subsequent direct push.
 
 use crate::queue::{Entry, Queue};
@@ -73,6 +80,9 @@ const NEAR_MASK: usize = NEAR_SLOTS - 1;
 const NEAR_WORDS: usize = NEAR_SLOTS / 64;
 /// Near summary words (one bit per occupancy word).
 const NEAR_SUM_WORDS: usize = NEAR_WORDS / 64;
+/// Width of a near-ring bucket (one list head) in nanoseconds; at
+/// resolutions of this step or coarser a bucket is a single slot.
+const BUCKET_NS: u64 = 16;
 
 /// log2 of a far slot's width in near-slot (resolution) steps.
 const FAR_SUB_BITS: u32 = 10;
@@ -123,9 +133,13 @@ pub struct TimingWheel<E> {
     nodes: Vec<Node<E>>,
     /// Free-list head (`NIL` when the arena has no holes).
     free: u32,
-    /// Near ring: per-slot list head, stored in *reverse* insertion order.
+    /// log2 of the near slots per bucket: `slot >> bshift` is its bucket.
+    bshift: u32,
+    /// Near ring: per-bucket list head, stored in *reverse* insertion
+    /// order; a bucket's list mixes the times of its slots.
     heads: Vec<u32>,
-    /// One bit per near slot: set iff the slot's list is non-empty.
+    /// One bit per near slot: set iff the slot holds a pending event
+    /// (in its bucket list, or on the drain list at the cursor).
     occupied: Vec<u64>,
     /// One bit per `occupied` word: set iff that word is non-zero.
     summary: [u64; NEAR_SUM_WORDS],
@@ -134,7 +148,7 @@ pub struct TimingWheel<E> {
     base: u64,
     /// Near slot index corresponding to `base`.
     cursor: usize,
-    /// Drain list of the cursor slot, already reversed into FIFO order.
+    /// Drain list of the cursor slot, in FIFO order.
     /// Pushes at exactly `base` append here (tail pointer kept only for
     /// this one active slot).
     cur_head: u32,
@@ -179,11 +193,13 @@ impl<E> TimingWheel<E> {
     /// An empty queue whose event timestamps are quantised up to the
     /// given resolution grid.
     pub fn with_resolution(res: Resolution) -> Self {
+        let bshift = Self::bucket_shift(res);
         TimingWheel {
             shift: res.shift(),
             nodes: Vec::new(),
             free: NIL,
-            heads: vec![NIL; NEAR_SLOTS],
+            bshift,
+            heads: vec![NIL; NEAR_SLOTS >> bshift],
             occupied: vec![0u64; NEAR_WORDS],
             summary: [0u64; NEAR_SUM_WORDS],
             base: 0,
@@ -204,11 +220,18 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Bytes of slot arrays every queue allocates and fills up front,
-    /// whatever it holds: the near and far list heads plus their
-    /// occupancy and summary bitmaps.
-    pub const SLOT_ARRAY_BYTES: usize = std::mem::size_of::<u32>() * (NEAR_SLOTS + FAR_SLOTS)
-        + std::mem::size_of::<u64>() * (NEAR_WORDS + NEAR_SUM_WORDS + FAR_WORDS + FAR_SUM_WORDS);
+    /// log2 of the near slots one bucket head covers at `res`.
+    const fn bucket_shift(res: Resolution) -> u32 {
+        BUCKET_NS.trailing_zeros().saturating_sub(res.shift())
+    }
+
+    /// Bytes of slot arrays a queue at `res` allocates and fills up
+    /// front, whatever it holds: the near bucket and far slot list heads
+    /// plus their occupancy and summary bitmaps.
+    pub const fn slot_array_bytes(res: Resolution) -> usize {
+        std::mem::size_of::<u32>() * ((NEAR_SLOTS >> Self::bucket_shift(res)) + FAR_SLOTS)
+            + std::mem::size_of::<u64>() * (NEAR_WORDS + NEAR_SUM_WORDS + FAR_WORDS + FAR_SUM_WORDS)
+    }
 
     /// An empty queue with pre-allocated node and overflow capacity.
     pub fn with_capacity(cap: usize) -> Self {
@@ -284,6 +307,16 @@ impl<E> TimingWheel<E> {
         }
     }
 
+    /// Push-at-head a new node into near `slot`'s bucket.
+    #[inline]
+    fn near_push(&mut self, slot: usize, event: E, time: u64) {
+        let b = slot >> self.bshift;
+        let idx = self.alloc(event, time, self.heads[b]);
+        self.heads[b] = idx;
+        self.set_bit(slot);
+        self.near_len += 1;
+    }
+
     /// Append a node (already holding its event) to the drain list.
     #[inline]
     fn cur_append(&mut self, idx: u32) {
@@ -313,11 +346,7 @@ impl<E> TimingWheel<E> {
         } else if t < self.far_start {
             // Inside the near window: `far_start <= base + NEAR_SLOTS`.
             let slot = self.slot_of(t);
-            let head = self.heads[slot];
-            let idx = self.alloc(event, t, head);
-            self.heads[slot] = idx;
-            self.set_bit(slot);
-            self.near_len += 1;
+            self.near_push(slot, event, t);
         } else if t - self.far_start < FAR_SPAN {
             let fslot = ((t >> FAR_SUB_BITS) as usize) & FAR_MASK;
             debug_assert!(
@@ -411,10 +440,10 @@ impl<E> TimingWheel<E> {
     }
 
     /// Move the window so that `t` (the cached earliest pending time) is
-    /// the base slot, reverse that slot's list into the drain list, then
-    /// pull in everything the advance made visible: overflow events now
-    /// inside the near window, and far-ring slots the near horizon has
-    /// swept past.
+    /// the base slot, unlink that slot's nodes from its bucket into the
+    /// drain list, then pull in everything the advance made visible:
+    /// overflow events now inside the near window, and far-ring slots the
+    /// near horizon has swept past.
     fn advance_to(&mut self, t: u64) {
         debug_assert!(t > self.base);
         debug_assert!(self.cur_head == NIL, "drain list empties before base moves");
@@ -425,17 +454,45 @@ impl<E> TimingWheel<E> {
         // base+NEAR_SLOTS, and t is the minimum) — keep the cursor,
         // rebase the window.
         self.base = t;
-        // Reverse the slot's push-at-head list into FIFO drain order.
-        let mut h = std::mem::replace(&mut self.heads[self.cursor], NIL);
-        let tail = h;
-        let mut prev = NIL;
-        while h != NIL {
-            let next = self.nodes[h as usize].next;
-            self.nodes[h as usize].next = prev;
-            prev = h;
-            h = next;
+        // Move the slot's nodes from the bucket's push-at-head list to the
+        // drain list, prepending each: newest first, so the drain list
+        // comes out in FIFO order. When no other slot of the bucket is
+        // occupied (always so at 16 ns and coarser), the whole list is
+        // the slot's; otherwise nodes stamped with the bucket's other
+        // times stay behind in their relative order.
+        let b = self.cursor >> self.bshift;
+        let width = 1usize << self.bshift;
+        let others = self.occupied[self.cursor >> 6]
+            & (((1u64 << width) - 1) << ((self.cursor & 63) & !(width - 1)))
+            & !(1u64 << (self.cursor & 63));
+        let nodes = &mut self.nodes;
+        let (mut head, mut tail) = (NIL, NIL);
+        let (mut kept, mut kept_tail) = (NIL, NIL);
+        let mut n = std::mem::replace(&mut self.heads[b], NIL);
+        while n != NIL {
+            let node = &mut nodes[n as usize];
+            let next = node.next;
+            if others == 0 || node.time == t {
+                node.next = head;
+                if head == NIL {
+                    tail = n;
+                }
+                head = n;
+            } else {
+                if kept_tail == NIL {
+                    kept = n;
+                } else {
+                    nodes[kept_tail as usize].next = n;
+                }
+                kept_tail = n;
+            }
+            n = next;
         }
-        self.cur_head = prev;
+        if kept_tail != NIL {
+            nodes[kept_tail as usize].next = NIL;
+            self.heads[b] = kept;
+        }
+        self.cur_head = head;
         self.cur_tail = tail;
         let new_fs = ((t + NEAR_SLOTS as u64) >> FAR_SUB_BITS) << FAR_SUB_BITS;
         // Migrate newly-visible overflow events (bulk, in two passes over
@@ -452,8 +509,8 @@ impl<E> TimingWheel<E> {
             self.near_len += 1;
         }
         // Pass 2: future times inside the new near window push-at-head
-        // like any other insertion (the lazy reversal restores heap order
-        // ahead of later pushes).
+        // like any other insertion (the drain-time unlinking restores
+        // heap order ahead of later pushes).
         while let Some(head) = self.overflow.peek() {
             let at = head.time.as_nanos() >> self.shift;
             if at >= new_fs {
@@ -461,10 +518,7 @@ impl<E> TimingWheel<E> {
             }
             let e = self.overflow.pop().expect("peeked");
             let slot = self.slot_of(at);
-            let idx = self.alloc(e.event, at, self.heads[slot]);
-            self.heads[slot] = idx;
-            self.set_bit(slot);
-            self.near_len += 1;
+            self.near_push(slot, e.event, at);
         }
         // Scatter far slots the near window now covers. Only *fully*
         // covered slots (slot base below `new_fs`) move, and a slot moves
@@ -504,8 +558,9 @@ impl<E> TimingWheel<E> {
                         self.cur_append(n);
                     } else {
                         let slot = self.slot_of(at);
-                        self.nodes[n as usize].next = self.heads[slot];
-                        self.heads[slot] = n;
+                        let b = slot >> self.bshift;
+                        self.nodes[n as usize].next = self.heads[b];
+                        self.heads[b] = n;
                         self.set_bit(slot);
                     }
                     self.far_len -= 1;
@@ -842,7 +897,7 @@ mod tests {
     fn slot_lists_drain_in_insertion_order() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
         // Many entries in one future slot: the reversed list must come
-        // back out FIFO after the lazy reversal at the cursor.
+        // back out FIFO after the unlinking at the cursor.
         let t = SimTime::from_nanos(500);
         for i in 0..100 {
             q.push(t, i);
@@ -908,6 +963,70 @@ mod tests {
             assert_eq!(q.pop().unwrap(), (at(x), want));
         }
         assert!(q.is_empty());
+    }
+
+    /// One bucket's worth of times, pushed out of order, with ties at one
+    /// of them arriving from the overflow heap, from a far-slot scatter
+    /// and from direct pushes, must pop in `(time, seq)` order. Times are
+    /// in resolution steps of `step_ns`; at 1 ns the 16 times share one
+    /// bucket, at 16 ns and coarser each time is its own bucket.
+    fn bucket_ties_across_tiers_pop_in_time_then_seq_order(step_ns: u64, by_slot: bool) {
+        let res = Resolution::from_nanos(step_ns).unwrap();
+        let mut q: TimingWheel<u32> = TimingWheel::with_resolution(res);
+        let at = |steps: u64| SimTime::from_nanos(steps * step_ns);
+        // 16-aligned and beyond the far horizon from base 0; the markers
+        // below keep every window move a multiple of 16 steps, so
+        // `x..x + 16` stays one bucket-aligned run of slots.
+        let x = HEAP_NS;
+        let mut want = Vec::new();
+        let mut push = |q: &mut TimingWheel<u32>, steps: u64| {
+            let id = want.len() as u32;
+            q.push(at(steps), id);
+            want.push((at(steps), id));
+        };
+        push(&mut q, x + 9);
+        push(&mut q, x + 2);
+        assert_eq!(q.overflow.len(), 2);
+        // Once this marker pops, x sits 3/4 of the far span ahead.
+        q.push(at(x - FAR_SPAN * 3 / 4), u32::MAX);
+        assert_eq!(q.pop().unwrap().1, u32::MAX);
+        push(&mut q, x + 12);
+        push(&mut q, x + 9);
+        assert_eq!(q.far_len, 2);
+        // Moving the base next to x migrates the heap entries and
+        // scatters x's far slot into the bucket.
+        q.push(at(x - 96), u32::MAX);
+        assert_eq!(q.pop().unwrap().1, u32::MAX);
+        assert_eq!((q.near_len, q.far_len, q.overflow.len()), (4, 0, 0));
+        for d in [14, 9, 3, 2, 9, 1] {
+            push(&mut q, x + d);
+        }
+        let buckets: std::collections::BTreeSet<usize> =
+            (0..16).map(|d| q.slot_of(x + d) >> q.bshift).collect();
+        assert_eq!(buckets.len(), if step_ns == 1 { 1 } else { 16 });
+        want.sort();
+        let mut got = Vec::new();
+        if by_slot {
+            let mut buf = Vec::new();
+            while let Some(t) = q.pop_slot(&mut buf) {
+                got.extend(buf.drain(..).map(|e| (t, e)));
+            }
+        } else {
+            while let Some(e) = q.pop() {
+                got.push(e);
+            }
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn bucket_ties_across_tiers_pop_in_order() {
+        bucket_ties_across_tiers_pop_in_time_then_seq_order(1, false);
+    }
+
+    #[test]
+    fn coarse_slot_drain_keeps_ties_across_tiers_in_order() {
+        bucket_ties_across_tiers_pop_in_time_then_seq_order(64, true);
     }
 
     #[test]

@@ -312,12 +312,12 @@ fn malformed_checkpoints_fail_typed_not_panicking() {
 fn golden_checkpoint_images_are_pinned_to_the_format_version() {
     // incast, antagonist_0 and baseline are the same configuration.
     const PINNED: [(&str, u32, u64); 6] = [
-        ("incast", 2, 0xd594_9315_a74c_13a7),
-        ("antagonist_0", 2, 0xd594_9315_a74c_13a7),
-        ("antagonist_8", 2, 0x8a0e_9846_d3d3_fea6),
-        ("antagonist_15", 2, 0x097f_e32f_c63f_fba8),
-        ("baseline", 2, 0xd594_9315_a74c_13a7),
-        ("blindspot", 2, 0x59fa_1b92_99d7_8c35),
+        ("incast", 3, 0x958e_6f76_e260_ed42),
+        ("antagonist_0", 3, 0x958e_6f76_e260_ed42),
+        ("antagonist_8", 3, 0xa77d_c8ce_85b8_7ab7),
+        ("antagonist_15", 3, 0xc6cb_35d9_89d7_eb33),
+        ("baseline", 3, 0x958e_6f76_e260_ed42),
+        ("blindspot", 3, 0xc38f_ef47_bc25_0221),
     ];
     for ((name, cfg), (pinned_name, version, digest)) in goldens().into_iter().zip(PINNED) {
         assert_eq!(name, pinned_name);
