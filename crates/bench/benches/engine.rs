@@ -1,10 +1,10 @@
-//! Engine dispatch benchmark: timing wheel vs. reference binary heap.
+//! Engine dispatch benchmark.
 //!
 //! Drives three representative workloads — the paper's incast
 //! microbenchmark, the Fig. 6 antagonist sweep, and a heterogeneous
-//! cluster fleet — through the full testbed on both event-queue
-//! implementations, reads the engine's `DispatchProfile`, and writes
-//! `BENCH_engine.json` at the repo root.
+//! cluster fleet — through the full testbed at exact and coarse time,
+//! reads the engine's `DispatchProfile`, and writes `BENCH_engine.json`
+//! at the repo root.
 //!
 //! Throughput numbers are a *report* (regressions judged by humans reading
 //! the artifact), but two structural properties are hard *gates* that fail
@@ -21,7 +21,7 @@
 use hostcc::experiment::RunPlan;
 use hostcc::fleet::{Fleet, FleetConfig, FleetTopology};
 use hostcc::substrate::host::Event;
-use hostcc::substrate::sim::{Queue, SimDuration};
+use hostcc::substrate::sim::SimDuration;
 use hostcc::substrate::trace::json::JsonWriter;
 use hostcc::{scenarios, Simulation, TelemetryConfig, TestbedConfig};
 use hostcc_bench::{plan, quick};
@@ -71,10 +71,9 @@ struct Scenario {
     configs: Vec<TestbedConfig>,
 }
 
-/// Time mode: exact 1 ns event timestamps, or the coarse 64 ns grid with
-/// chain fusion (`scenarios::with_coarse_time`). Exact mode is the
-/// library default and gates batching at parity; coarse mode is the
-/// opt-in profile where slot-drain batching must actually pay.
+/// Time mode: exact 1 ns event timestamps (the library default), or the
+/// opt-in coarse 64 ns grid with chain fusion
+/// (`scenarios::with_coarse_time`).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum TimeMode {
     Exact,
@@ -137,8 +136,7 @@ fn scenarios_under_test() -> Vec<Scenario> {
     // Fig. 1 fleet scatter. The newer-generation, small-MTU hosts are
     // the fleet's event-dense tail: a 400 G host moving 1-2 KiB packets
     // pushes ~8x the events per simulated nanosecond of the 100 G
-    // testbed, which is the regime where the coarse grid's slot sharing
-    // (and therefore batched dispatch) must pay.
+    // testbed, where the coarse grid's slot sharing is densest.
     // Per host: (line-rate generation, MTU payload, threads, antagonists).
     let fleet_hosts: &[(u32, u32, u32, u32)] = if quick() {
         &[(4, 1024, 16, 4), (4, 1024, 16, 0)]
@@ -168,17 +166,17 @@ fn scenarios_under_test() -> Vec<Scenario> {
     vec![incast, antagonist, fleet]
 }
 
-/// Accumulated dispatch statistics for one queue/dispatch configuration.
+/// Accumulated dispatch statistics for one measured configuration.
 #[derive(Default)]
-struct QueueStats {
+struct RunStats {
     events: u64,
     wall_nanos: u64,
     dispatched: u64,
-    batches: u64,
-    max_batch: u64,
+    instants: u64,
+    max_run: u64,
 }
 
-impl QueueStats {
+impl RunStats {
     fn events_per_sec(&self) -> f64 {
         if self.wall_nanos == 0 {
             return 0.0;
@@ -186,67 +184,44 @@ impl QueueStats {
         self.events as f64 * 1e9 / self.wall_nanos as f64
     }
 
-    fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
+    /// Mean events dispatched per distinct instant.
+    fn mean_run(&self) -> f64 {
+        if self.instants == 0 {
             return 0.0;
         }
-        self.events as f64 / self.batches as f64
+        self.events as f64 / self.instants as f64
     }
 }
 
-fn absorb<Q: Queue<Event>>(sim: &Simulation<Q>, stats: &mut QueueStats) {
+fn absorb(sim: &Simulation, stats: &mut RunStats) {
     let p = sim.profile().expect("profiling enabled");
     stats.events += p.events;
     stats.wall_nanos += p.wall_nanos;
     stats.dispatched += sim.dispatched_total();
-    stats.batches += p.batches;
-    stats.max_batch = stats.max_batch.max(p.max_batch);
+    stats.instants += p.batches;
+    stats.max_run = stats.max_run.max(p.max_batch);
 }
 
-/// Warm-up and measurement chunks per phase: the three dispatch
-/// configurations advance through simulated time *interleaved* in short
-/// chunks, so wall-clock noise on a shared machine (frequency drift,
-/// co-tenants) averages across all three instead of landing on whichever
-/// configuration happened to run last.
+/// Warm-up and measurement chunks per phase for the overhead legs: the
+/// off and on simulations advance through simulated time *interleaved*
+/// in short chunks, so wall-clock noise on a shared machine (frequency
+/// drift, co-tenants) averages across both instead of landing on
+/// whichever happened to run last.
 const WARMUP_CHUNKS: u64 = 2;
 const MEASURE_CHUNKS: u64 = 8;
 
-fn run_scenario(sc: &Scenario, plan: &RunPlan) -> (QueueStats, QueueStats, QueueStats) {
-    let mut heap = QueueStats::default();
-    let mut wheel = QueueStats::default();
-    let mut batched = QueueStats::default();
-    // `heap` and `wheel` dispatch per event; `batched` is the wheel with
-    // slot-drain batching on (the library default).
+fn run_scenario(sc: &Scenario, plan: &RunPlan) -> RunStats {
+    let mut stats = RunStats::default();
     for cfg in &sc.configs {
-        let mut h = Simulation::with_heap_queue(cfg.clone());
-        h.set_batched(false);
-        let mut w = Simulation::new(cfg.clone());
-        w.set_batched(false);
-        let mut b = Simulation::new(cfg.clone());
-        h.enable_profiling();
-        w.enable_profiling();
-        b.enable_profiling();
-        let warm_chunk = plan.warmup / WARMUP_CHUNKS;
-        for _ in 0..WARMUP_CHUNKS {
-            h.advance(warm_chunk);
-            w.advance(warm_chunk);
-            b.advance(warm_chunk);
-        }
-        let now = h.now();
-        h.world_mut().arm_metrics(now);
-        w.world_mut().arm_metrics(now);
-        b.world_mut().arm_metrics(now);
-        let measure_chunk = plan.measure / MEASURE_CHUNKS;
-        for _ in 0..MEASURE_CHUNKS {
-            h.advance(measure_chunk);
-            w.advance(measure_chunk);
-            b.advance(measure_chunk);
-        }
-        absorb(&h, &mut heap);
-        absorb(&w, &mut wheel);
-        absorb(&b, &mut batched);
+        let mut sim = Simulation::new(cfg.clone());
+        sim.enable_profiling();
+        sim.advance(plan.warmup);
+        let now = sim.now();
+        sim.world_mut().arm_metrics(now);
+        sim.advance(plan.measure);
+        absorb(&sim, &mut stats);
     }
-    (heap, wheel, batched)
+    stats
 }
 
 /// Steady-state allocation audit: warm an incast testbed past every
@@ -271,11 +246,11 @@ fn audit_steady_state_allocs(plan: &RunPlan) -> (u64, u64) {
 
 /// Sampler-overhead measurement: the incast workload with telemetry off
 /// vs. on (default 5 µs cadence), advanced through simulated time in
-/// interleaved chunks like `run_scenario`. Returns (off, on, samples).
+/// interleaved chunks. Returns (off, on, samples).
 /// The per-sample cost is the wall-clock delta over the sample count —
 /// noisy on shared runners, so the throughput gate re-measures on failure
 /// rather than trusting one comparison.
-fn run_telemetry_overhead(plan: &RunPlan) -> (QueueStats, QueueStats, u64) {
+fn run_telemetry_overhead(plan: &RunPlan) -> (RunStats, RunStats, u64) {
     let cfg = scenarios::fig3(12, true);
     let mut cfg_on = cfg.clone();
     cfg_on.telemetry = TelemetryConfig::enabled();
@@ -293,8 +268,8 @@ fn run_telemetry_overhead(plan: &RunPlan) -> (QueueStats, QueueStats, u64) {
         off_sim.advance(measure_chunk);
         on_sim.advance(measure_chunk);
     }
-    let mut off = QueueStats::default();
-    let mut on = QueueStats::default();
+    let mut off = RunStats::default();
+    let mut on = RunStats::default();
     absorb(&off_sim, &mut off);
     absorb(&on_sim, &mut on);
     (off, on, on_sim.world().telemetry.samples_taken())
@@ -305,7 +280,7 @@ fn run_telemetry_overhead(plan: &RunPlan) -> (QueueStats, QueueStats, u64) {
 /// advance through the same interleaved slice schedule (the campaign
 /// runner's default cadence), so the wall-clock ratio isolates the
 /// serializer itself. Returns (off, on, checkpoints, bytes-per-checkpoint).
-fn run_checkpoint_overhead(plan: &RunPlan) -> (QueueStats, QueueStats, u64, u64) {
+fn run_checkpoint_overhead(plan: &RunPlan) -> (RunStats, RunStats, u64, u64) {
     const CADENCE: SimDuration = SimDuration::from_millis(5);
     let cfg = scenarios::fig3(12, true);
     let mut off_sim = Simulation::new(cfg.clone());
@@ -315,8 +290,8 @@ fn run_checkpoint_overhead(plan: &RunPlan) -> (QueueStats, QueueStats, u64, u64)
         off_sim.advance(warm_chunk);
         on_sim.advance(warm_chunk);
     }
-    let mut off = QueueStats::default();
-    let mut on = QueueStats::default();
+    let mut off = RunStats::default();
+    let mut on = RunStats::default();
     let mut checkpoints = 0u64;
     let mut checkpoint_bytes = 0u64;
     let mut remaining = plan.measure;
@@ -501,12 +476,12 @@ fn main() {
 
     // Sampler overhead: telemetry-on must keep ≥ 95% of telemetry-off
     // wall-clock speed over the same simulated span. Re-measured on
-    // failure like the batching gate — the signal is a few percent, well
-    // inside shared-runner jitter for any single comparison.
+    // failure — the signal is a few percent, well inside shared-runner
+    // jitter for any single comparison.
     const OVERHEAD_FLOOR: f64 = 0.95;
     const OVERHEAD_RETRIES: u32 = 4;
     let (mut t_off, mut t_on, mut t_samples) = run_telemetry_overhead(&plan);
-    let speed_ratio = |off: &QueueStats, on: &QueueStats| {
+    let speed_ratio = |off: &RunStats, on: &RunStats| {
         if on.wall_nanos == 0 {
             0.0
         } else {
@@ -616,10 +591,9 @@ fn main() {
     w.key("scenarios").begin_arr();
 
     println!(
-        "{:<24} {:>6} {:>13} {:>13} {:>13} {:>7} {:>7}",
-        "scenario", "runs", "heap ev/s", "wheel ev/s", "batch ev/s", "w/h", "b/w"
+        "{:<24} {:>6} {:>13} {:>11} {:>8}",
+        "scenario", "runs", "events/s", "ev/instant", "max run"
     );
-    let mut incast_speedup = 0.0;
     for mode in [TimeMode::Exact, TimeMode::Coarse] {
         for sc in scenarios_under_test() {
             let sc = match mode {
@@ -634,127 +608,14 @@ fn main() {
                 },
             };
             let label = mode.label(sc.name);
-            let (heap, wheel, batched) = run_scenario(&sc, &plan);
-            assert_eq!(
-                heap.dispatched, wheel.dispatched,
-                "{label}: queue implementations dispatched different event counts"
-            );
-            assert_eq!(
-                wheel.dispatched, batched.dispatched,
-                "{label}: batched dispatch handled a different event count"
-            );
-            let speedup = if heap.events_per_sec() > 0.0 {
-                wheel.events_per_sec() / heap.events_per_sec()
-            } else {
-                0.0
-            };
-            let batch_speedup = if wheel.events_per_sec() > 0.0 {
-                batched.events_per_sec() / wheel.events_per_sec()
-            } else {
-                0.0
-            };
-            let heap_speedup = if heap.events_per_sec() > 0.0 {
-                batched.events_per_sec() / heap.events_per_sec()
-            } else {
-                0.0
-            };
-            if label == "incast" {
-                incast_speedup = speedup;
-            }
+            let stats = run_scenario(&sc, &plan);
             println!(
-                "{:<24} {:>6} {:>13.0} {:>13.0} {:>13.0} {:>6.2}x {:>6.2}x  (mean batch {:.2}, max {})",
+                "{:<24} {:>6} {:>13.0} {:>11.2} {:>8}",
                 label,
                 sc.configs.len(),
-                heap.events_per_sec(),
-                wheel.events_per_sec(),
-                batched.events_per_sec(),
-                speedup,
-                batch_speedup,
-                batched.mean_batch(),
-                batched.max_batch
-            );
-            // Hard gates, per time mode:
-            //
-            // * every scenario, both modes: batched wheel dispatch must
-            //   beat the per-event binary-heap engine (`>= 1.0x` batched
-            //   vs heap) — the heap is dispatch as it stood before the
-            //   wheel landed, so this is the floor under "the new engine
-            //   never loses to the old one" (measured >= 1.19x across
-            //   the board);
-            // * batched vs the per-event *wheel* holds a no-regression
-            //   band (`>= 0.95x`). At 1 ns resolution slots are almost
-            //   all singletons (mean batch ~1.02-1.05), so the batched
-            //   loop's slot re-peek is a measurable ~2% tax on the
-            //   densest exact scenario — parity within jitter is all
-            //   batching can offer when there is nothing to batch;
-            // * coarse fleet (64 ns grid + chain fusion over the
-            //   next-generation hosts): batching must actually pay —
-            //   `>= 1.25x` over the per-event heap (the restored
-            //   headline target; measured ~1.55x), `>= 1.05x` over the
-            //   per-event wheel (measured ~1.10x — the wheel already
-            //   amortises slot scans per-event, so handler work bounds
-            //   this ratio; see DESIGN.md) — and the mean batch must
-            //   clear a structural floor of 4 events per drained slot.
-            //   The fleet's 200/400 G hosts push enough events per grid
-            //   slot that a mean batch near 1 means quantisation
-            //   silently broke. The 100 G-only scenarios (incast,
-            //   antagonist) run ~1.5 events per 64 ns slot —
-            //   structurally too sparse for batching to pay a fixed
-            //   margin there.
-            //
-            // The wall-clock ratios re-measure on failure (up to
-            // `GATE_RETRIES` fresh interleaved comparisons) because
-            // shared runners jitter events/sec by several percent — a
-            // real regression fails every attempt, measurement noise
-            // does not. The mean-batch floor is simulation-determined
-            // (no wall clock involved) and is asserted directly.
-            const GATE_RETRIES: u32 = 4;
-            let dense = mode == TimeMode::Coarse && sc.name == "cluster_fleet";
-            let wheel_floor = if dense { 1.05 } else { 0.95 };
-            let heap_floor = if dense { 1.25 } else { 1.0 };
-            const COARSE_MEAN_BATCH_FLOOR: f64 = 4.0;
-            let gated = std::env::var_os("HOSTCC_BENCH_NO_GATE").is_none();
-            if dense {
-                assert!(
-                    !gated || batched.mean_batch() >= COARSE_MEAN_BATCH_FLOOR,
-                    "{label}: coarse-grid mean batch {:.2} below floor {COARSE_MEAN_BATCH_FLOOR}",
-                    batched.mean_batch()
-                );
-            }
-            let mut best_wheel = batch_speedup;
-            let mut best_heap = heap_speedup;
-            let mut retries = 0;
-            while (best_wheel < wheel_floor || best_heap < heap_floor)
-                && retries < GATE_RETRIES
-                && gated
-            {
-                retries += 1;
-                let (rh, rw, rb) = run_scenario(&sc, &plan);
-                let vs_wheel = if rw.events_per_sec() > 0.0 {
-                    rb.events_per_sec() / rw.events_per_sec()
-                } else {
-                    0.0
-                };
-                let vs_heap = if rh.events_per_sec() > 0.0 {
-                    rb.events_per_sec() / rh.events_per_sec()
-                } else {
-                    0.0
-                };
-                println!(
-                    "  gate retry {retries}: {label} batched/wheel = {vs_wheel:.3}, batched/heap = {vs_heap:.3}"
-                );
-                best_wheel = best_wheel.max(vs_wheel);
-                best_heap = best_heap.max(vs_heap);
-            }
-            assert!(
-                !gated || best_wheel >= wheel_floor,
-                "{label}: batched dispatch below {wheel_floor}x of the per-event wheel across {} attempts (best {best_wheel:.3}x)",
-                retries + 1,
-            );
-            assert!(
-                !gated || best_heap >= heap_floor,
-                "{label}: batched dispatch below {heap_floor}x of the per-event heap across {} attempts (best {best_heap:.3}x)",
-                retries + 1,
+                stats.events_per_sec(),
+                stats.mean_run(),
+                stats.max_run
             );
             w.begin_obj();
             w.key("name").str(&label);
@@ -763,30 +624,13 @@ fn main() {
             w.key("resolution_ns").int(mode.resolution_ns());
             w.key("fuse_chains").bool(mode == TimeMode::Coarse);
             w.key("runs").int(sc.configs.len() as u64);
-            for (label, stats) in [("heap", &heap), ("wheel", &wheel), ("batched", &batched)] {
-                w.key(label).begin_obj();
-                w.key("events").int(stats.events);
-                w.key("wall_nanos").int(stats.wall_nanos);
-                w.key("events_per_sec").num(stats.events_per_sec());
-                if stats.batches > 0 {
-                    w.key("batches").int(stats.batches);
-                    w.key("mean_batch").num(stats.mean_batch());
-                    w.key("max_batch").int(stats.max_batch);
-                }
-                w.end_obj();
-            }
-            w.key("speedup").num(speedup);
-            w.key("batched_speedup").num(batch_speedup);
-            w.key("batched_vs_heap").num(heap_speedup);
-            // Best ratios the gates observed across their attempts:
-            // single measurements jitter a few percent either side of
-            // the floors, so these are the numbers the assertions
-            // actually held on.
-            w.key("batched_speedup_confirmed").num(best_wheel);
-            w.key("batched_speedup_floor").num(wheel_floor);
-            w.key("batched_vs_heap_confirmed").num(best_heap);
-            w.key("batched_vs_heap_floor").num(heap_floor);
-            w.key("dispatched_events").int(wheel.dispatched);
+            w.key("events").int(stats.events);
+            w.key("wall_nanos").int(stats.wall_nanos);
+            w.key("events_per_sec").num(stats.events_per_sec());
+            w.key("instants").int(stats.instants);
+            w.key("events_per_instant").num(stats.mean_run());
+            w.key("max_run").int(stats.max_run);
+            w.key("dispatched_events").int(stats.dispatched);
             w.end_obj();
         }
     }
@@ -961,7 +805,6 @@ fn main() {
     w.end_obj();
     w.end_obj();
 
-    w.key("incast_wheel_speedup").num(incast_speedup);
     w.end_obj();
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");

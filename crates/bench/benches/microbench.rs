@@ -11,7 +11,7 @@ use hostcc::experiment::{run, RunPlan};
 use hostcc::scenarios;
 use hostcc::substrate::iommu::{Iommu, IommuConfig};
 use hostcc::substrate::mem::{IoPageTable, Iova, PageSize, PhysAddr};
-use hostcc::substrate::sim::{Engine, Queue, Scheduler, SimDuration, SimTime, World};
+use hostcc::substrate::sim::{Engine, Scheduler, SimDuration, SimTime, World};
 use hostcc::substrate::transport::{AckSample, CongestionControl, Swift, SwiftConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -33,7 +33,7 @@ fn bench(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
 struct Chain(u64);
 impl World for Chain {
     type Event = ();
-    fn handle<Q: Queue<()>>(&mut self, _now: SimTime, _ev: (), sched: &mut Scheduler<(), Q>) {
+    fn handle(&mut self, _now: SimTime, _ev: (), sched: &mut Scheduler<()>) {
         if self.0 > 0 {
             self.0 -= 1;
             sched.after(SimDuration::from_nanos(10), ());

@@ -189,10 +189,10 @@ pub fn with_subrtt_response(mut cfg: TestbedConfig, host_target_us: u64) -> Test
 /// latency term — serialisation boundaries, pacer grants, DMA stage sums
 /// — up to a 64 ns grid and fuse uncontended DmaComplete→CpuDone chains
 /// into single macro events. Event timestamps collapse onto shared wheel
-/// slots, which is what makes batched slot-drain dispatch actually pay
-/// (mean batch ≥ 4 instead of ~1). Not bit-identical to exact-time runs;
-/// the coarse goldens in `tests/queue_equivalence.rs` pin its behaviour
-/// separately.
+/// slots, so the wheel's per-slot work is shared by several events, and
+/// a fused chain dispatches one event where the exact path dispatches
+/// two. Not bit-identical to exact-time runs; the coarse goldens in
+/// `tests/goldens.rs` pin its behaviour separately.
 pub fn with_coarse_time(mut cfg: TestbedConfig) -> TestbedConfig {
     cfg.resolution = hostcc_sim::Resolution::from_nanos(64).expect("64 is a power of two");
     cfg.fuse_chains = true;
@@ -206,9 +206,8 @@ pub fn with_coarse_time(mut cfg: TestbedConfig) -> TestbedConfig {
 /// testbed unchanged; `2` ≈ a 200 G / Gen4 / DDR5 host; `4` ≈ 400 G /
 /// Gen5 with doubled memory channels. Fleet benches use this to model
 /// the event-dense tail of the Fig. 1 scatter — newer hosts push ~4×
-/// the events per nanosecond of simulated time through the engine,
-/// which is exactly the regime where slot-sharing and batched dispatch
-/// have to pay.
+/// the events per nanosecond of simulated time through the engine, the
+/// regime where the engine's cost per event matters most.
 pub fn with_line_rate_generation(mut cfg: TestbedConfig, gen_mult: u32) -> TestbedConfig {
     let m = gen_mult.max(1);
     let mf = f64::from(m);

@@ -218,8 +218,8 @@ pub struct TestbedConfig {
     /// (e.g. 64 ns) rounds the latency terms that are already
     /// approximations — serialisation boundaries, pacer grants, memory
     /// tick latencies — *up* to the grid so nearby events share timing
-    /// wheel slots and slot-drain batching genuinely fans out. An
-    /// explicit opt-in: coarse runs have their own pinned goldens.
+    /// wheel slots. An explicit opt-in: coarse runs have their own pinned
+    /// goldens.
     pub resolution: Resolution,
     /// Fuse the uncontended DmaComplete→CpuDone chain into one macro
     /// event when the receiving core is known to be free at DMA-complete
@@ -336,6 +336,13 @@ pub enum ConfigError {
         /// The offending weight.
         weight: f64,
     },
+    /// A periodic timer with a zero period. It would reschedule itself at
+    /// the same instant forever, so every run would end stalled at t = 0.
+    ZeroPeriod {
+        /// Which knob: `"mem_tick"`, `"rto_sweep"` or
+        /// `"telemetry.interval_ns"`.
+        which: &'static str,
+    },
     /// A fleet-level knob the multi-host builder cannot work with
     /// (zero hosts, zero inter-host latency, fan-in without peers).
     InvalidFleet {
@@ -360,6 +367,9 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "read_size_mix weight for {bytes}-byte reads must be positive, got {weight}"
                 )
+            }
+            ConfigError::ZeroPeriod { which } => {
+                write!(f, "{which} must be a positive period, got 0")
             }
             ConfigError::InvalidFleet { reason } => {
                 write!(f, "invalid fleet configuration: {reason}")
@@ -410,8 +420,9 @@ impl TestbedConfig {
     }
 
     /// Check the knobs a caller most plausibly gets wrong (zero
-    /// populations, non-positive rates, out-of-range fractions) before
-    /// building a testbed from them. Returns the first violation found.
+    /// populations, non-positive rates, zero timer periods, out-of-range
+    /// fractions) before building a testbed from them. Returns the first
+    /// violation found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.senders == 0 {
             return Err(ConfigError::ZeroSenders);
@@ -425,6 +436,18 @@ impl TestbedConfig {
         ] {
             if !value.is_finite() || value <= 0.0 {
                 return Err(ConfigError::NonPositiveLinkRate { which, value });
+            }
+        }
+        for (which, zero) in [
+            ("mem_tick", self.mem_tick == SimDuration::ZERO),
+            ("rto_sweep", self.rto_sweep == SimDuration::ZERO),
+            (
+                "telemetry.interval_ns",
+                self.telemetry.enabled && self.telemetry.interval_ns == 0,
+            ),
+        ] {
+            if zero {
+                return Err(ConfigError::ZeroPeriod { which });
             }
         }
         if !self.duty_cycle.is_finite() || self.duty_cycle <= 0.0 || self.duty_cycle > 1.0 {
@@ -518,7 +541,46 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_zero_mem_tick() {
+        let mut c = base();
+        c.mem_tick = SimDuration::ZERO;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ZeroPeriod { which: "mem_tick" })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_rto_sweep() {
+        let mut c = base();
+        c.rto_sweep = SimDuration::ZERO;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ZeroPeriod { which: "rto_sweep" })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_telemetry_interval_only_when_enabled() {
+        // The public field bypasses `with_interval_ns`'s clamp.
+        let mut c = base();
+        c.telemetry = TelemetryConfig::enabled();
+        c.telemetry.interval_ns = 0;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ZeroPeriod {
+                which: "telemetry.interval_ns"
+            })
+        );
+        // A disabled sampler schedules no ticks, so its period is unused.
+        c.telemetry.enabled = false;
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
     fn config_errors_render_for_cli() {
+        let msg = ConfigError::ZeroPeriod { which: "rto_sweep" }.to_string();
+        assert_eq!(msg, "rto_sweep must be a positive period, got 0");
         let msg = ConfigError::DutyCycleOutOfRange(2.0).to_string();
         assert!(msg.contains("duty_cycle"), "{msg}");
         let msg = ConfigError::NonPositiveLinkRate {

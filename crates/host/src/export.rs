@@ -139,8 +139,8 @@ pub fn metrics_json(
         w.key("events").int(p.events);
         w.key("wall_nanos").int(p.wall_nanos);
         w.key("events_per_sec").num(p.events_per_sec());
-        // Batch statistics confirm slot-drain dispatch is engaging:
-        // zero batches means the engine ran per-event.
+        // Same-instant run statistics: `batches` counts distinct
+        // dispatch instants, `max_batch` the longest run at one instant.
         w.key("batches").int(p.batches);
         w.key("mean_batch").num(p.mean_batch());
         w.key("max_batch").int(p.max_batch);

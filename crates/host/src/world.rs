@@ -32,9 +32,9 @@ use hostcc_memsys::{AgentClass, AgentId, MemorySystem, StreamAntagonist};
 use hostcc_nic::Nic;
 use hostcc_pcie::{CreditState, ReplayChannel, ReplayConfig, WriteCredits};
 use hostcc_sim::{
-    check_resave, decode, fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, EventQueue,
-    Ewma, Queue, RunOutcome, Scheduler, SerialLink, SimDuration, SimRng, SimTime, Snap, SnapError,
-    SnapReader, SnapWriter, World,
+    check_resave, decode, fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, Ewma,
+    RunOutcome, Scheduler, SerialLink, SimDuration, SimRng, SimTime, Snap, SnapError, SnapReader,
+    SnapWriter, World,
 };
 use hostcc_telemetry::{SignalInputs, Telemetry};
 use hostcc_trace::{CounterRegistry, Stage, TimelineRecorder, TraceConfig, TraceEvent, Tracer};
@@ -382,9 +382,6 @@ pub struct Testbed {
     cached_read_rt_ns: u64,
     /// Memory-system epoch the cached latency terms were derived at.
     cached_mem_epoch: u64,
-    /// Scratch for batched NIC arrivals (taken/restored per run; never
-    /// reallocated on the steady-state path).
-    nic_run_scratch: Vec<(PacketRef, u32)>,
     // --- demand window ---
     window_payload: u64,
     window_walks: u64,
@@ -477,7 +474,7 @@ hostcc_sim::snap_fields!(Testbed {
     fault_pending_refills, last_nic_avail, last_delivered_bytes,
 } skip {
     cfg, flow_ids, remote, nic_agent, app_agent, ring_pages, per_pkt_cost, cached_walk_ns,
-    cached_commit_ns, cached_read_rt_ns, cached_mem_epoch, nic_run_scratch, pkt_credits,
+    cached_commit_ns, cached_read_rt_ns, cached_mem_epoch, pkt_credits,
     fuse_active, tracer, timeline, faults_suppressed,
 } check { Testbed::check_restored });
 
@@ -674,7 +671,6 @@ impl Testbed {
             cached_commit_ns: 0.0,
             cached_read_rt_ns: 0,
             cached_mem_epoch: u64::MAX,
-            nic_run_scratch: Vec::with_capacity(1024),
             window_payload: 0,
             window_walks: 0,
             last_tick: SimTime::ZERO,
@@ -724,7 +720,7 @@ impl Testbed {
     }
 
     /// Kick off the simulation: initial send attempts + periodic timers.
-    pub fn start<Q: Queue<Event>>(&mut self, sched: &mut Scheduler<Event, Q>) {
+    pub fn start(&mut self, sched: &mut Scheduler<Event>) {
         let n = self.flows.len() as u32;
         for f in 0..n {
             // Fleet receiver slots hold no transmitting flow.
@@ -745,8 +741,7 @@ impl Testbed {
                 sched.after(at, Event::Fault((idx as u32) << 2));
             }
         }
-        // The telemetry sampler rides the same wheel as everything else,
-        // so batched and per-event dispatch sample at identical instants.
+        // The telemetry sampler rides the same wheel as everything else.
         // Telemetry off = no events: those runs stay bit-identical.
         if self.telemetry.is_enabled() {
             sched.after(
@@ -1124,19 +1119,14 @@ impl Testbed {
 
     /// Schedule a `DmaLaunch` at the current instant unless one is
     /// already pending (coalesced kick; see `dma_launch_pending`).
-    fn kick_dma_launch<Q: Queue<Event>>(&mut self, sched: &mut Scheduler<Event, Q>) {
+    fn kick_dma_launch(&mut self, sched: &mut Scheduler<Event>) {
         if !self.dma_launch_pending {
             self.dma_launch_pending = true;
             sched.immediately(Event::DmaLaunch);
         }
     }
 
-    fn handle_try_send<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        f: u32,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_try_send(&mut self, now: SimTime, f: u32, sched: &mut Scheduler<Event>) {
         // Bursty workloads: outside the active window, hold transmissions
         // until the next burst begins (all of a host's flows share the
         // pattern, as co-located application phases do).
@@ -1199,12 +1189,7 @@ impl Testbed {
         }
     }
 
-    fn handle_at_switch<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        pkt: PacketRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_at_switch(&mut self, now: SimTime, pkt: PacketRef, sched: &mut Scheduler<Event>) {
         match self.switch.enqueue(now, self.store.get_mut(pkt)) {
             EnqueueOutcome::DeliverAt(t) => sched.at(t, Event::AtNic(pkt)),
             EnqueueOutcome::Dropped => {
@@ -1216,12 +1201,7 @@ impl Testbed {
         }
     }
 
-    fn handle_at_nic<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        pkt: PacketRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_at_nic(&mut self, now: SimTime, pkt: PacketRef, sched: &mut Scheduler<Event>) {
         // Link-flap blackout: the packet is lost on the wire, so it never
         // arrives at the NIC at all (no wire-byte accounting, no buffer).
         if self.fault_link_down {
@@ -1253,74 +1233,7 @@ impl Testbed {
         }
     }
 
-    /// Batched NIC arrival: admit a consecutive same-timestamp run of
-    /// `AtNic` events in one buffer pass. Exactly equivalent to dispatching
-    /// them one by one — admissions, drops, counters and the drop-trace
-    /// sequence all follow the run's FIFO order, and the single coalesced
-    /// `DmaLaunch` kick lands where the scalar path's first (coalesced)
-    /// kick would.
-    fn handle_at_nic_run<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        run: &[Event],
-        sched: &mut Scheduler<Event, Q>,
-    ) {
-        if self.fault_link_down {
-            for ev in run {
-                let Event::AtNic(pkt) = *ev else {
-                    unreachable!()
-                };
-                self.store.free(pkt);
-                self.faults.counters.link_dropped_packets += 1;
-                if self.metrics.armed {
-                    self.metrics.drops_fabric += 1;
-                }
-            }
-            return;
-        }
-        let mut arrivals = std::mem::take(&mut self.nic_run_scratch);
-        arrivals.clear();
-        let mut wire_total = 0u64;
-        for ev in run {
-            let Event::AtNic(pkt) = *ev else {
-                unreachable!()
-            };
-            let wire_bytes = self.store.get(pkt).wire_bytes;
-            wire_total += wire_bytes as u64;
-            arrivals.push((pkt, wire_bytes));
-        }
-        if self.metrics.armed {
-            self.metrics.nic_arrival_wire_bytes += wire_total;
-        }
-        let mut dropped = 0u64;
-        let store = &mut self.store;
-        let stats = &mut self.nic.stats;
-        let tracer = &mut self.tracer;
-        let admitted = self.nic.input.enqueue_run(now, &arrivals, |pkt| {
-            store.free(pkt);
-            stats.drops_buffer_full += 1;
-            dropped += 1;
-            if tracer.is_enabled() {
-                tracer.record(TraceEvent::instant(
-                    now.as_nanos(),
-                    Stage::NicDropBufferFull,
-                ));
-            }
-        });
-        if dropped > 0 && self.metrics.armed {
-            self.metrics.drops_buffer_full += dropped;
-        }
-        if admitted > 0 {
-            self.kick_dma_launch(sched);
-        }
-        self.nic_run_scratch = arrivals;
-    }
-
-    fn handle_dma_launch<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_dma_launch(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         self.dma_launch_pending = false;
         if self.cached_mem_epoch != self.mem.demand_epoch() {
             self.refresh_latency_cache();
@@ -1481,26 +1394,9 @@ impl Testbed {
         }
     }
 
-    fn handle_dma_complete<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_dma_complete(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.credits.release_write(self.pkt_credits);
         self.kick_dma_launch(sched);
-        self.dma_complete_body(now, job, sched);
-    }
-
-    /// The credit-independent tail of a DMA completion: hand the packet to
-    /// its receiver core. The batched path releases a whole run's credits
-    /// in one update and then replays the bodies in FIFO order.
-    fn dma_complete_body<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
         let (pkt, thread) = {
             let j = self.dma.get(job);
             (j.pkt, j.thread as usize)
@@ -1527,36 +1423,15 @@ impl Testbed {
     /// would return them, then the CPU-done tail runs with the reserved
     /// completion instant as its logical timestamp. `core_free_at` was
     /// already advanced at launch and must not be touched here.
-    fn handle_dma_chain<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_dma_chain(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.credits.release_write(self.pkt_credits);
         self.kick_dma_launch(sched);
-        self.dma_chain_body(now, job, sched);
-    }
-
-    /// The credit-independent tail of a fused chain (the batched path
-    /// releases a whole run's credits in one update, then replays these).
-    fn dma_chain_body<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
         self.window_payload += self.store.get(self.dma.get(job).pkt).payload_bytes as u64;
         let cpu_done = now + self.per_pkt_cost;
         self.cpu_done_body(cpu_done, job, sched);
     }
 
-    fn handle_cpu_done<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_cpu_done(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.cpu_done_body(now, job, sched);
     }
 
@@ -1567,12 +1442,7 @@ impl Testbed {
     /// time, strictly in the future. Everything time-stamped here (stage
     /// decomposition, telemetry, the ACK's return-path departure) uses
     /// `done_at`, so both paths agree on when processing finished.
-    fn cpu_done_body<Q: Queue<Event>>(
-        &mut self,
-        done_at: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn cpu_done_body(&mut self, done_at: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         let now = done_at;
         // The packet's host lifecycle ends here: both slab entries retire
         // (free returns the final value by copy), and only the ACK —
@@ -1749,13 +1619,13 @@ impl Testbed {
         );
     }
 
-    fn handle_ack<Q: Queue<Event>>(
+    fn handle_ack(
         &mut self,
         now: SimTime,
         f: u32,
         ack: PacketRef,
         frontier: u64,
-        sched: &mut Scheduler<Event, Q>,
+        sched: &mut Scheduler<Event>,
     ) {
         // The ACK is consumed at the sender; its slab entry retires.
         let ack = self.store.free(ack);
@@ -1765,13 +1635,13 @@ impl Testbed {
     /// ACK consumption at the sender, shared by the local path (after the
     /// store retire above) and the cross-host path (where the ACK arrives
     /// by value, never having entered this host's store).
-    fn ack_body<Q: Queue<Event>>(
+    fn ack_body(
         &mut self,
         now: SimTime,
         f: u32,
         ack: hostcc_fabric::Packet,
         frontier: u64,
-        sched: &mut Scheduler<Event, Q>,
+        sched: &mut Scheduler<Event>,
     ) {
         if self.telemetry.is_enabled() {
             // Fabric share of the round trip: RTT minus the echoed host
@@ -1803,11 +1673,7 @@ impl Testbed {
     /// joins the local datapath at the incast switch, exactly where a
     /// local sender's packet enters; ACKs take the shared consumption
     /// path without a store round-trip.
-    fn handle_remote_arrival<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_remote_arrival(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let msg = self
             .fabric
             .as_mut()
@@ -1828,7 +1694,7 @@ impl Testbed {
         }
     }
 
-    fn handle_rto_sweep<Q: Queue<Event>>(&mut self, now: SimTime, sched: &mut Scheduler<Event, Q>) {
+    fn handle_rto_sweep(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         for f in 0..self.flows.len() {
             if self.flows[f].check_timeout(now) {
                 sched.immediately(Event::TrySend(f as u32));
@@ -1840,12 +1706,7 @@ impl Testbed {
     /// A fault-plan transition fired: open a window, close one, or run an
     /// in-window tick (IOTLB-storm flush). `code` packs
     /// `(spec_index << 2) | phase`.
-    fn handle_fault<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        code: u32,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_fault(&mut self, now: SimTime, code: u32, sched: &mut Scheduler<Event>) {
         let idx = (code >> 2) as usize;
         if self.faults_suppressed && code & 3 == 0 {
             // Counterfactual replay: drop the opening edge entirely. The
@@ -1942,7 +1803,7 @@ impl Testbed {
     }
 
     /// Post every refill deferred during a descriptor-stall window.
-    fn drain_deferred_refills<Q: Queue<Event>>(&mut self, sched: &mut Scheduler<Event, Q>) {
+    fn drain_deferred_refills(&mut self, sched: &mut Scheduler<Event>) {
         let mut posted = false;
         for t in 0..self.fault_pending_refills.len() {
             while self.fault_pending_refills[t] > 0 && self.nic.queues[t].ring.free_slots() > 0 {
@@ -1965,7 +1826,7 @@ impl Testbed {
         }
     }
 
-    fn handle_mem_tick<Q: Queue<Event>>(&mut self, now: SimTime, sched: &mut Scheduler<Event, Q>) {
+    fn handle_mem_tick(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let dt = now.saturating_since(self.last_tick).as_secs_f64();
         if dt > 0.0 {
             // Measured NIC traffic: payload writes + page-walk reads (64 B
@@ -2070,11 +1931,7 @@ impl Testbed {
     /// deltas, runs the episode detector and streams to the sink), and
     /// re-arm. Every read is observational — the memory-system calls are
     /// pure memoization — so sampling cannot perturb the run.
-    fn handle_telemetry_tick<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_telemetry_tick(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let min_ring_free = self
             .nic
             .queues
@@ -2107,12 +1964,7 @@ impl Testbed {
 impl World for Testbed {
     type Event = Event;
 
-    fn handle<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        event: Event,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match event {
             Event::TrySend(f) => self.handle_try_send(now, f, sched),
             Event::AtSwitch(p) => self.handle_at_switch(now, p, sched),
@@ -2133,100 +1985,14 @@ impl World for Testbed {
             Event::RemoteArrival => self.handle_remote_arrival(now, sched),
         }
     }
-
-    /// Batched slot dispatch: the engine hands over every event of one
-    /// timestamp in wheel FIFO order. Consecutive runs of the two
-    /// highest-frequency event kinds take bulk paths — NIC arrivals go
-    /// through one buffer pass, DMA completions coalesce their credit
-    /// returns — and everything else falls back to the scalar handler in
-    /// place. Both bulk paths are exactly order-equivalent to per-event
-    /// dispatch (see the goldens in `tests/queue_equivalence.rs`).
-    fn handle_batch<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        events: &mut Vec<Event>,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
-        let mut i = 0;
-        while i < events.len() {
-            match events[i] {
-                Event::AtNic(pkt) => {
-                    let start = i;
-                    while i < events.len() && matches!(events[i], Event::AtNic(_)) {
-                        i += 1;
-                    }
-                    // Most slots hold one event (1 ns resolution); skip the
-                    // run machinery unless there is an actual run.
-                    if i - start == 1 {
-                        self.handle_at_nic(now, pkt, sched);
-                    } else {
-                        self.handle_at_nic_run(now, &events[start..i], sched);
-                    }
-                }
-                Event::DmaComplete(job) => {
-                    let start = i;
-                    while i < events.len() && matches!(events[i], Event::DmaComplete(_)) {
-                        i += 1;
-                    }
-                    if i - start == 1 {
-                        self.handle_dma_complete(now, job, sched);
-                        continue;
-                    }
-                    // One bulk credit return + one coalesced kick for the
-                    // whole run (the scalar path's per-event kicks after
-                    // the first are no-ops anyway), then the per-packet
-                    // bodies in FIFO order.
-                    self.credits
-                        .release_writes(self.pkt_credits, (i - start) as u32);
-                    self.kick_dma_launch(sched);
-                    for ev in &events[start..i] {
-                        let Event::DmaComplete(job) = *ev else {
-                            unreachable!()
-                        };
-                        self.dma_complete_body(now, job, sched);
-                    }
-                }
-                Event::DmaChain(job) => {
-                    let start = i;
-                    while i < events.len() && matches!(events[i], Event::DmaChain(_)) {
-                        i += 1;
-                    }
-                    if i - start == 1 {
-                        self.handle_dma_chain(now, job, sched);
-                        continue;
-                    }
-                    // Same shape as the DmaComplete run: bulk credit
-                    // return, one kick, then the fused bodies in order.
-                    self.credits
-                        .release_writes(self.pkt_credits, (i - start) as u32);
-                    self.kick_dma_launch(sched);
-                    for ev in &events[start..i] {
-                        let Event::DmaChain(job) = *ev else {
-                            unreachable!()
-                        };
-                        self.dma_chain_body(now, job, sched);
-                    }
-                }
-                ev => {
-                    i += 1;
-                    self.handle(now, ev, sched);
-                }
-            }
-        }
-        events.clear();
-    }
 }
 
 /// A ready-to-run simulation: the engine plus its started world.
-/// The simulation is generic over the engine's queue implementation
-/// (default: the timing wheel). `Simulation::with_heap_queue` builds the
-/// same seeded world on the reference binary-heap queue, which the
-/// equivalence tests and the engine benchmark compare against.
-pub struct Simulation<Q: Queue<Event> = EventQueue<Event>> {
-    engine: Engine<Testbed, Q>,
+pub struct Simulation {
+    engine: Engine<Testbed>,
 }
 
-hostcc_sim::snap_fields!(impl[Q: Queue<Event> + Snap] Simulation<Q> { engine });
+hostcc_sim::snap_fields!(Simulation { engine });
 
 /// Progress watchdog threshold: consecutive same-timestamp dispatches
 /// before the engine gives up with [`RunOutcome::Stalled`]. The testbed's
@@ -2236,9 +2002,11 @@ hostcc_sim::snap_fields!(impl[Q: Queue<Event> + Snap] Simulation<Q> { engine });
 const STALL_LIMIT: u64 = 1_000_000;
 
 impl Simulation {
-    /// Build and start a testbed simulation.
+    /// Build and start a testbed simulation. The event queue quantises
+    /// timestamps to `cfg.resolution` at push, so coarse-time runs
+    /// coalesce events onto shared wheel slots.
     pub fn new(cfg: TestbedConfig) -> Self {
-        Self::with_queue(cfg)
+        Self::from_testbed(Testbed::new(cfg))
     }
 
     /// Build and start a testbed simulation with tracing installed and
@@ -2246,15 +2014,11 @@ impl Simulation {
     /// observational: a traced run returns bit-identical [`RunMetrics`]
     /// to an untraced one.
     pub fn with_trace(cfg: TestbedConfig, trace: TraceConfig) -> Self {
-        let res = cfg.resolution;
         let mut testbed = Testbed::new(cfg);
         testbed.set_trace(trace);
-        let mut engine = Engine::with_queue_resolution(testbed, res);
-        engine.enable_profiling();
-        engine.stall_limit = Some(STALL_LIMIT);
-        let Engine { world, sched, .. } = &mut engine;
-        world.start(sched);
-        Simulation { engine }
+        let mut sim = Simulation::from_testbed(testbed);
+        sim.enable_profiling();
+        sim
     }
 
     /// Build and start a simulation from an already-constructed testbed.
@@ -2262,8 +2026,10 @@ impl Simulation {
     /// (`enable_fabric` + `add_remote_*`) *before* `start` schedules the
     /// initial send attempts.
     pub fn from_testbed(testbed: Testbed) -> Simulation {
-        let res = testbed.config().resolution;
-        Simulation::from_testbed_on_queue(testbed, res)
+        let mut sim = Simulation::unstarted(testbed);
+        let Engine { world, sched, .. } = &mut sim.engine;
+        world.start(sched);
+        sim
     }
 
     // ---- checkpoint/restore ----
@@ -2287,7 +2053,7 @@ impl Simulation {
     /// timers, so `start` must not run.
     pub fn unstarted(testbed: Testbed) -> Simulation {
         let res = testbed.config().resolution;
-        let mut engine = Engine::with_queue_resolution(testbed, res);
+        let mut engine = Engine::with_resolution(testbed, res);
         engine.stall_limit = Some(STALL_LIMIT);
         Simulation { engine }
     }
@@ -2332,45 +2098,11 @@ impl Simulation {
         check_resave(bytes, || sim.save_checkpoint().unwrap_or_default())?;
         Ok(sim)
     }
-}
-
-impl Simulation<hostcc_sim::BinaryHeapQueue<Event>> {
-    /// Build and start a testbed simulation on the reference binary-heap
-    /// event queue (equivalence testing and benchmarking only).
-    pub fn with_heap_queue(cfg: TestbedConfig) -> Self {
-        Self::with_queue(cfg)
-    }
-}
-
-impl<Q: Queue<Event>> Simulation<Q> {
-    /// Build and start a testbed simulation over queue implementation `Q`.
-    /// The event queue quantises timestamps to `cfg.resolution` at push,
-    /// so coarse-time runs coalesce events onto shared wheel slots no
-    /// matter which queue backs the engine.
-    pub fn with_queue(cfg: TestbedConfig) -> Self {
-        let res = cfg.resolution;
-        Self::from_testbed_on_queue(Testbed::new(cfg), res)
-    }
-
-    fn from_testbed_on_queue(testbed: Testbed, res: hostcc_sim::Resolution) -> Self {
-        let mut engine = Engine::with_queue_resolution(testbed, res);
-        engine.stall_limit = Some(STALL_LIMIT);
-        let Engine { world, sched, .. } = &mut engine;
-        world.start(sched);
-        Simulation { engine }
-    }
 
     /// Enable engine wall-clock dispatch profiling (events/sec) without
     /// installing any tracing. Profiling never perturbs the simulation.
     pub fn enable_profiling(&mut self) {
         self.engine.enable_profiling();
-    }
-
-    /// Toggle batched slot-drain dispatch (on by default). Per-event and
-    /// batched dispatch are bit-for-bit equivalent; the toggle exists for
-    /// the equivalence tests and the benchmark's per-event baseline.
-    pub fn set_batched(&mut self, on: bool) {
-        self.engine.batched = on;
     }
 
     /// Direct access to the world (inspection in tests/harnesses).

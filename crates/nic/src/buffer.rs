@@ -94,43 +94,6 @@ impl InputBuffer {
         true
     }
 
-    /// Offer a run of packets arriving at one timestamp; `on_drop` is
-    /// called with each tail-dropped handle (the slab entry must be
-    /// freed by the callback). Returns the number admitted.
-    ///
-    /// Behaviourally identical to calling [`enqueue`](Self::enqueue) per
-    /// packet: admission is decided packet by packet against the running
-    /// occupancy. The only difference is bookkeeping — occupancy can only
-    /// grow within a run, so the high-water mark is settled once at the
-    /// end instead of per packet.
-    pub fn enqueue_run(
-        &mut self,
-        now: SimTime,
-        arrivals: &[(PacketRef, u32)],
-        mut on_drop: impl FnMut(PacketRef),
-    ) -> u32 {
-        let mut admitted = 0;
-        for &(pkt, wire_bytes) in arrivals {
-            let bytes = wire_bytes as u64;
-            if self.queued_bytes + bytes > self.capacity_bytes {
-                self.drops += 1;
-                self.dropped_bytes += bytes;
-                on_drop(pkt);
-                continue;
-            }
-            self.queued_bytes += bytes;
-            self.enqueued += 1;
-            admitted += 1;
-            self.queue.push_back(QueuedPacket {
-                pkt,
-                wire_bytes,
-                arrived: now,
-            });
-        }
-        self.peak_bytes = self.peak_bytes.max(self.queued_bytes);
-        admitted
-    }
-
     /// Take the packet at the head of the queue (next to DMA).
     pub fn dequeue(&mut self) -> Option<QueuedPacket> {
         let qp = self.queue.pop_front()?;
@@ -376,49 +339,6 @@ mod more_tests {
         assert_eq!(b.occupancy_bytes(), 4452);
         let r = store.alloc(pkt());
         assert!(!b.enqueue(SimTime::ZERO, r, 4452));
-    }
-
-    #[test]
-    fn enqueue_run_matches_per_packet_enqueue() {
-        // Same arrivals through the run path and the scalar path: same
-        // admissions, same drops, same FIFO contents and counters.
-        let mut store = PacketStore::new();
-        let mut run_buf = InputBuffer::new(9000);
-        let mut seq_buf = InputBuffer::new(9000);
-        let arrivals: Vec<(PacketRef, u32)> = (0..4).map(|_| (store.alloc(pkt()), 4452)).collect();
-        let mut run_dropped = Vec::new();
-        let admitted = run_buf.enqueue_run(SimTime::from_micros(3), &arrivals, |p| {
-            run_dropped.push(p);
-        });
-        let mut seq_admitted = 0;
-        let mut seq_dropped = Vec::new();
-        for &(p, wire) in &arrivals {
-            if seq_buf.enqueue(SimTime::from_micros(3), p, wire) {
-                seq_admitted += 1;
-            } else {
-                seq_dropped.push(p);
-            }
-        }
-        assert_eq!(admitted, seq_admitted);
-        assert_eq!(admitted, 2, "9000 B capacity fits two 4452 B packets");
-        assert_eq!(run_dropped, seq_dropped);
-        assert_eq!(run_buf.drops(), seq_buf.drops());
-        assert_eq!(run_buf.dropped_bytes(), seq_buf.dropped_bytes());
-        assert_eq!(run_buf.enqueued(), seq_buf.enqueued());
-        assert_eq!(run_buf.occupancy_bytes(), seq_buf.occupancy_bytes());
-        assert_eq!(run_buf.peak_bytes(), seq_buf.peak_bytes());
-        loop {
-            let (a, b) = (run_buf.dequeue(), seq_buf.dequeue());
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.pkt, y.pkt);
-                    assert_eq!(x.wire_bytes, y.wire_bytes);
-                    assert_eq!(x.arrived, y.arrived);
-                }
-                _ => panic!("queues diverged in length"),
-            }
-        }
     }
 
     #[test]

@@ -139,19 +139,6 @@ impl CreditState {
         self.release(w.header, w.data)
     }
 
-    /// Return the credits of `n` identical writes in one update.
-    ///
-    /// Exactly equivalent to `n` sequential [`release_write`] calls:
-    /// release is a plain add with a bounds check at the end, so the
-    /// intermediate states are never observed and coalescing them is
-    /// lossless. Used by the batched dispatch path when a slot completes
-    /// several same-sized DMAs at one timestamp.
-    ///
-    /// [`release_write`]: Self::release_write
-    pub fn release_writes(&mut self, w: WriteCredits, n: u32) {
-        self.release(w.header * n, w.data * n)
-    }
-
     /// Try to admit a write; consumes credits on success.
     pub fn try_admit(&mut self, h: u32, d: u32) -> bool {
         debug_assert!(
@@ -258,27 +245,6 @@ mod tests {
         let s = CreditState::new(CreditConfig::default());
         assert!(s.can_admit(16, 256));
         assert_eq!(s.available(), (128, 2048));
-    }
-
-    #[test]
-    fn bulk_release_equals_sequential_releases() {
-        let cfg = CreditConfig {
-            posted_header: 64,
-            posted_data: 1024,
-        };
-        let w = WriteCredits::for_write(4096, 256);
-        let mut bulk = CreditState::new(cfg);
-        let mut seq = CreditState::new(cfg);
-        for _ in 0..3 {
-            assert!(bulk.try_admit_write(w));
-            assert!(seq.try_admit_write(w));
-        }
-        bulk.release_writes(w, 3);
-        for _ in 0..3 {
-            seq.release_write(w);
-        }
-        assert_eq!(bulk.available(), seq.available());
-        assert_eq!(bulk.available(), (64, 1024));
     }
 
     #[test]

@@ -7,30 +7,19 @@
 //! event-driven network stacks: components are plain state machines and all
 //! control flow is explicit.
 //!
-//! Both the scheduler and the engine are generic over the queue
-//! implementation (any [`Queue`]); the default is the timing-wheel
-//! [`EventQueue`]. The [`BinaryHeapQueue`](crate::BinaryHeapQueue)
-//! reference implementation slots in for equivalence testing:
-//! `Engine::<W, BinaryHeapQueue<W::Event>>::with_queue(world)`.
+//! The queue is the timing wheel ([`EventQueue`]), and dispatch is one
+//! event per loop iteration: handler work, not queue work, dominates the
+//! cost of an event, and the wheel's drain list already amortises its
+//! per-slot work across the events of a slot (see DESIGN.md, "Per-event
+//! dispatch").
 
-use crate::queue::Queue;
 use crate::time::{Resolution, SimDuration, SimTime};
 use crate::EventQueue;
-use core::marker::PhantomData;
 
 /// Handle through which event handlers schedule future events.
-pub struct Scheduler<E, Q: Queue<E> = EventQueue<E>> {
+pub struct Scheduler<E> {
     now: SimTime,
-    queue: Q,
-    _event: PhantomData<fn(E)>,
-}
-
-impl<E> Scheduler<E> {
-    /// An empty scheduler at time zero, using the default (timing-wheel)
-    /// event queue.
-    pub fn new() -> Self {
-        Self::with_queue()
-    }
+    queue: EventQueue<E>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -39,9 +28,9 @@ impl<E> Default for Scheduler<E> {
     }
 }
 
-impl<E, Q: Queue<E>> Scheduler<E, Q> {
-    /// An empty scheduler at time zero over queue implementation `Q`.
-    pub fn with_queue() -> Self {
+impl<E> Scheduler<E> {
+    /// An empty scheduler at time zero.
+    pub fn new() -> Self {
         Self::with_resolution(Resolution::EXACT)
     }
 
@@ -50,8 +39,7 @@ impl<E, Q: Queue<E>> Scheduler<E, Q> {
     pub fn with_resolution(res: Resolution) -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: Q::with_resolution(res),
-            _event: PhantomData,
+            queue: EventQueue::with_resolution(res),
         }
     }
 
@@ -104,50 +92,15 @@ impl<E, Q: Queue<E>> Scheduler<E, Q> {
     }
 }
 
-crate::snap_fields!(impl[E, Q: Queue<E> + crate::Snap] Scheduler<E, Q> { now, queue } skip { _event });
+crate::snap_fields!(impl[E: Clone + crate::Snap] Scheduler<E> { now, queue });
 
 /// The mutable simulation state and its event handler.
-///
-/// `handle` is generic over the queue implementation behind the scheduler
-/// so one `World` can be driven by any [`Queue`] — the engine's default
-/// timing wheel or the reference binary heap (equivalence tests).
 pub trait World {
     /// The event type this world handles.
     type Event;
 
     /// Handle one event at time `now`. May schedule more via `sched`.
-    fn handle<Q: Queue<Self::Event>>(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        sched: &mut Scheduler<Self::Event, Q>,
-    );
-
-    /// Handle every event of one timestamp slot, in FIFO order, draining
-    /// `events` completely. The engine's batched dispatch loop calls this
-    /// once per slot with the reusable batch buffer; the default simply
-    /// replays the events one by one through [`handle`](World::handle),
-    /// so batching is behaviour-preserving for any world. Worlds override
-    /// it to amortise per-event costs across a batch (grouping runs of
-    /// one event kind, hoisting invariant lookups) — but any override
-    /// must produce the same side effects, in the same order, as the
-    /// default.
-    ///
-    /// Events scheduled *during* the batch at the same timestamp are not
-    /// part of `events`; the engine picks them up in the next slot drain,
-    /// which preserves exactly the order per-event dispatch would have
-    /// produced (they sit behind the current batch in FIFO order either
-    /// way).
-    fn handle_batch<Q: Queue<Self::Event>>(
-        &mut self,
-        now: SimTime,
-        events: &mut Vec<Self::Event>,
-        sched: &mut Scheduler<Self::Event, Q>,
-    ) {
-        for ev in events.drain(..) {
-            self.handle(now, ev, sched);
-        }
-    }
+    fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
 /// Outcome of driving a simulation.
@@ -174,19 +127,21 @@ pub enum RunOutcome {
 }
 
 /// Wall-clock dispatch statistics for profiled engines: how many events
-/// were handled and how much real time the event loop consumed. Purely
-/// observational — profiling never alters simulation behaviour, only
-/// reads the host clock around `run_until` calls.
+/// were handled and how much real time the event loop consumed, plus the
+/// shape of same-instant runs. Purely observational — profiling never
+/// alters simulation behaviour, only reads the host clock around
+/// `run_until` calls.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchProfile {
     /// Events dispatched while profiling was enabled.
     pub events: u64,
     /// Wall-clock nanoseconds spent inside `run_until`.
     pub wall_nanos: u64,
-    /// Slot batches dispatched through `handle_batch` (0 under per-event
-    /// dispatch — the observability signal that batching is engaging).
+    /// Distinct dispatch instants: runs of consecutive events at one
+    /// timestamp, counted once per run (a run that spans two `run_until`
+    /// calls counts in each).
     pub batches: u64,
-    /// Largest single batch handed to `handle_batch`.
+    /// Longest run of consecutive events dispatched at one instant.
     pub max_batch: u64,
 }
 
@@ -199,7 +154,7 @@ impl DispatchProfile {
         self.events as f64 * 1e9 / self.wall_nanos as f64
     }
 
-    /// Mean events per batch (0 when no batches were dispatched).
+    /// Mean events per dispatch instant (0 when nothing was dispatched).
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             return 0.0;
@@ -209,58 +164,40 @@ impl DispatchProfile {
 }
 
 /// Drives a `World` and its scheduler.
-pub struct Engine<W: World, Q: Queue<W::Event> = EventQueue<<W as World>::Event>> {
+pub struct Engine<W: World> {
     /// The simulation state.
     pub world: W,
     /// The clock and event queue.
-    pub sched: Scheduler<W::Event, Q>,
+    pub sched: Scheduler<W::Event>,
     /// Progress watchdog: maximum consecutive events at one timestamp
     /// before the run aborts with [`RunOutcome::Stalled`] (default: no
     /// limit). Same-time bursts are normal (FIFO fan-out), so set this
     /// well above any legitimate burst — the harness uses one million.
     pub stall_limit: Option<u64>,
-    /// Dispatch mode: `true` (the default) drains whole timestamp slots
-    /// through [`World::handle_batch`]; `false` pops one event at a time
-    /// through [`World::handle`]. Both produce bit-identical simulations;
-    /// the flag exists so equivalence tests and benchmarks can compare.
-    pub batched: bool,
     /// Dispatch profiling accumulator (`None` = off, the default).
     profile: Option<DispatchProfile>,
-    /// Reusable slot-drain buffer for batched dispatch. Grows to the
-    /// largest batch seen and is never shrunk, so steady state allocates
-    /// nothing.
-    batch: Vec<W::Event>,
 }
 
 // A simulation's image is its clock and pending events, then its world;
-// the dispatch knobs and the profiler are engine settings, not state.
-crate::snap_fields!(impl[W: World + crate::Snap, Q: Queue<W::Event> + crate::Snap] Engine<W, Q> {
+// the watchdog and the profiler are engine settings, not state.
+crate::snap_fields!(impl[W: World<Event = E> + crate::Snap, E: Clone + crate::Snap] Engine<W> {
     sched, world,
-} skip { stall_limit, batched, profile, batch });
+} skip { stall_limit, profile });
 
 impl<W: World> Engine<W> {
-    /// An engine with an empty (timing-wheel) queue wrapping `world`.
+    /// An engine with an empty queue wrapping `world`.
     pub fn new(world: W) -> Self {
-        Self::with_queue(world)
-    }
-}
-
-impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
-    /// An engine over queue implementation `Q` wrapping `world`.
-    pub fn with_queue(world: W) -> Self {
-        Self::with_queue_resolution(world, Resolution::EXACT)
+        Self::with_resolution(world, Resolution::EXACT)
     }
 
     /// An engine whose queue quantises event timestamps up to `res`
     /// (identity at [`Resolution::EXACT`]).
-    pub fn with_queue_resolution(world: W, res: Resolution) -> Self {
+    pub fn with_resolution(world: W, res: Resolution) -> Self {
         Engine {
             world,
             sched: Scheduler::with_resolution(res),
             stall_limit: None,
-            batched: true,
             profile: None,
-            batch: Vec::with_capacity(256),
         }
     }
 
@@ -289,112 +226,14 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
     /// anchor subsequent relative scheduling at the deadline, not at
     /// whatever instant the last event happened to fire.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        if self.profile.is_none() {
-            return self.run_until_inner(deadline);
-        }
-        let start = std::time::Instant::now();
+        let start = self.profile.is_some().then(std::time::Instant::now);
         let dispatched_before = self.sched.queue.dispatched_total();
-        let out = self.run_until_inner(deadline);
-        let p = self.profile.as_mut().expect("profiling enabled");
-        p.events += self.sched.queue.dispatched_total() - dispatched_before;
-        p.wall_nanos += start.elapsed().as_nanos() as u64;
-        out
-    }
-
-    fn run_until_inner(&mut self, deadline: SimTime) -> RunOutcome {
-        if self.batched {
-            self.run_batched(deadline)
-        } else {
-            self.run_per_event(deadline)
-        }
-    }
-
-    /// Batched dispatch: drain one whole timestamp slot per iteration and
-    /// hand it to [`World::handle_batch`]. Clock, watchdog and outcome
-    /// semantics match [`run_per_event`](Self::run_per_event) exactly;
-    /// only the grouping of `handle` work differs, and slot-FIFO order
-    /// makes that grouping invisible to the world (see `handle_batch`).
-    fn run_batched(&mut self, deadline: SimTime) -> RunOutcome {
-        let mut same_time_run = 0u64;
-        let mut batches = 0u64;
-        let mut max_batch = 0u64;
+        // Progress watchdog and run statistics: `run` counts consecutive
+        // dispatches at one timestamp; any clock advance starts a new run.
+        let mut run = 0u64;
+        let mut instants = 0u64;
+        let mut longest = 0u64;
         let out = loop {
-            let Some(t) = self.sched.queue.peek_time() else {
-                let at = self.sched.now;
-                if deadline != SimTime::MAX {
-                    self.sched.now = deadline;
-                }
-                break RunOutcome::QueueEmpty { at };
-            };
-            if t > deadline {
-                self.sched.now = deadline;
-                break RunOutcome::DeadlineReached;
-            }
-            // Pop the first event exactly like the per-event loop; only
-            // when more events share its timestamp does the slot-drain
-            // buffer come into play. Most slots hold a single event (1 ns
-            // resolution), so the singleton path must cost nothing extra.
-            // (Routing singletons through the drain buffer to save the
-            // re-peek was tried and measured slower: the buffer round
-            // trip costs more than `peek_time`, which is a cached-field
-            // read on both queue implementations.)
-            let (raw_t, ev) = self.sched.queue.pop().expect("peeked");
-            let t = raw_t.max(self.sched.now);
-            if self.sched.queue.peek_time() != Some(raw_t) {
-                batches += 1;
-                max_batch = max_batch.max(1);
-                if let Some(limit) = self.stall_limit {
-                    if t > self.sched.now {
-                        same_time_run = 0;
-                    }
-                    same_time_run += 1;
-                    if same_time_run > limit {
-                        break RunOutcome::Stalled { at: t };
-                    }
-                }
-                self.sched.now = t;
-                self.world.handle(t, ev, &mut self.sched);
-                continue;
-            }
-            debug_assert!(self.batch.is_empty(), "batch buffer drained last slot");
-            self.batch.push(ev);
-            let slot_t = self
-                .sched
-                .queue
-                .pop_slot(&mut self.batch)
-                .expect("peeked same time");
-            debug_assert_eq!(slot_t, raw_t, "slot drain stayed on the timestamp");
-            let n = self.batch.len() as u64;
-            batches += 1;
-            max_batch = max_batch.max(n);
-            if let Some(limit) = self.stall_limit {
-                if t > self.sched.now {
-                    same_time_run = 0;
-                }
-                same_time_run += n;
-                if same_time_run > limit {
-                    // Like the per-event path, the offending events are
-                    // popped but never handled.
-                    self.batch.clear();
-                    break RunOutcome::Stalled { at: t };
-                }
-            }
-            self.sched.now = t;
-            self.world.handle_batch(t, &mut self.batch, &mut self.sched);
-            debug_assert!(self.batch.is_empty(), "handle_batch must drain its input");
-        };
-        if let Some(p) = self.profile.as_mut() {
-            p.batches += batches;
-            p.max_batch = p.max_batch.max(max_batch);
-        }
-        out
-    }
-
-    fn run_per_event(&mut self, deadline: SimTime) -> RunOutcome {
-        // Progress watchdog: count consecutive dispatches at one
-        // timestamp; any clock advance resets the count.
-        let mut same_time_run = 0u64;
-        loop {
             let Some(t) = self.sched.queue.peek_time() else {
                 let at = self.sched.now;
                 // Advance the clock to the deadline so relative `after()`
@@ -405,28 +244,35 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
                 if deadline != SimTime::MAX {
                     self.sched.now = deadline;
                 }
-                return RunOutcome::QueueEmpty { at };
+                break RunOutcome::QueueEmpty { at };
             };
             if t > deadline {
                 self.sched.now = deadline;
-                return RunOutcome::DeadlineReached;
+                break RunOutcome::DeadlineReached;
             }
             let (t, ev) = self.sched.queue.pop().expect("peeked");
-            // Defence in depth (queues clamp on push already): never let
-            // the clock move backwards, in any build profile.
+            // Defence in depth (the queue clamps on push already): never
+            // let the clock move backwards, in any build profile.
             let t = t.max(self.sched.now);
-            if let Some(limit) = self.stall_limit {
-                if t > self.sched.now {
-                    same_time_run = 0;
-                }
-                same_time_run += 1;
-                if same_time_run > limit {
-                    return RunOutcome::Stalled { at: t };
-                }
+            if run == 0 || t > self.sched.now {
+                longest = longest.max(run);
+                instants += 1;
+                run = 0;
+            }
+            run += 1;
+            if self.stall_limit.is_some_and(|limit| run > limit) {
+                break RunOutcome::Stalled { at: t };
             }
             self.sched.now = t;
             self.world.handle(t, ev, &mut self.sched);
+        };
+        if let (Some(p), Some(start)) = (self.profile.as_mut(), start) {
+            p.events += self.sched.queue.dispatched_total() - dispatched_before;
+            p.wall_nanos += start.elapsed().as_nanos() as u64;
+            p.batches += instants;
+            p.max_batch = p.max_batch.max(longest.max(run));
         }
+        out
     }
 
     /// Run until the queue is empty (or the watchdog trips).
@@ -438,7 +284,6 @@ impl<W: World, Q: Queue<W::Event>> Engine<W, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::BinaryHeapQueue;
 
     /// A toy world: a ping-pong counter that reschedules itself N times.
     struct PingPong {
@@ -453,7 +298,7 @@ mod tests {
 
     impl World for PingPong {
         type Event = Ev;
-        fn handle<Q: Queue<Ev>>(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev, Q>) {
+        fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
             match ev {
                 Ev::Ping => {
                     self.log.push((now.as_nanos(), "ping"));
@@ -547,12 +392,7 @@ mod tests {
         }
         impl World for Rewinder {
             type Event = u32;
-            fn handle<Q: Queue<u32>>(
-                &mut self,
-                now: SimTime,
-                ev: u32,
-                sched: &mut Scheduler<u32, Q>,
-            ) {
+            fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
                 self.log.push((now.as_nanos(), ev));
                 if ev == 0 {
                     // Attempt to schedule 50ns into the past.
@@ -576,7 +416,7 @@ mod tests {
         struct Spinner;
         impl World for Spinner {
             type Event = ();
-            fn handle<Q: Queue<()>>(&mut self, _: SimTime, _: (), sched: &mut Scheduler<(), Q>) {
+            fn handle(&mut self, _: SimTime, _: (), sched: &mut Scheduler<()>) {
                 sched.immediately(());
             }
         }
@@ -601,12 +441,7 @@ mod tests {
         }
         impl World for Burst {
             type Event = u32;
-            fn handle<Q: Queue<u32>>(
-                &mut self,
-                _: SimTime,
-                ev: u32,
-                sched: &mut Scheduler<u32, Q>,
-            ) {
+            fn handle(&mut self, _: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
                 if ev > 0 {
                     sched.immediately(ev - 1); // burst of `ev` same-time events
                 } else if self.bursts_left > 0 {
@@ -654,12 +489,7 @@ mod tests {
         }
         impl World for Fanout {
             type Event = u32;
-            fn handle<Q: Queue<u32>>(
-                &mut self,
-                _now: SimTime,
-                ev: u32,
-                sched: &mut Scheduler<u32, Q>,
-            ) {
+            fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
                 self.log.push(ev);
                 if ev == 0 {
                     sched.immediately(1);
@@ -675,40 +505,15 @@ mod tests {
     }
 
     #[test]
-    fn per_event_dispatch_matches_batched() {
-        // The same world driven with batching on (default) and off must
-        // produce identical logs, clocks and dispatch counts.
-        let drive = |batched: bool| {
-            let mut eng = Engine::new(PingPong {
-                remaining: 500,
-                log: vec![],
-            });
-            eng.batched = batched;
-            eng.sched.immediately(Ev::Ping);
-            let out = eng.run_to_completion();
-            assert!(matches!(out, RunOutcome::QueueEmpty { .. }));
-            let (now, total) = (eng.now(), eng.sched.dispatched_total());
-            (eng.world.log, now, total)
-        };
-        assert_eq!(drive(true), drive(false));
-    }
-
-    #[test]
-    fn batched_dispatch_keeps_fifo_across_nested_fanout() {
-        // Events scheduled during a batch at the same timestamp must run
-        // after the whole batch, in scheduling order — exactly as they
-        // would under per-event dispatch.
+    fn nested_fanout_runs_in_fifo_order() {
+        // Events scheduled at the current instant run after every event
+        // already pending at it, in scheduling order.
         struct Nest {
             log: Vec<u32>,
         }
         impl World for Nest {
             type Event = u32;
-            fn handle<Q: Queue<u32>>(
-                &mut self,
-                _now: SimTime,
-                ev: u32,
-                sched: &mut Scheduler<u32, Q>,
-            ) {
+            fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
                 self.log.push(ev);
                 if ev < 10 {
                     sched.immediately(ev * 10 + 1);
@@ -716,56 +521,20 @@ mod tests {
                 }
             }
         }
-        let drive = |batched: bool| {
-            let mut eng = Engine::new(Nest { log: vec![] });
-            eng.batched = batched;
-            eng.sched.immediately(1);
-            eng.sched.immediately(2);
-            eng.run_to_completion();
-            eng.world.log
-        };
-        let batched = drive(true);
-        assert_eq!(batched, drive(false));
-        assert_eq!(batched, [1, 2, 11, 12, 21, 22]);
-    }
-
-    #[test]
-    fn stall_watchdog_identical_under_batching() {
-        struct Spinner;
-        impl World for Spinner {
-            type Event = ();
-            fn handle<Q: Queue<()>>(&mut self, _: SimTime, _: (), sched: &mut Scheduler<(), Q>) {
-                sched.immediately(());
-            }
-        }
-        for batched in [true, false] {
-            let mut eng = Engine::new(Spinner);
-            eng.batched = batched;
-            eng.stall_limit = Some(1000);
-            eng.sched.at(SimTime::from_nanos(42), ());
-            let out = eng.run_to_completion();
-            assert_eq!(
-                out,
-                RunOutcome::Stalled {
-                    at: SimTime::from_nanos(42)
-                },
-                "batched={batched}"
-            );
-        }
+        let mut eng = Engine::new(Nest { log: vec![] });
+        eng.sched.immediately(1);
+        eng.sched.immediately(2);
+        eng.run_to_completion();
+        assert_eq!(eng.world.log, [1, 2, 11, 12, 21, 22]);
     }
 
     #[test]
     fn profile_reports_batch_statistics() {
-        // Fanout produces one 1-event slot and one 2-event slot.
+        // The root and its two same-time children share one instant.
         struct Fanout;
         impl World for Fanout {
             type Event = u32;
-            fn handle<Q: Queue<u32>>(
-                &mut self,
-                _now: SimTime,
-                ev: u32,
-                sched: &mut Scheduler<u32, Q>,
-            ) {
+            fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
                 if ev == 0 {
                     sched.immediately(1);
                     sched.immediately(2);
@@ -777,36 +546,47 @@ mod tests {
         eng.sched.immediately(0);
         eng.run_to_completion();
         let p = eng.profile().expect("profiling on");
-        assert_eq!(p.events, 3);
-        assert_eq!(p.batches, 2);
-        assert_eq!(p.max_batch, 2);
-        assert!((p.mean_batch() - 1.5).abs() < 1e-12);
-        // Per-event dispatch reports zero batches.
-        let mut eng = Engine::new(Fanout);
-        eng.batched = false;
-        eng.enable_profiling();
-        eng.sched.immediately(0);
-        eng.run_to_completion();
-        let p = eng.profile().expect("profiling on");
-        assert_eq!((p.events, p.batches, p.max_batch), (3, 0, 0));
-        assert_eq!(p.mean_batch(), 0.0);
+        assert_eq!((p.events, p.batches, p.max_batch), (3, 1, 3));
+        assert_eq!(p.mean_batch(), 3.0);
+        assert_eq!(DispatchProfile::default().mean_batch(), 0.0);
     }
 
     #[test]
-    fn heap_engine_matches_wheel_engine() {
-        // The same world driven by both queue implementations must
-        // produce identical logs, clocks and dispatch counts.
-        fn drive<Q: Queue<Ev>>(mut eng: Engine<PingPong, Q>) -> (Vec<(u64, &'static str)>, u64) {
-            eng.sched.immediately(Ev::Ping);
-            eng.run_to_completion();
-            (eng.world.log, eng.sched.dispatched_total())
+    fn profile_counts_dispatch_instants_on_fanout() {
+        // t = 0: a root fanning out two generations (1 + 2 + 4 events);
+        // t = 10: one event; t = 20: a run of three.
+        struct Fanout;
+        impl World for Fanout {
+            type Event = u32;
+            fn handle(&mut self, _now: SimTime, gen: u32, sched: &mut Scheduler<u32>) {
+                if gen < 2 {
+                    sched.immediately(gen + 1);
+                    sched.immediately(gen + 1);
+                }
+                if gen == 0 {
+                    sched.after(SimDuration::from_nanos(10), 10);
+                    for _ in 0..3 {
+                        sched.after(SimDuration::from_nanos(20), 20);
+                    }
+                }
+            }
         }
-        let mk = || PingPong {
-            remaining: 1000,
-            log: vec![],
-        };
-        let wheel = drive(Engine::new(mk()));
-        let heap = drive(Engine::<PingPong, BinaryHeapQueue<Ev>>::with_queue(mk()));
-        assert_eq!(wheel, heap);
+        // Slicing the run at instants already dispatched must not split
+        // or merge any instant.
+        for slices in [&[][..], &[0, 10], &[5, 15, 25]] {
+            let mut eng = Engine::new(Fanout);
+            eng.enable_profiling();
+            eng.sched.immediately(0);
+            for &d in slices {
+                eng.run_until(SimTime::from_nanos(d));
+            }
+            eng.run_to_completion();
+            let p = eng.profile().expect("profiling on");
+            assert_eq!(
+                (p.events, p.batches, p.max_batch),
+                (11, 3, 7),
+                "slices {slices:?}"
+            );
+        }
     }
 }

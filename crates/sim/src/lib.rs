@@ -8,10 +8,8 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer-nanosecond simulated time;
 //! * [`EventQueue`] — a deterministic (FIFO tie-break) min-priority queue:
-//!   an alias for the [`TimingWheel`], with [`BinaryHeapQueue`] kept as the
-//!   reference implementation behind the shared [`Queue`] trait;
-//! * [`Engine`]/[`World`]/[`Scheduler`] — the event loop, generic over the
-//!   queue implementation;
+//!   an alias for the [`TimingWheel`];
+//! * [`Engine`]/[`World`]/[`Scheduler`] — the per-event dispatch loop;
 //! * [`ParallelEngine`]/[`ShardHost`]/[`Envelope`] — deterministic
 //!   conservative parallel execution of many coupled sub-simulations in
 //!   lookahead-bounded epochs;
@@ -31,6 +29,7 @@ mod engine;
 mod hist;
 mod pacer;
 mod parallel;
+#[cfg(test)]
 mod queue;
 mod rng;
 mod snap;
@@ -42,7 +41,6 @@ pub use engine::{DispatchProfile, Engine, RunOutcome, Scheduler, World};
 pub use hist::Histogram;
 pub use pacer::{SerialLink, TokenBucket};
 pub use parallel::{Envelope, ParallelEngine, ShardHost};
-pub use queue::{BinaryHeapQueue, Queue};
 pub use rng::{stream_seed, SimRng, SplitMix64};
 #[doc(hidden)]
 pub use snap::field_min_bytes as snap_field_min_bytes;
@@ -52,7 +50,7 @@ pub use snap::{
 };
 pub use wheel::TimingWheel;
 
-/// The engine's default event queue: the timing wheel.
+/// The engine's event queue: the timing wheel.
 pub type EventQueue<E> = TimingWheel<E>;
 pub use stats::{Ewma, RateMeter, Running, TimeSeries};
 pub use time::{Resolution, SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

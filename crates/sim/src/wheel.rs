@@ -12,8 +12,8 @@
 //!   (1 ns at the default exact resolution, 64 ns in coarse mode), covers
 //!   the immediate horizon; pushing inside it is one index computation
 //!   plus one linked-list splice, and *every event in a slot shares one
-//!   quantised timestamp*, so the engine can drain a whole slot as one
-//!   batch. Slots keep one occupancy bit each but share list heads in
+//!   quantised timestamp*, so once the cursor reaches a slot its events
+//!   pop straight off one drain list. Slots keep one occupancy bit each but share list heads in
 //!   16 ns **buckets** (16 slots at 1 ns, one slot at 16 ns resolution
 //!   and coarser);
 //! * a **far ring** of `2^12` slots, each `2^10` near-slots wide, covers
@@ -26,8 +26,8 @@
 //! Timestamps are quantised **up** to the resolution grid at push time
 //! (`ceil(t / R) · R`); at the default exact resolution this is the
 //! identity and behaviour is bit-for-bit what the flat 1 ns wheel
-//! produced. At a coarse resolution nearby events genuinely share slots,
-//! which is what makes slot-drain batching pay (see `DESIGN.md`).
+//! produced. At a coarse resolution nearby events genuinely share slots
+//! (see `DESIGN.md`).
 //!
 //! The cache layout is the point. Events live in one contiguous node
 //! arena recycled through a LIFO free list, so the handful of in-flight
@@ -47,8 +47,9 @@
 //!
 //! # Ordering across tiers
 //!
-//! Determinism is preserved bit-for-bit relative to the reference
-//! [`BinaryHeapQueue`](crate::BinaryHeapQueue) at equal resolution: FIFO
+//! Determinism is preserved bit-for-bit relative to a reference
+//! `(time, seq)` binary heap at equal resolution (the test-only oracle in
+//! `queue.rs`): FIFO
 //! order within a quantised timestamp is insertion order. The argument:
 //! the tier an event lands in depends only on its (quantised) time and
 //! the window position at push time, and the window only moves forward.
@@ -63,8 +64,8 @@
 //! push-at-head, which the drain-time unlinking restores to seq order
 //! ahead of any subsequent direct push.
 
-use crate::queue::{Entry, Queue};
 use crate::time::{Resolution, SimTime};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// log2 of the near-ring slot count: 2^14 slots × one resolution step.
@@ -106,6 +107,38 @@ const FAR_SPAN: u64 = (FAR_SLOTS as u64) << FAR_SUB_BITS;
 /// Null link in the node arena.
 const NIL: u32 = u32::MAX;
 
+/// An overflow-heap entry, ordered so that the max-heap pops the earliest
+/// `(time, seq)` first.
+#[derive(Clone)]
+pub(crate) struct Entry<E> {
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse: BinaryHeap is a max-heap and we want earliest-first.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
 /// One arena node: an event payload, its quantised timestamp (in
 /// resolution steps — needed to scatter far slots, which hold mixed
 /// times), and the intrusive list link.
@@ -122,8 +155,8 @@ struct Node<E> {
 /// timing wheel with an overflow heap (see the module docs for the
 /// design).
 ///
-/// This is the engine's default queue; [`EventQueue`](crate::EventQueue)
-/// is an alias for it.
+/// This is the engine's queue; [`EventQueue`](crate::EventQueue) is an
+/// alias for it.
 #[derive(Clone)]
 pub struct TimingWheel<E> {
     /// log2 of the resolution grid step in ns; all internal times are in
@@ -400,43 +433,6 @@ impl<E> TimingWheel<E> {
             self.next_time = self.scan_next();
         }
         Some((SimTime::from_nanos(t << self.shift), event))
-    }
-
-    /// Drain the whole base slot into `buf` in one pass over the drain
-    /// list, returning its timestamp. Equivalent to — but cheaper than —
-    /// popping until the next timestamp changes: the per-pop bookkeeping
-    /// (drain-head updates, emptiness checks, bitmap clear, next-time
-    /// rescan) runs once per *slot* instead of once per *event*.
-    ///
-    /// Once `advance_to` has run, every pending event stamped `t` is on
-    /// the drain list: the far ring and overflow heap cannot hold entries
-    /// at the base time (scatter and migration pull them in), and pushes
-    /// at `t` during the walk are impossible because the caller holds
-    /// `&mut self`.
-    pub fn pop_slot(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        let t = self.next_time?;
-        if t != self.base {
-            self.advance_to(t);
-        }
-        debug_assert!(self.cur_head != NIL, "cached next time but empty slot");
-        let mut idx = self.cur_head;
-        let mut drained = 0usize;
-        while idx != NIL {
-            let node = &mut self.nodes[idx as usize];
-            buf.push(node.event.take().expect("live node"));
-            let next = node.next;
-            node.next = self.free;
-            self.free = idx;
-            idx = next;
-            drained += 1;
-        }
-        self.cur_head = NIL;
-        self.cur_tail = NIL;
-        self.near_len -= drained;
-        self.popped += drained as u64;
-        self.clear_bit(self.cursor);
-        self.next_time = self.scan_next();
-        Some(SimTime::from_nanos(t << self.shift))
     }
 
     /// Move the window so that `t` (the cached earliest pending time) is
@@ -787,44 +783,6 @@ impl<E: Clone + crate::Snap> crate::Snap for TimingWheel<E> {
     }
 }
 
-impl<E> Queue<E> for TimingWheel<E> {
-    fn with_resolution(res: Resolution) -> Self {
-        TimingWheel::with_resolution(res)
-    }
-
-    fn push(&mut self, time: SimTime, event: E) {
-        TimingWheel::push(self, time, event)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        TimingWheel::pop(self)
-    }
-
-    fn pop_slot(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        TimingWheel::pop_slot(self, buf)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        TimingWheel::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        TimingWheel::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        TimingWheel::is_empty(self)
-    }
-
-    fn scheduled_total(&self) -> u64 {
-        TimingWheel::scheduled_total(self)
-    }
-
-    fn dispatched_total(&self) -> u64 {
-        TimingWheel::dispatched_total(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -970,7 +928,7 @@ mod tests {
     /// and from direct pushes, must pop in `(time, seq)` order. Times are
     /// in resolution steps of `step_ns`; at 1 ns the 16 times share one
     /// bucket, at 16 ns and coarser each time is its own bucket.
-    fn bucket_ties_across_tiers_pop_in_time_then_seq_order(step_ns: u64, by_slot: bool) {
+    fn bucket_ties_across_tiers_pop_in_time_then_seq_order(step_ns: u64) {
         let res = Resolution::from_nanos(step_ns).unwrap();
         let mut q: TimingWheel<u32> = TimingWheel::with_resolution(res);
         let at = |steps: u64| SimTime::from_nanos(steps * step_ns);
@@ -1005,28 +963,18 @@ mod tests {
             (0..16).map(|d| q.slot_of(x + d) >> q.bshift).collect();
         assert_eq!(buckets.len(), if step_ns == 1 { 1 } else { 16 });
         want.sort();
-        let mut got = Vec::new();
-        if by_slot {
-            let mut buf = Vec::new();
-            while let Some(t) = q.pop_slot(&mut buf) {
-                got.extend(buf.drain(..).map(|e| (t, e)));
-            }
-        } else {
-            while let Some(e) = q.pop() {
-                got.push(e);
-            }
-        }
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(got, want);
     }
 
     #[test]
     fn bucket_ties_across_tiers_pop_in_order() {
-        bucket_ties_across_tiers_pop_in_time_then_seq_order(1, false);
+        bucket_ties_across_tiers_pop_in_time_then_seq_order(1);
     }
 
     #[test]
     fn coarse_slot_drain_keeps_ties_across_tiers_in_order() {
-        bucket_ties_across_tiers_pop_in_time_then_seq_order(64, true);
+        bucket_ties_across_tiers_pop_in_time_then_seq_order(64);
     }
 
     #[test]
@@ -1053,71 +1001,31 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(64), 1)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(128), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(128), 3)));
-        // A whole batch shares the slot under pop_slot.
-        let mut buf = Vec::new();
+        // Ten nearby times share one slot and pop in push order.
         for i in 10..20 {
             q.push(SimTime::from_nanos(1000 + (i as u64 - 10)), i);
         }
-        assert_eq!(q.pop_slot(&mut buf), Some(SimTime::from_nanos(1024)));
-        assert_eq!(buf, (10..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pop_slot_matches_repeated_pops() {
-        use crate::rng::SimRng;
-        let mut rng = SimRng::new(0x51075);
-        let mut a: TimingWheel<u32> = TimingWheel::new();
-        let mut b: TimingWheel<u32> = TimingWheel::new();
-        let mut now = 0u64;
-        let mut id = 0u32;
-        let mut buf: Vec<u32> = Vec::new();
-        for _ in 0..50_000 {
-            if rng.chance(0.6) || a.is_empty() {
-                // Heavy same-time clustering so slots hold real batches,
-                // with delays spanning all three tiers.
-                let delay = match rng.next_below(5) {
-                    0 => 0,
-                    1 => rng.next_below(3),
-                    2 => rng.next_below(2_000),
-                    3 => rng.next_below(500_000),
-                    _ => rng.next_below(100_000_000),
-                };
-                let t = SimTime::from_nanos(now + delay);
-                a.push(t, id);
-                b.push(t, id);
-                id += 1;
-            } else {
-                buf.clear();
-                let t = a.pop_slot(&mut buf).expect("non-empty");
-                for &ev in &buf {
-                    assert_eq!(b.pop(), Some((t, ev)), "slot drain diverged");
-                }
-                assert_ne!(b.peek_time(), Some(t), "pop_slot left same-time events");
-                now = t.as_nanos();
-            }
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.peek_time(), b.peek_time());
+        for i in 10..20 {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(1024), i)));
         }
-        assert_eq!(a.dispatched_total(), b.dispatched_total());
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn pop_slot_recycles_nodes_and_drains_overflow_ties() {
+    fn pop_recycles_nodes_and_drains_overflow_ties() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
-        let mut buf = Vec::new();
-        // Overflow ties migrate into the drain list and come out in one slot.
+        // Overflow ties migrate into the drain list and pop in push order.
         let far = SimTime::from_nanos(HEAP_NS);
         for i in 0..20 {
             q.push(far, i);
         }
         q.push(SimTime::from_nanos(7), 99);
-        assert_eq!(q.pop_slot(&mut buf), Some(SimTime::from_nanos(7)));
-        assert_eq!(buf, [99]);
-        buf.clear();
-        assert_eq!(q.pop_slot(&mut buf), Some(far));
-        assert_eq!(buf, (0..20).collect::<Vec<_>>());
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 99)));
+        for i in 0..20 {
+            assert_eq!(q.pop(), Some((far, i)));
+        }
         assert!(q.is_empty());
-        assert_eq!(q.pop_slot(&mut buf), None);
+        assert_eq!(q.pop(), None);
         // Freed nodes are recycled: a fresh burst must not grow the arena.
         let grown = q.nodes.len();
         for i in 0..20 {
@@ -1127,7 +1035,7 @@ mod tests {
         assert_eq!(
             q.nodes.len(),
             grown,
-            "pop_slot must return nodes to the free list"
+            "pop must return nodes to the free list"
         );
     }
 

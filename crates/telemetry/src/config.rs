@@ -9,8 +9,9 @@ pub struct TelemetryConfig {
     /// Master switch.
     pub enabled: bool,
     /// Sampling interval, nanoseconds. The sampler rides the simulation's
-    /// timing wheel, so batched and per-event dispatch sample at exactly
-    /// the same instants.
+    /// timing wheel like every other event, so its instants depend only
+    /// on the configuration. Must be non-zero
+    /// (`TestbedConfig::validate` rejects 0).
     pub interval_ns: u64,
     /// Retained-sample ring capacity (the flight recorder dumps from this
     /// window; the streaming sink sees every sample regardless).

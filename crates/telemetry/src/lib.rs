@@ -7,11 +7,11 @@
 //! controller. This crate surfaces them, in three layers:
 //!
 //! 1. **Signal sampler** — a periodic collector (scheduled through the
-//!    simulation's own timing wheel, so batched and per-event dispatch
-//!    sample identically) of NIC buffer occupancy and drop rate, Rx-ring
-//!    availability, PCIe posted-credit stalls, IOTLB hit rate and
-//!    walks/packet, memory-controller utilization and queued-read
-//!    latency, and per-flow host vs fabric delay. Samples are compact
+//!    simulation's own timing wheel like every other event) of NIC
+//!    buffer occupancy and drop rate, Rx-ring availability, PCIe
+//!    posted-credit stalls, IOTLB hit rate and walks/packet,
+//!    memory-controller utilization and queued-read latency, and
+//!    per-flow host vs fabric delay. Samples are compact
 //!    `Copy` records in a fixed-capacity ring, optionally streamed as
 //!    JSONL to a sink so long fleet runs keep bounded telemetry memory.
 //! 2. **Episode detector** — online segmentation of the run into

@@ -75,7 +75,7 @@ impl TimelineRecorder {
             }
         };
         if let Some(prev) = self.last[idx] {
-            if now_ns < prev + self.period_ns {
+            if now_ns < prev.saturating_add(self.period_ns) {
                 return;
             }
         }
@@ -108,13 +108,21 @@ mod tests {
 
     #[test]
     fn rate_limits_per_series() {
-        let mut t = TimelineRecorder::new(100);
-        for now in [0u64, 50, 100, 140, 260] {
-            t.offer("q", now, now as f64);
+        // (period, offered times, kept times). A period near u64::MAX must
+        // keep only the first sample, not overflow the deadline and wrap.
+        let cases: [(u64, &[u64], &[u64]); 2] = [
+            (100, &[0, 50, 100, 140, 260], &[0, 100, 260]),
+            (u64::MAX, &[1_000, 2_000], &[1_000]),
+        ];
+        for (period, offered, kept) in cases {
+            let mut t = TimelineRecorder::new(period);
+            for &now in offered {
+                t.offer("q", now, now as f64);
+            }
+            let s = t.get("q").unwrap();
+            let times: Vec<u64> = s.points.iter().map(|&(t, _)| t).collect();
+            assert_eq!(times, kept, "period {period}");
         }
-        let s = t.get("q").unwrap();
-        let times: Vec<u64> = s.points.iter().map(|&(t, _)| t).collect();
-        assert_eq!(times, [0, 100, 260]);
     }
 
     #[test]

@@ -195,84 +195,45 @@ fn chaos_scenarios_run_and_recover() {
     }
 }
 
-/// Slot-drain batching is invisible to fault injection: every registered
-/// chaos scenario produces bit-identical results with batching on (the
-/// library default) and off — same dispatched-event count, same fault
-/// counters, same recovery verdict, same exported metrics JSON. Faults
-/// mutate world state mid-slot (blackouts drop packets, storms flush the
-/// IOTLB), so this pins the batch paths to the exact per-event
-/// interleaving under the nastiest workloads we have.
-#[test]
-fn chaos_runs_are_batching_invariant() {
-    let plan = RunPlan::quick();
-    for (name, cfg) in [
+/// The three registered chaos scenarios.
+fn chaos_scenarios() -> [(&'static str, TestbedConfig); 3] {
+    [
         ("chaos-replay", scenarios::chaos_replay()),
         ("chaos-flap", scenarios::chaos_flap()),
         ("chaos-invalidate", scenarios::chaos_invalidate()),
-    ] {
-        let mut batched = Simulation::new(cfg.clone());
-        let mb = batched
-            .try_run(plan.warmup, plan.measure)
-            .unwrap_or_else(|e| panic!("{name} (batched) must not stall: {e}"));
-        let mut per_event = Simulation::new(cfg);
-        per_event.set_batched(false);
-        let mp = per_event
-            .try_run(plan.warmup, plan.measure)
-            .unwrap_or_else(|e| panic!("{name} (per-event) must not stall: {e}"));
-        assert_eq!(
-            batched.dispatched_total(),
-            per_event.dispatched_total(),
-            "{name}: dispatched-event counts diverged"
-        );
-        let sb = mb.faults.expect("chaos scenarios carry fault plans");
-        let sp = mp.faults.expect("chaos scenarios carry fault plans");
-        assert_eq!(
-            sb, sp,
-            "{name}: fault summary (counters/recovery verdict) diverged"
-        );
-        let jb = metrics_json(&mb, &batched.world().counters, None);
-        let jp = metrics_json(&mp, &per_event.world().counters, None);
-        assert_eq!(jb, jp, "{name}: metrics JSON diverged");
-    }
+    ]
 }
 
-/// The batching-invariance contract holds at coarse time too: the 64 ns
-/// grid quantises every fault window edge and storm tick onto wheel
-/// slots (bigger slot populations, more batch-path coverage), and chain
-/// fusion auto-disables under a fault plan (CorePreempt rewrites
-/// `core_free_at`, which would invalidate launch-time reservations) — so
-/// batched and per-event dispatch must still agree bit for bit.
-#[test]
-fn coarse_chaos_runs_are_batching_invariant() {
+/// Run `cfg` twice from the same seed under the quick plan; neither run
+/// may trip the watchdog.
+fn run_twice(name: &str, cfg: &TestbedConfig) -> [(Simulation, RunMetrics); 2] {
     let plan = RunPlan::quick();
-    for (name, cfg) in [
-        ("coarse-chaos-replay", scenarios::chaos_replay()),
-        ("coarse-chaos-flap", scenarios::chaos_flap()),
-        ("coarse-chaos-invalidate", scenarios::chaos_invalidate()),
-    ] {
-        let cfg = scenarios::with_coarse_time(cfg);
-        let mut batched = Simulation::new(cfg.clone());
-        let mb = batched
+    [0, 1].map(|_| {
+        let mut sim = Simulation::new(cfg.clone());
+        let m = sim
             .try_run(plan.warmup, plan.measure)
-            .unwrap_or_else(|e| panic!("{name} (batched) must not stall: {e}"));
-        let mut per_event = Simulation::new(cfg);
-        per_event.set_batched(false);
-        let mp = per_event
-            .try_run(plan.warmup, plan.measure)
-            .unwrap_or_else(|e| panic!("{name} (per-event) must not stall: {e}"));
-        assert_eq!(
-            batched.dispatched_total(),
-            per_event.dispatched_total(),
-            "{name}: dispatched-event counts diverged"
-        );
-        assert_eq!(
-            mb.faults, mp.faults,
-            "{name}: fault summary (counters/recovery verdict) diverged"
-        );
-        let jb = metrics_json(&mb, &batched.world().counters, None);
-        let jp = metrics_json(&mp, &per_event.world().counters, None);
-        assert_eq!(jb, jp, "{name}: metrics JSON diverged");
-    }
+            .unwrap_or_else(|e| panic!("{name} must not stall: {e}"));
+        (sim, m)
+    })
+}
+
+/// Assert two same-seed chaos runs agree: dispatched-event count, fault
+/// summary (counters and recovery verdict) and exported metrics JSON.
+fn assert_reruns_identical(name: &str, runs: &[(Simulation, RunMetrics); 2]) {
+    let [(a, ma), (b, mb)] = runs;
+    assert_eq!(
+        a.dispatched_total(),
+        b.dispatched_total(),
+        "{name}: dispatched-event counts diverged"
+    );
+    assert!(ma.faults.is_some(), "{name}: chaos runs carry fault plans");
+    assert_eq!(
+        ma.faults, mb.faults,
+        "{name}: fault summary (counters/recovery verdict) diverged"
+    );
+    let ja = metrics_json(ma, &a.world().counters, None);
+    let jb = metrics_json(mb, &b.world().counters, None);
+    assert_eq!(ja, jb, "{name}: metrics JSON diverged");
 }
 
 /// Chaos runs are bit-for-bit reproducible: same seed, same plan, same
@@ -285,6 +246,30 @@ fn chaos_runs_are_deterministic() {
     assert_eq!(a.retransmits, b.retransmits);
     assert_eq!(a.host_delay.sum(), b.host_delay.sum());
     assert_eq!(a.faults, b.faults);
+}
+
+/// Every registered chaos scenario reruns bit for bit: same dispatched
+/// events, fault summary and exported metrics JSON. Faults mutate world
+/// state mid-instant (blackouts drop packets, storms flush the IOTLB),
+/// so this covers the nastiest workloads we have.
+#[test]
+fn chaos_scenarios_rerun_bit_identical() {
+    for (name, cfg) in chaos_scenarios() {
+        assert_reruns_identical(name, &run_twice(name, &cfg));
+    }
+}
+
+/// Reproducibility holds at coarse time too: the 64 ns grid quantises
+/// every fault window edge and storm tick onto wheel slots, and chain
+/// fusion auto-disables under a fault plan (CorePreempt rewrites
+/// `core_free_at`, which would invalidate launch-time reservations).
+#[test]
+fn coarse_chaos_runs_are_deterministic() {
+    for (name, cfg) in chaos_scenarios() {
+        let name = format!("coarse-{name}");
+        let cfg = scenarios::with_coarse_time(cfg);
+        assert_reruns_identical(&name, &run_twice(&name, &cfg));
+    }
 }
 
 /// The watchdog never fires on a clean (non-chaos) configuration, and a
@@ -310,53 +295,36 @@ fn zero_fault_runs_have_no_fault_artifacts() {
     );
 }
 
-/// Telemetry under chaos is bit-identical across dispatch modes: for all
-/// three registered chaos scenarios, the sample stream, episode table
-/// (boundaries + attributions) and flight-recorder dumps match exactly
-/// between batched slot-drain and per-event dispatch — fault windows
-/// included (window opens trigger flight dumps).
+/// Telemetry under chaos is bit-identical across same-seed reruns: for
+/// all three registered chaos scenarios, the sample stream, episode table
+/// (boundaries + attributions) and flight-recorder dumps match exactly —
+/// fault windows included (window opens trigger flight dumps).
 #[test]
-fn chaos_telemetry_is_batching_invariant() {
-    let plan = RunPlan::quick();
-    for (name, cfg) in [
-        ("chaos-replay", scenarios::chaos_replay()),
-        ("chaos-flap", scenarios::chaos_flap()),
-        ("chaos-invalidate", scenarios::chaos_invalidate()),
-    ] {
-        let mut cfg = cfg;
+fn chaos_telemetry_is_deterministic() {
+    for (name, mut cfg) in chaos_scenarios() {
         cfg.telemetry = hostcc::TelemetryConfig::enabled().with_flight_recorder();
-        let mut batched = Simulation::new(cfg.clone());
-        let mb = batched
-            .try_run(plan.warmup, plan.measure)
-            .unwrap_or_else(|e| panic!("{name} (batched) must not stall: {e}"));
-        let mut per_event = Simulation::new(cfg);
-        per_event.set_batched(false);
-        let mp = per_event
-            .try_run(plan.warmup, plan.measure)
-            .unwrap_or_else(|e| panic!("{name} (per-event) must not stall: {e}"));
-
-        let tb = &batched.world().telemetry;
-        let tp = &per_event.world().telemetry;
-        assert!(tb.samples_taken() > 0, "{name}: sampler never ticked");
+        let [(a, ma), (b, mb)] = run_twice(name, &cfg);
+        let ta = &a.world().telemetry;
+        let tb = &b.world().telemetry;
+        assert!(ta.samples_taken() > 0, "{name}: sampler never ticked");
+        let sa: Vec<_> = ta.samples().copied().collect();
         let sb: Vec<_> = tb.samples().copied().collect();
-        let sp: Vec<_> = tp.samples().copied().collect();
-        assert_eq!(sb, sp, "{name}: telemetry sample streams diverged");
+        assert_eq!(sa, sb, "{name}: telemetry sample streams diverged");
         assert_eq!(
-            mb.telemetry, mp.telemetry,
+            ma.telemetry, mb.telemetry,
             "{name}: telemetry summary (episodes/attributions) diverged"
         );
         // Fault windows open at identical instants, so the flight
         // recorder captures identical dumps.
         assert_eq!(
+            ta.flight_dumps(),
             tb.flight_dumps(),
-            tp.flight_dumps(),
             "{name}: flight dumps diverged"
         );
         assert!(
-            !tb.flight_dumps().is_empty(),
+            !ta.flight_dumps().is_empty(),
             "{name}: fault windows must trigger flight dumps"
         );
-        // Telemetry remains observational under chaos too.
-        assert_eq!(mb.faults, mp.faults, "{name}: fault summary diverged");
+        assert_eq!(ma.faults, mb.faults, "{name}: fault summary diverged");
     }
 }

@@ -191,7 +191,7 @@ fn telemetry_is_bit_identical_traced_and_untraced() {
 
 /// Telemetry-off runs carry no telemetry artifacts anywhere: no summary
 /// on the metrics, no "telemetry" key in the JSON export (the golden
-/// digests in queue_equivalence.rs depend on this byte-identity).
+/// digests in goldens.rs depend on this byte-identity).
 #[test]
 fn zero_telemetry_runs_have_no_telemetry_artifacts() {
     let (m, sim) = run_traced(cfg(), RunPlan::quick(), TraceConfig::enabled(1_000));

@@ -3,7 +3,7 @@
 //! The contract under test: thread count AND host→shard placement are
 //! *unobservable*. A coupled multi-host fleet must produce bit-identical
 //! `RunMetrics`, golden digests, fault counters and telemetry streams at
-//! 1, 2, 4 and 5 shards (with batched and per-event dispatch) and under
+//! 1, 2, 4 and 5 shards (and on same-seed reruns) and under
 //! round-robin, reversed, and measured-cost-rebalanced placements; a
 //! 1-shard fleet wrapping a single uncoupled host must replay the serial
 //! engine's historical goldens bit-for-bit — the epoch slicing itself
@@ -20,7 +20,7 @@ use hostcc::{
 };
 
 /// FNV-1a-64 over exported metrics JSON (same digest as the serial
-/// golden suite in `queue_equivalence.rs`).
+/// golden suite in `goldens.rs`).
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -52,11 +52,8 @@ fn short_plan() -> RunPlan {
 
 /// Run a fleet config and produce one digest tuple per host, plus the
 /// fleet-wide epoch and dispatch totals.
-fn fleet_digests(cfg: &FleetConfig, batched: bool, plan: RunPlan) -> (Vec<(u64, usize)>, u64, u64) {
+fn fleet_digests(cfg: &FleetConfig, plan: RunPlan) -> (Vec<(u64, usize)>, u64, u64) {
     let mut fleet = Fleet::new(cfg).expect("valid fleet");
-    for h in fleet.hosts_mut() {
-        h.sim_mut().set_batched(batched);
-    }
     let metrics = fleet.run(plan).expect("fleet runs");
     let digests = metrics
         .iter()
@@ -72,19 +69,16 @@ fn fleet_digests(cfg: &FleetConfig, batched: bool, plan: RunPlan) -> (Vec<(u64, 
 /// The tentpole differential: the coupled fleet's per-host metrics JSON
 /// (headline numbers, histograms, stage breakdowns — everything the
 /// exporter covers) is bit-identical at 1/2/4/5 shards (validation caps
-/// shards at the host count), with batched and per-event dispatch, and
-/// the epoch/dispatch totals agree too.
+/// shards at the host count) and on same-seed reruns, and the
+/// epoch/dispatch totals agree too.
 #[test]
 fn fleet_digests_bit_identical_at_any_shard_count() {
-    let reference = fleet_digests(&small_fleet(1), true, short_plan());
+    let reference = fleet_digests(&small_fleet(1), short_plan());
     assert_eq!(reference.0.len(), 5);
-    for shards in [2u32, 4, 5] {
-        let got = fleet_digests(&small_fleet(shards), true, short_plan());
-        assert_eq!(got, reference, "{shards} shards (batched)");
-    }
-    for shards in [1u32, 4] {
-        let got = fleet_digests(&small_fleet(shards), false, short_plan());
-        assert_eq!(got, reference, "{shards} shards (per-event)");
+    // 1 shard again is the same-seed rerun.
+    for shards in [1u32, 2, 4, 5] {
+        let got = fleet_digests(&small_fleet(shards), short_plan());
+        assert_eq!(got, reference, "{shards} shards");
     }
 }
 
@@ -94,10 +88,10 @@ fn fleet_digests_bit_identical_at_any_shard_count() {
 #[test]
 fn tree_fleet_digests_bit_identical_across_shards() {
     let cfg_for = |shards: u32| FleetConfig::light_fleet(32, shards);
-    let reference = fleet_digests(&cfg_for(1), true, short_plan());
+    let reference = fleet_digests(&cfg_for(1), short_plan());
     assert_eq!(reference.0.len(), 32);
     for shards in [2u32, 4] {
-        let got = fleet_digests(&cfg_for(shards), true, short_plan());
+        let got = fleet_digests(&cfg_for(shards), short_plan());
         assert_eq!(got, reference, "{shards} shards");
     }
 }
@@ -211,7 +205,7 @@ fn run_on_parallel_engine(cfg: TestbedConfig, plan: RunPlan) -> (RunMetrics, u64
 
 /// A 1-shard fleet host must replay the serial engine bit-for-bit on all
 /// six historical golden scenarios — same dispatched-event counts, same
-/// metrics-JSON digests the serial suite (`queue_equivalence.rs`) pins.
+/// metrics-JSON digests the serial suite (`goldens.rs`) pins.
 /// The lookahead-sliced `run_to` loop (an 8 µs epoch grid over a 15 ms
 /// run) must be indistinguishable from one big `run_until`.
 #[test]
@@ -263,7 +257,7 @@ fn one_shard_fleet_matches_the_serial_goldens() {
 }
 
 /// The two heterogeneous cluster-host shapes from the serial golden
-/// suite (same construction as `queue_equivalence::fleet_cfg`).
+/// suite (same construction as `goldens::fleet_cfg`).
 fn fleet_cfg(host: usize) -> TestbedConfig {
     let mut cfg = scenarios::with_mixed_reads(scenarios::baseline());
     cfg.seed = 0xF1EE7 + host as u64;

@@ -53,24 +53,16 @@ fn fingerprint(m: &RunMetrics, final_ckpt: &[u8]) -> (u64, u64, u64, u64, u64, u
 /// Drive one run over the shared slice schedule; when `interrupt` is
 /// set, serialize at the mid-warm-up boundary and continue in a freshly
 /// restored simulation.
-fn run_sliced(
-    cfg: &TestbedConfig,
-    batched: bool,
-    interrupt: bool,
-) -> (u64, u64, u64, u64, u64, u64, Vec<u8>) {
+fn run_sliced(cfg: &TestbedConfig, interrupt: bool) -> (u64, u64, u64, u64, u64, u64, Vec<u8>) {
     let mid = SimTime::ZERO + MID;
     let t1 = SimTime::ZERO + WARMUP;
     let t2 = t1 + MEASURE;
     let mut sim = Simulation::new(cfg.clone());
-    sim.set_batched(batched);
     sim.run_to(mid);
     if interrupt {
         let bytes = sim.save_checkpoint().expect("slot-boundary checkpoint");
         drop(sim);
         sim = Simulation::restore_checkpoint(cfg.clone(), &bytes).expect("valid checkpoint");
-        // Dispatch mode is an engine knob, not simulation state; the
-        // restored engine must be told again.
-        sim.set_batched(batched);
     }
     sim.run_to(t1);
     sim.world_mut().arm_metrics(t1);
@@ -81,23 +73,12 @@ fn run_sliced(
 }
 
 #[test]
-fn six_goldens_resume_bit_identical_batched() {
+fn six_goldens_resume_bit_identical() {
     for (name, cfg) in goldens() {
-        let straight = run_sliced(&cfg, true, false);
-        let resumed = run_sliced(&cfg, true, true);
-        assert_eq!(straight, resumed, "{name}: resumed run diverged (batched)");
-    }
-}
-
-#[test]
-fn six_goldens_resume_bit_identical_per_event() {
-    for (name, cfg) in goldens() {
-        let straight = run_sliced(&cfg, false, false);
-        let resumed = run_sliced(&cfg, false, true);
-        assert_eq!(
-            straight, resumed,
-            "{name}: resumed run diverged (per-event)"
-        );
+        let straight = run_sliced(&cfg, false);
+        assert_eq!(straight, run_sliced(&cfg, false), "{name}: rerun diverged");
+        let resumed = run_sliced(&cfg, true);
+        assert_eq!(straight, resumed, "{name}: resumed run diverged");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the telemetry subsystem: sampling is
 //! observational (bit-identical metrics with telemetry on or off),
-//! bit-deterministic across dispatch modes and repeated runs, and the
+//! bit-deterministic across repeated runs, and the
 //! episode detector attributes cc_blindspot's drops to a host-side cause
 //! at well under full link utilization — the paper's headline claim made
 //! machine-checkable.
@@ -24,11 +24,9 @@ const MEASURE: SimDuration = SimDuration::from_millis(8);
 fn run_telemetry(
     mut cfg: hostcc::TestbedConfig,
     tcfg: TelemetryConfig,
-    batched: bool,
 ) -> (RunMetrics, Vec<TelemetrySample>) {
     cfg.telemetry = tcfg;
     let mut sim = Simulation::new(cfg);
-    sim.set_batched(batched);
     let m = sim.try_run(WARMUP, MEASURE).expect("test config runs");
     let samples: Vec<TelemetrySample> = sim.world().telemetry.samples().copied().collect();
     (m, samples)
@@ -43,7 +41,7 @@ fn telemetry_on_leaves_metrics_bit_identical() {
         let mut sim = Simulation::new(small());
         sim.try_run(WARMUP, MEASURE).expect("runs")
     };
-    let (on, samples) = run_telemetry(small(), TelemetryConfig::enabled(), true);
+    let (on, samples) = run_telemetry(small(), TelemetryConfig::enabled());
     assert!(!samples.is_empty());
     assert_eq!(off.delivered_packets, on.delivered_packets);
     assert_eq!(off.delivered_payload_bytes, on.delivered_payload_bytes);
@@ -58,44 +56,38 @@ fn telemetry_on_leaves_metrics_bit_identical() {
 }
 
 /// The sample stream (and everything derived from it: episodes,
-/// attributions, summary) is bit-identical under batched slot-drain and
-/// per-event dispatch, and across repeated same-seed runs.
+/// attributions, summary) is bit-identical across repeated same-seed
+/// runs.
 #[test]
-fn sample_stream_is_bit_identical_across_dispatch_modes_and_reruns() {
+fn sample_stream_is_bit_identical_across_reruns() {
     let tcfg = TelemetryConfig::enabled();
-    let (m_b, s_b) = run_telemetry(small(), tcfg, true);
-    let (m_p, s_p) = run_telemetry(small(), tcfg, false);
-    let (m_r, s_r) = run_telemetry(small(), tcfg, true);
-    assert!(!s_b.is_empty());
-    assert_eq!(s_b, s_p, "batched vs per-event sample streams diverged");
-    assert_eq!(s_b, s_r, "same-seed reruns diverged");
-    assert_eq!(m_b.telemetry, m_p.telemetry);
-    assert_eq!(m_b.telemetry, m_r.telemetry);
+    let (m_a, s_a) = run_telemetry(small(), tcfg);
+    let (m_r, s_r) = run_telemetry(small(), tcfg);
+    assert!(!s_a.is_empty());
+    assert_eq!(s_a, s_r, "same-seed reruns diverged");
+    assert_eq!(m_a.telemetry, m_r.telemetry);
 }
 
 /// Same contract at coarse time: with the 64 ns grid and chain fusion on,
-/// telemetry ticks land on quantised instants identical in both dispatch
-/// modes, so the sample stream (and the episode/attribution summary
-/// derived from it) stays bit-identical batched vs per-event and across
-/// reruns. Fused chains must not perturb sampling either — `on_packet`
-/// records the same host-delay/cpu decomposition the unfused path would.
+/// telemetry ticks land on quantised instants, and the sample stream (and
+/// the episode/attribution summary derived from it) stays bit-identical
+/// across reruns. Fused chains must not perturb sampling either —
+/// `on_packet` records the same host-delay/cpu decomposition the unfused
+/// path would.
 #[test]
-fn coarse_sample_stream_is_bit_identical_across_dispatch_modes() {
+fn coarse_sample_stream_is_bit_identical_across_reruns() {
     let tcfg = TelemetryConfig::enabled();
     let cfg = scenarios::with_coarse_time(small());
-    let (m_b, s_b) = run_telemetry(cfg.clone(), tcfg, true);
-    let (m_p, s_p) = run_telemetry(cfg.clone(), tcfg, false);
-    let (m_r, s_r) = run_telemetry(cfg, tcfg, true);
-    assert!(!s_b.is_empty());
+    let (m_a, s_a) = run_telemetry(cfg.clone(), tcfg);
+    let (m_r, s_r) = run_telemetry(cfg, tcfg);
+    assert!(!s_a.is_empty());
     // Every sampling instant sits on the 64 ns grid.
     assert!(
-        s_b.iter().all(|s| s.t_ns % 64 == 0),
+        s_a.iter().all(|s| s.t_ns % 64 == 0),
         "coarse-time telemetry ticks must land on the quantised grid"
     );
-    assert_eq!(s_b, s_p, "batched vs per-event sample streams diverged");
-    assert_eq!(s_b, s_r, "same-seed reruns diverged");
-    assert_eq!(m_b.telemetry, m_p.telemetry);
-    assert_eq!(m_b.telemetry, m_r.telemetry);
+    assert_eq!(s_a, s_r, "same-seed reruns diverged");
+    assert_eq!(m_a.telemetry, m_r.telemetry);
 }
 
 /// The headline acceptance test: the paper's §2 blind spot — host drops
@@ -110,7 +102,7 @@ fn blindspot_episode_attributes_to_host_side_cause_at_low_utilization() {
     cfg.duty_cycle = 0.4;
     let cfg = scenarios::with_nic_buffer(cfg, 256 << 10);
     let link_bps = cfg.access_link_bps;
-    let (m, _) = run_telemetry(cfg, TelemetryConfig::enabled(), true);
+    let (m, _) = run_telemetry(cfg, TelemetryConfig::enabled());
     let t = m.telemetry.as_ref().expect("telemetry ran");
     assert!(t.samples > 100, "sampler ticked: {}", t.samples);
     assert!(
@@ -144,7 +136,7 @@ fn blindspot_episode_attributes_to_host_side_cause_at_low_utilization() {
 #[test]
 fn metrics_json_round_trips_telemetry_section() {
     use hostcc::substrate::trace::json;
-    let (m, _) = run_telemetry(small(), TelemetryConfig::enabled(), true);
+    let (m, _) = run_telemetry(small(), TelemetryConfig::enabled());
     let mut sim = Simulation::new(small());
     let off = sim.try_run(WARMUP, MEASURE).expect("runs");
 
