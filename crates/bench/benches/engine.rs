@@ -96,19 +96,55 @@ impl TimeMode {
     }
 }
 
-/// Short git revision stamped into every BENCH entry, so a recorded
-/// number can always be traced back to the code that produced it.
-fn git_revision() -> String {
+/// Trimmed stdout of a successful `git` command run in this crate.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(args)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .ok()
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Short git revision stamped into every BENCH entry, so a recorded
+/// number can always be traced back to the code that produced it. A tree
+/// with uncommitted changes to tracked files is marked `-dirty`: its
+/// numbers come from code no commit holds.
+fn git_revision() -> String {
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => format!("{rev}-dirty"),
+        _ => rev,
+    }
+}
+
+/// Per-unit cost of an on/off pair: the on run's extra wall time over
+/// `count` units. `None` when the on run was not slower (or nothing was
+/// counted): the cost is then below run noise, and a single difference
+/// cannot say how far below.
+fn cost_each(off: &RunStats, on: &RunStats, count: u64) -> Option<f64> {
+    (count > 0 && on.wall_nanos > off.wall_nanos)
+        .then(|| (on.wall_nanos - off.wall_nanos) as f64 / count as f64)
+}
+
+/// Console form of [`cost_each`].
+fn show_cost(ns: Option<f64>) -> String {
+    ns.map_or_else(
+        || "below run noise".to_string(),
+        |ns| format!("~{ns:.0} ns"),
+    )
+}
+
+/// Write a number, or JSON `null` when there is none.
+fn opt_num(w: &mut JsonWriter, v: Option<f64>) {
+    match v {
+        Some(v) => w.num(v),
+        None => w.null(),
+    };
 }
 
 /// Methodology tag recorded next to each measurement: how the number was
@@ -503,13 +539,10 @@ fn main() {
             tel_best = ratio;
         }
     }
-    let tel_ns_per_sample = if t_samples == 0 {
-        0.0
-    } else {
-        (t_on.wall_nanos as f64 - t_off.wall_nanos as f64) / t_samples as f64
-    };
+    let tel_ns_per_sample = cost_each(&t_off, &t_on, t_samples);
     println!(
-        "telemetry overhead: {t_samples} samples, on/off speed {tel_best:.3} (floor {OVERHEAD_FLOOR}), ~{tel_ns_per_sample:.0} ns/sample"
+        "telemetry overhead: {t_samples} samples, on/off speed {tel_best:.3} (floor {OVERHEAD_FLOOR}), {} per sample",
+        show_cost(tel_ns_per_sample)
     );
     assert!(
         std::env::var_os("HOSTCC_BENCH_NO_GATE").is_some() || tel_best >= OVERHEAD_FLOOR,
@@ -540,13 +573,10 @@ fn main() {
             ckpt_best = ratio;
         }
     }
-    let ckpt_ns_each = if c_count == 0 {
-        0.0
-    } else {
-        (c_on.wall_nanos as f64 - c_off.wall_nanos as f64) / c_count as f64
-    };
+    let ckpt_ns_each = cost_each(&c_off, &c_on, c_count);
     println!(
-        "checkpoint overhead: {c_count} checkpoint(s) of {c_bytes} B, on/off speed {ckpt_best:.3} (floor {CKPT_FLOOR}), ~{ckpt_ns_each:.0} ns each"
+        "checkpoint overhead: {c_count} checkpoint(s) of {c_bytes} B, on/off speed {ckpt_best:.3} (floor {CKPT_FLOOR}), {} each",
+        show_cost(ckpt_ns_each)
     );
     assert!(
         std::env::var_os("HOSTCC_BENCH_NO_GATE").is_some() || ckpt_best >= CKPT_FLOOR,
@@ -570,7 +600,8 @@ fn main() {
     w.key("allocs_per_event").num(allocs_per_event);
     w.key("telemetry").begin_obj();
     w.key("samples_per_run").int(t_samples);
-    w.key("ns_per_sample").num(tel_ns_per_sample);
+    w.key("ns_per_sample");
+    opt_num(&mut w, tel_ns_per_sample);
     w.key("on_off_speed_ratio").num(tel_best);
     w.key("speed_floor").num(OVERHEAD_FLOOR);
     w.key("steady_state_allocs").int(tel_allocs);
@@ -582,7 +613,8 @@ fn main() {
     w.key("cadence_ms").int(5);
     w.key("checkpoints_per_run").int(c_count);
     w.key("bytes_per_checkpoint").int(c_bytes);
-    w.key("ns_per_checkpoint").num(ckpt_ns_each);
+    w.key("ns_per_checkpoint");
+    opt_num(&mut w, ckpt_ns_each);
     w.key("on_off_speed_ratio").num(ckpt_best);
     w.key("speed_floor").num(CKPT_FLOOR);
     w.key("off_events_per_sec").num(c_off.events_per_sec());

@@ -125,12 +125,14 @@ fn print_help() {
          \u{20}                      hosts routinely, 100k as a stretch\n\
          \u{20}  --rebalance         repartition hosts onto shards by\n\
          \u{20}                      measured event cost after a probe\n\
-         \u{20}                      slice (results are bit-identical\n\
+         \u{20}                      slice, so idle workers need to steal\n\
+         \u{20}                      fewer hosts (results are bit-identical\n\
          \u{20}                      either way; only wall time changes)\n\
          \u{20}  --fabric-us N       inter-host fabric latency in µs —\n\
          \u{20}                      the engine's lookahead (default 8)\n\
          \u{20}  --json              fleet summary JSON: per-shard event\n\
-         \u{20}                      loads, imbalance ratio, super-epochs\n\
+         \u{20}                      loads, imbalance ratio, super-epochs,\n\
+         \u{20}                      per-worker host wall time and steals\n\
          \u{20}  (per-host overrides --threads/--senders/etc. shape the\n\
          \u{20}   base template every host derives from)\n\
          \n\
@@ -582,7 +584,8 @@ fn cmd_fleet(p: &ParsedArgs) -> Result<(), String> {
 }
 
 /// Machine-readable fleet summary: topology, engine/shard load stats
-/// (events per shard, imbalance, super-epochs), and a compact per-host
+/// (events per shard, imbalance, super-epochs, each worker's host wall
+/// time and steals), and a compact per-host
 /// metrics array. The single-host `run --json` export stays untouched —
 /// this is the fleet-level analogue of its `engine` block.
 fn fleet_json(cfg: &FleetConfig, fleet: &Fleet, per_host: &[RunMetrics]) -> String {
@@ -603,6 +606,16 @@ fn fleet_json(cfg: &FleetConfig, fleet: &Fleet, per_host: &[RunMetrics]) -> Stri
     }
     w.end_arr();
     w.key("imbalance_ratio").num(fleet.imbalance_ratio());
+    // Host-side self-profile: varies run to run, unlike everything else.
+    w.key("workers").begin_arr();
+    for p in fleet.worker_profile() {
+        w.begin_obj();
+        w.key("host_wall_busy_ns").int(p.busy_ns);
+        w.key("host_wall_barrier_wait_ns").int(p.wait_ns);
+        w.key("hosts_stolen").int(p.steals);
+        w.end_obj();
+    }
+    w.end_arr();
     w.end_obj();
     w.key("per_host").begin_arr();
     for m in per_host {

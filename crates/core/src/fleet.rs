@@ -41,7 +41,7 @@ use hostcc_host::ConfigError;
 use hostcc_host::{FleetHost, RunError, RunMetrics, Simulation, Testbed, TestbedConfig};
 use hostcc_sim::{
     check_resave, fnv1a_64, stream_seed, ParallelEngine, SimDuration, SimTime, Snap, SnapError,
-    SnapReader, SnapWriter,
+    SnapReader, SnapWriter, WorkerProfile,
 };
 
 /// Domain constant separating per-host seed derivation from every other
@@ -474,8 +474,8 @@ impl Fleet {
     fn check_stalls(&mut self) -> Result<(), RunError> {
         let placement = self.engine.placement().to_vec();
         for (i, h) in self.engine.hosts_mut().iter_mut().enumerate() {
-            // Attribute the stall: which host froze, and which worker
-            // shard was driving it under the current placement.
+            // Attribute the stall: which host froze, and its home shard
+            // under the current placement.
             h.check_stalled().map_err(|e| match e {
                 RunError::Stalled {
                     at,
@@ -564,13 +564,24 @@ impl Fleet {
     /// `run_to` slices — typically after a warmup slice, or on restore
     /// from a checkpoint, when the counters reflect real load.
     /// Observationally a no-op: placement never feeds the simulation.
+    /// Idle workers steal unstarted hosts anyway, so a balanced placement
+    /// mostly saves steals; it sets each worker's affinity.
     pub fn rebalance(&mut self) -> &[u32] {
         self.engine.rebalance()
     }
 
-    /// Lifetime dispatched events per shard under the current placement.
+    /// Lifetime dispatched events per home shard under the current
+    /// placement (a stolen host's events count on its home shard).
     pub fn shard_event_totals(&self) -> Vec<u64> {
         self.engine.shard_event_totals()
+    }
+
+    /// Per-worker host wall time (advance-phase busy ns, barrier-wait
+    /// ns) and hosts stolen from other workers' home lists, summed over
+    /// the fleet's `run_to` slices. Host-side only: not in checkpoints,
+    /// digests or metrics, and it varies run to run.
+    pub fn worker_profile(&self) -> &[WorkerProfile] {
+        self.engine.worker_profile()
     }
 
     /// Load-balance quality: max/min of per-shard lifetime event totals
@@ -807,6 +818,11 @@ mod tests {
         let totals = fleet.shard_event_totals();
         assert_eq!(totals.iter().sum::<u64>(), fleet.dispatched_total());
         assert!(fleet.imbalance_ratio() >= 1.0);
+        // One self-profile per worker; steal counts depend on thread
+        // timing, so only the shape and the presence of work are pinned.
+        let profile = fleet.worker_profile();
+        assert_eq!(profile.len(), 2);
+        assert!(profile.iter().map(|p| p.busy_ns).sum::<u64>() > 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub enum RunError {
         /// Which fleet host stalled (`None` on single-host runs, where
         /// there is nothing to disambiguate).
         host: Option<usize>,
-        /// The stalled host's shard (`host % shards`), when known — which
-        /// worker thread was driving the frozen clock.
+        /// The stalled host's home shard under the current placement,
+        /// when known; a stolen host may have run on another worker.
         shard: Option<usize>,
         /// The final telemetry sample before the stall, when the run had
         /// telemetry enabled — the host signals at the moment progress

@@ -40,7 +40,7 @@ mod wheel;
 pub use engine::{DispatchProfile, Engine, RunOutcome, Scheduler, World};
 pub use hist::Histogram;
 pub use pacer::{SerialLink, TokenBucket};
-pub use parallel::{Envelope, ParallelEngine, ShardHost};
+pub use parallel::{Envelope, ParallelEngine, ShardHost, WorkerProfile};
 pub use rng::{stream_seed, SimRng, SplitMix64};
 #[doc(hidden)]
 pub use snap::field_min_bytes as snap_field_min_bytes;

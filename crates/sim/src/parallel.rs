@@ -30,18 +30,43 @@
 //!   timestamp slot). Global epochs make that interleaving identical
 //!   everywhere.
 //! * **The merge key is simulation-derived.** Before delivery, each
-//!   shard sorts its inbound envelopes by `(fire, src_host, seq)`, where
-//!   `seq` is a per-source-host counter. The key never encodes which
-//!   thread produced or transported the envelope, and it is unique
-//!   (each source host numbers its own envelopes), so the per-host
-//!   delivery sequence is a total order independent of thread
-//!   interleaving.
+//!   shard sorts its inbound envelopes so that every host receives its
+//!   own in `(fire, src_host, seq)` order, where `seq` is a
+//!   per-source-host counter. The key never encodes which thread
+//!   produced or transported the envelope, and it is unique (each source
+//!   host numbers its own envelopes), so the per-host delivery sequence
+//!   is a total order independent of thread interleaving.
 //! * **Placement never feeds the simulation.** The host→shard map (see
 //!   [`set_placement`](ParallelEngine::set_placement)) decides only
-//!   which worker drives which host and which mailbox an envelope rides
-//!   in; host seeds, epoch boundaries and merge keys are all derived
-//!   from global host ids. Measured-cost rebalancing can therefore move
-//!   hosts freely between runs without perturbing a single digest.
+//!   which worker delivers to which host and which mailbox an envelope
+//!   rides in; host seeds, epoch boundaries and merge keys are all
+//!   derived from global host ids. Measured-cost rebalancing can
+//!   therefore move hosts freely between runs without perturbing a
+//!   single digest.
+//!
+//! # Work stealing: placement is affinity
+//!
+//! Every epoch ends at a barrier, so without help a fleet runs at the
+//! pace of its most loaded shard. The placement therefore gives each
+//! worker a *home list* rather than an exclusive bucket. In the advance
+//! phase a worker claims hosts from its home list through that list's
+//! atomic cursor, and once the list is exhausted it claims the hosts
+//! still unstarted in the other lists, in ring order (`me + 1`,
+//! `me + 2`, …). A claimed host is advanced to `epoch_end` by whichever
+//! worker claimed it; each host sits behind its own `Mutex`, which is
+//! never contended (one claim per host per epoch) and keeps the crate
+//! free of `unsafe`. Delivery, the next-event/next-send scan and the
+//! cursor reset stay with the home worker, in the delivery phase, so the
+//! barrier that opens the advance phase publishes the reset.
+//!
+//! Stealing cannot change a result. Which worker runs a host's epoch
+//! changes only which outbound mailbox row its envelopes ride in; they
+//! are still addressed to the destination's home shard, and the home
+//! worker sorts them by the unique merge key before delivery. A host's
+//! epoch is a pure function of its state and `epoch_end`, and the epoch
+//! grid is computed from global minima, so the schedule is the same
+//! whoever did the work. What stealing does change is host wall time;
+//! [`ParallelEngine::worker_profile`] reports it per worker.
 //!
 //! # Super-epochs: amortizing the barrier on sparse traffic
 //!
@@ -69,14 +94,15 @@
 //! `ARITY` writers.
 //!
 //! Mailboxes are `Mutex<Vec<_>>`, but each `(src, dst)` box is written
-//! only by `src`'s worker in the send phase and drained only by `dst`'s
-//! worker in the delivery phase, with a barrier between the phases — the
-//! locks are never contended and exist only to satisfy the borrow
+//! only by worker `src` in the send phase and drained only by `dst`'s
+//! home worker in the delivery phase, with a barrier between the phases
+//! — the locks are never contended and exist only to satisfy the borrow
 //! checker without `unsafe`.
 
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// A cross-host message in flight, stamped with its delivery time and
 /// deterministic merge key.
@@ -157,6 +183,21 @@ pub trait ShardHost: Send {
 /// One row of the shard-pair mailbox grid: the boxes a single source
 /// shard writes, indexed by destination shard.
 type MailRow<M> = Vec<Mutex<Vec<Envelope<M>>>>;
+
+/// Host wall time and steals of one worker, summed over every
+/// [`run_to`](ParallelEngine::run_to) call. A self-profile of the
+/// simulator, not simulation state: it depends on thread timing, so it
+/// stays out of checkpoints and digests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkerProfile {
+    /// Host nanoseconds spent in advance phases: advancing claimed hosts
+    /// and routing their envelopes.
+    pub busy_ns: u64,
+    /// Host nanoseconds spent waiting at epoch barriers.
+    pub wait_ns: u64,
+    /// Hosts claimed from other workers' home lists.
+    pub steals: u64,
+}
 
 /// Fan-in of the combining tree: how many children feed one barrier
 /// node. 4 keeps the tree shallow (S=64 → 3 levels) while bounding the
@@ -292,20 +333,23 @@ pub struct ParallelEngine<H: ShardHost> {
     hosts: Vec<H>,
     shards: usize,
     lookahead: SimDuration,
-    /// Host→shard assignment (len == hosts, values < shards). Purely an
-    /// execution concern: results are bit-identical under any map.
+    /// Host→shard assignment (len == hosts, values < shards): each
+    /// worker's home list. Purely an execution concern: results are
+    /// bit-identical under any map.
     placement: Vec<u32>,
     epochs: u64,
     super_epochs: u64,
     amortize: bool,
+    /// Per-worker self-profile (len == shards).
+    profile: Vec<WorkerProfile>,
 }
 
 // Placement, shard count and lookahead are execution settings, never in
 // the image, so a restore may run on a different shard count. The epoch
-// counters are part of the observable run record.
+// counters are part of the observable run record; the self-profile is not.
 crate::snap_fields!(impl[H: ShardHost + crate::Snap] ParallelEngine<H> {
     epochs, super_epochs, hosts,
-} skip { shards, lookahead, placement, amortize });
+} skip { shards, lookahead, placement, amortize, profile });
 
 impl<H: ShardHost> ParallelEngine<H> {
     /// Build an engine over `hosts`, running on `shards` worker threads
@@ -322,6 +366,7 @@ impl<H: ShardHost> ParallelEngine<H> {
             epochs: 0,
             super_epochs: 0,
             amortize: true,
+            profile: vec![WorkerProfile::default(); shards],
         }
     }
 
@@ -375,15 +420,18 @@ impl<H: ShardHost> ParallelEngine<H> {
 
     /// Repartition hosts onto shards by measured cost (greedy LPT over
     /// [`host_costs`](Self::host_costs)). Returns the new placement.
-    /// Observationally a no-op: digests do not depend on placement.
+    /// Observationally a no-op: digests do not depend on placement. Since
+    /// placement is affinity (see the module docs on work stealing), a
+    /// balanced map mostly saves steals rather than barrier waits.
     pub fn rebalance(&mut self) -> &[u32] {
         let placement = balanced_placement(&self.host_costs(), self.shards);
         self.placement = placement;
         &self.placement
     }
 
-    /// Lifetime dispatched events summed per shard under the current
-    /// placement — the load-balance report the bench gates on.
+    /// Lifetime dispatched events summed per home shard under the current
+    /// placement — the load-balance report the bench gates on. Counts
+    /// events by home shard, not by the worker that ran them.
     pub fn shard_event_totals(&self) -> Vec<u64> {
         let mut totals = vec![0u64; self.shards];
         for (h, host) in self.hosts.iter().enumerate() {
@@ -421,6 +469,13 @@ impl<H: ShardHost> ParallelEngine<H> {
         self.amortize
     }
 
+    /// Per-worker host wall time and steals, summed over every `run_to`
+    /// (index = worker = home shard). Host-side only: never part of a
+    /// checkpoint or digest.
+    pub fn worker_profile(&self) -> &[WorkerProfile] {
+        &self.profile
+    }
+
     /// Advance every host to exactly `deadline` (inclusive), running
     /// epochs until no host has an event at `t <= deadline`. Callable
     /// repeatedly with non-decreasing deadlines; cross-host messages are
@@ -430,13 +485,12 @@ impl<H: ShardHost> ParallelEngine<H> {
         let shards = self.shards;
         let lookahead_ns = self.lookahead.as_nanos();
         let deadline_ns = deadline.as_nanos();
-        let n_hosts = self.hosts.len();
         let amortize = self.amortize;
         let placement: &[u32] = &self.placement;
-        // Slot of each host within its shard's bucket (hosts are
-        // bucketed in ascending id order, so the slot is the number of
-        // lower-id hosts sharing the shard).
-        let mut slot_of: Vec<usize> = vec![0; n_hosts];
+        // Slot of each host within its home list (hosts are listed in
+        // ascending id order, so the slot is the number of lower-id hosts
+        // sharing the shard).
+        let mut slot_of: Vec<usize> = vec![0; self.hosts.len()];
         let mut counts = vec![0usize; shards];
         for (h, &s) in placement.iter().enumerate() {
             slot_of[h] = counts[s as usize];
@@ -446,66 +500,71 @@ impl<H: ShardHost> ParallelEngine<H> {
         // (u64::MAX = idle / never sends).
         let mins: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
         let send_mins: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
-        // Per-(src,dst) shard mailboxes. Never contended: src writes in
-        // the send phase, dst drains in the delivery phase, a barrier
-        // sits between them.
+        // Per-(worker, home shard) mailboxes. Never contended: a worker
+        // writes its row in the advance phase, each home worker drains
+        // its column in the delivery phase, a barrier sits between them.
         let boxes: Vec<MailRow<H::Msg>> = (0..shards)
             .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
             .collect();
         let barrier = TreeBarrier::new(shards);
         let epochs = AtomicU64::new(0);
         let super_epochs = AtomicU64::new(0);
-
-        let mut buckets: Vec<Vec<&mut H>> = (0..shards).map(|_| Vec::new()).collect();
+        let cursors: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
+        let mut homes: Vec<Vec<Mutex<&mut H>>> = (0..shards).map(|_| Vec::new()).collect();
         for (id, host) in self.hosts.iter_mut().enumerate() {
-            buckets[placement[id] as usize].push(host);
+            homes[placement[id] as usize].push(Mutex::new(host));
         }
 
-        std::thread::scope(|scope| {
-            let mut workers: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(me, bucket)| {
-                    let shared = SharedEpochState {
-                        mins: &mins,
-                        send_mins: &send_mins,
-                        boxes: &boxes,
-                        barrier: &barrier,
-                        epochs: &epochs,
-                        super_epochs: &super_epochs,
-                        placement,
-                        slot_of: &slot_of,
-                    };
-                    move || {
-                        drive_shard::<H>(
-                            me,
-                            bucket,
-                            n_hosts,
-                            lookahead_ns,
-                            deadline_ns,
-                            amortize,
-                            shared,
-                        )
-                    }
-                })
-                .collect();
+        let shared = SharedEpochState {
+            homes: &homes,
+            cursors: &cursors,
+            mins: &mins,
+            send_mins: &send_mins,
+            boxes: &boxes,
+            barrier: &barrier,
+            epochs: &epochs,
+            super_epochs: &super_epochs,
+            placement,
+            slot_of: &slot_of,
+        };
+        let profile = std::thread::scope(|scope| {
+            let drive = |me: usize| drive_shard(me, lookahead_ns, deadline_ns, amortize, &shared);
             // Shard 0 runs on the calling thread; the rest get workers.
-            let shard0 = workers.remove(0);
-            for w in workers {
-                scope.spawn(w);
-            }
-            shard0();
+            let others: Vec<_> = (1..shards)
+                .map(|me| scope.spawn(move || drive(me)))
+                .collect();
+            let mut profile = vec![drive(0)];
+            profile.extend(
+                others
+                    .into_iter()
+                    .map(|w| w.join().expect("shard worker panicked")),
+            );
+            profile
         });
+        for (total, run) in self.profile.iter_mut().zip(profile) {
+            total.busy_ns += run.busy_ns;
+            total.wait_ns += run.wait_ns;
+            total.steals += run.steals;
+        }
         self.epochs += epochs.load(Ordering::SeqCst);
         self.super_epochs += super_epochs.load(Ordering::SeqCst);
     }
 }
 
-/// The read-only state every worker shares during `run_to`.
-struct SharedEpochState<'a, M> {
+/// The state every worker shares during `run_to`.
+struct SharedEpochState<'a, 'h, H: ShardHost> {
+    /// Each shard's home list, hosts in ascending id order. A host's
+    /// `Mutex` is taken by its home worker in the delivery phase and by
+    /// the worker that claims it in the advance phase — never both at
+    /// once, so it is never contended.
+    homes: &'a [Vec<Mutex<&'h mut H>>],
+    /// Claim cursor per home list (the index of its next unstarted
+    /// host), reset by its owner before the barrier that opens each
+    /// advance phase.
+    cursors: &'a [AtomicUsize],
     mins: &'a [AtomicU64],
     send_mins: &'a [AtomicU64],
-    boxes: &'a [MailRow<M>],
+    boxes: &'a [MailRow<H::Msg>],
     barrier: &'a TreeBarrier,
     epochs: &'a AtomicU64,
     super_epochs: &'a AtomicU64,
@@ -513,56 +572,71 @@ struct SharedEpochState<'a, M> {
     slot_of: &'a [usize],
 }
 
-/// The per-shard worker loop. Every worker executes the same epoch
-/// decisions (global minimum, epoch end, termination) redundantly from
-/// the shared `mins`/`send_mins` slots — identical integer math on
-/// identical inputs, so no coordinator thread is needed.
+/// Lock a host cell (never contended; see [`SharedEpochState::homes`]).
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().expect("host poisoned")
+}
+
+/// The per-worker loop. Every worker executes the same epoch decisions
+/// (global minimum, epoch end, termination) redundantly from the shared
+/// `mins`/`send_mins` slots — identical integer math on identical
+/// inputs, so no coordinator thread is needed. Returns the worker's
+/// self-profile for this call.
 fn drive_shard<H: ShardHost>(
     me: usize,
-    mut hosts: Vec<&mut H>,
-    n_hosts: usize,
     lookahead_ns: u64,
     deadline_ns: u64,
     amortize: bool,
-    shared: SharedEpochState<'_, H::Msg>,
-) {
+    shared: &SharedEpochState<'_, '_, H>,
+) -> WorkerProfile {
+    let home = &shared.homes[me];
+    let shards = shared.homes.len();
+    let mut profile = WorkerProfile::default();
     let mut inbound: Vec<Envelope<H::Msg>> = Vec::new();
     let mut outbound: Vec<Envelope<H::Msg>> = Vec::new();
     loop {
-        // Delivery phase: drain every mailbox addressed to this shard,
-        // merge deterministically, inject into the destination hosts.
+        // Delivery phase: drain every mailbox addressed to this shard
+        // and inject each home host's envelopes in merge-key order.
         for src_boxes in shared.boxes {
             let mut mb = src_boxes[me].lock().expect("mailbox poisoned");
             inbound.append(&mut mb);
         }
-        // The key is unique ((src_host, seq) pairs are never reused), so
-        // an unstable sort is a total order regardless of the drain
-        // order above.
-        inbound.sort_unstable_by_key(|e| (e.fire, e.src_host, e.seq));
-        for env in inbound.drain(..) {
-            let dst = env.dst_host as usize;
-            debug_assert!(dst < n_hosts, "envelope to unknown host {dst}");
-            debug_assert_eq!(
-                shared.placement[dst] as usize, me,
-                "envelope routed to wrong shard"
-            );
-            hosts[shared.slot_of[dst]].deliver(env);
-        }
+        // Sorting by destination first groups each host's envelopes
+        // (one lock per host) without changing their order: the rest of
+        // the key is the unique merge key, so an unstable sort is a
+        // total order regardless of the drain order above.
+        inbound.sort_unstable_by_key(|e| (e.dst_host, e.fire, e.src_host, e.seq));
+        let mut pending = inbound.drain(..).peekable();
         // Publish this shard's minimum next-event and next-send times
         // (inclusive of the envelopes just delivered).
         let mut local_min = u64::MAX;
         let mut local_send = u64::MAX;
-        for h in hosts.iter() {
-            if let Some(t) = h.next_event_time() {
+        for (slot, cell) in home.iter().enumerate() {
+            let mut host = lock(cell);
+            while let Some(env) = pending.next_if(|e| shared.slot_of[e.dst_host as usize] == slot) {
+                debug_assert_eq!(
+                    shared.placement[env.dst_host as usize] as usize, me,
+                    "envelope routed to wrong shard"
+                );
+                host.deliver(env);
+            }
+            if let Some(t) = host.next_event_time() {
                 local_min = local_min.min(t.as_nanos());
             }
-            if let Some(t) = h.next_send_time() {
+            if let Some(t) = host.next_send_time() {
                 local_send = local_send.min(t.as_nanos());
             }
         }
+        debug_assert!(pending.next().is_none(), "envelope routed to wrong shard");
+        drop(pending);
+        // Reopen the home list for claiming. Nobody claims before the
+        // barrier below, which publishes the reset.
+        shared.cursors[me].store(0, Ordering::SeqCst);
         shared.mins[me].store(local_min, Ordering::SeqCst);
         shared.send_mins[me].store(local_send, Ordering::SeqCst);
+        let t = Instant::now();
         shared.barrier.wait(me);
+        profile.wait_ns += t.elapsed().as_nanos() as u64;
 
         // Epoch phase: every worker derives the same global minimum.
         let gmin = shared
@@ -576,8 +650,8 @@ fn drive_shard<H: ShardHost>(
             // are empty: drained above, and nothing has been sent since
             // that drain). Park every clock at the deadline and stop —
             // all workers reach this branch together.
-            for h in hosts.iter_mut() {
-                h.advance_to(SimTime::from_nanos(deadline_ns));
+            for cell in home {
+                lock(cell).advance_to(SimTime::from_nanos(deadline_ns));
             }
             break;
         }
@@ -601,9 +675,18 @@ fn drive_shard<H: ShardHost>(
         } else {
             classic_end
         };
-        for h in hosts.iter_mut() {
-            h.advance_to(SimTime::from_nanos(epoch_end));
-            h.take_outbound(&mut outbound);
+        // Advance phase: claim hosts from the home list, then steal the
+        // unstarted hosts left in the other lists, in ring order.
+        let t = Instant::now();
+        for k in 0..shards {
+            let list = (me + k) % shards;
+            let cursor = &shared.cursors[list];
+            while let Some(cell) = shared.homes[list].get(cursor.fetch_add(1, Ordering::SeqCst)) {
+                profile.steals += u64::from(k > 0);
+                let mut host = lock(cell);
+                host.advance_to(SimTime::from_nanos(epoch_end));
+                host.take_outbound(&mut outbound);
+            }
         }
         for env in outbound.drain(..) {
             debug_assert!(
@@ -618,6 +701,7 @@ fn drive_shard<H: ShardHost>(
                 .expect("mailbox poisoned")
                 .push(env);
         }
+        profile.busy_ns += t.elapsed().as_nanos() as u64;
         if me == 0 {
             shared.epochs.fetch_add(1, Ordering::SeqCst);
             if epoch_end > classic_end {
@@ -625,8 +709,11 @@ fn drive_shard<H: ShardHost>(
             }
         }
         // Close the epoch: all sends land before anyone drains again.
+        let t = Instant::now();
         shared.barrier.wait(me);
+        profile.wait_ns += t.elapsed().as_nanos() as u64;
     }
+    profile
 }
 
 #[cfg(test)]
@@ -781,6 +868,27 @@ mod tests {
         let logs: Vec<_> = eng.hosts().iter().map(|h| h.log.clone()).collect();
         assert_eq!(logs, reference, "skewed placement");
         assert_eq!(eng.epochs(), ref_epochs);
+    }
+
+    #[test]
+    fn stolen_hosts_reproduce_the_one_shard_run() {
+        // Every host's home is shard 0, so all the work the other
+        // workers do is stolen from its list.
+        let (reference, ref_epochs) = ring_run(5, 1, 60_000);
+        for shards in [2, 3] {
+            let mut eng =
+                ParallelEngine::new(seeded_hosts(5), shards, SimDuration::from_nanos(LAT));
+            eng.set_placement(vec![0; 5]);
+            eng.run_to(SimTime::from_nanos(60_000));
+            let logs: Vec<_> = eng.hosts().iter().map(|h| h.log.clone()).collect();
+            assert_eq!(logs, reference, "shards={shards}");
+            assert_eq!(eng.epochs(), ref_epochs, "epoch count at shards={shards}");
+            // Home-shard accounting is unaffected by who ran the hosts.
+            let totals = eng.shard_event_totals();
+            assert_eq!(totals[0], eng.host_costs().iter().sum::<u64>());
+            assert!(totals[1..].iter().all(|&t| t == 0), "{totals:?}");
+            assert_eq!(eng.worker_profile().len(), shards);
+        }
     }
 
     #[test]

@@ -184,6 +184,13 @@ impl JsonWriter {
         self
     }
 
+    /// Write a `null` value.
+    pub fn null(&mut self) -> &mut Self {
+        self.pre();
+        self.out.push_str("null");
+        self
+    }
+
     /// Consume the writer and return the document.
     pub fn finish(self) -> String {
         debug_assert!(self.need_comma.is_empty(), "unclosed container");

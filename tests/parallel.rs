@@ -297,13 +297,17 @@ enum Placement {
     /// Greedy bin-packing of measured per-host dispatch counts, taken
     /// after the probe slice.
     Rebalanced,
+    /// Every host's home is shard 0, so all the work the other workers
+    /// do is stolen from shard 0's list.
+    Skewed,
 }
 
 /// The placement-invariance differential (the tentpole's load-balancing
 /// invariant): per-host metrics digests, fault counters, and telemetry
 /// byte streams are bit-identical under round-robin, reversed, and
 /// measured-cost-rebalanced host→shard assignments at 1, 2 and 4
-/// shards. Every run shares one slice schedule (probe → warmup →
+/// shards, and with every host placed on shard 0 at 2 and 4 shards (all
+/// of the other workers' hosts stolen). Every run shares one slice schedule (probe → warmup →
 /// measure), because the epoch grid is slice-schedule-dependent; within
 /// that schedule, *who executes a host* must never leak into results.
 #[test]
@@ -347,6 +351,7 @@ fn placement_is_unobservable_in_digests_faults_and_telemetry() {
             Placement::Rebalanced => {
                 fleet.rebalance();
             }
+            Placement::Skewed => fleet.set_placement(vec![0; n as usize]),
         }
         let plan = short_plan();
         let t1 = fleet.now() + plan.warmup;
@@ -384,11 +389,15 @@ fn placement_is_unobservable_in_digests_faults_and_telemetry() {
         "telemetry must actually stream"
     );
     for shards in [1u32, 2, 4] {
+        let skewed = (shards > 1).then_some(Placement::Skewed);
         for placement in [
             Placement::RoundRobin,
             Placement::Reversed,
             Placement::Rebalanced,
-        ] {
+        ]
+        .into_iter()
+        .chain(skewed)
+        {
             let got = run(shards, placement);
             assert_eq!(got, reference, "shards={shards} placement={placement:?}");
         }
