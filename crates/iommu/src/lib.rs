@@ -14,6 +14,8 @@
 mod counters;
 mod device;
 mod iotlb;
+#[cfg(test)]
+mod scan_iotlb;
 mod walk_cache;
 
 pub use device::{DmaTranslation, DomainId, Iommu, IommuConfig, IommuStats, TranslationCost};
