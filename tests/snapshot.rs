@@ -14,7 +14,7 @@
 //! corrupt, truncated or version-skewed checkpoints come back as typed
 //! [`SnapError`]s — never a panic, never a silently wrong restore.
 
-use hostcc::fleet::{Fleet, FleetConfig};
+use hostcc::fleet::{Fleet, FleetConfig, FleetTopology};
 use hostcc::scenarios;
 use hostcc::substrate::sim::{fnv1a_64, SimDuration, SimTime, SnapError, SNAP_VERSION};
 use hostcc::{RunMetrics, Simulation, TelemetryConfig, TestbedConfig};
@@ -311,6 +311,51 @@ fn golden_checkpoint_images_are_pinned_to_the_format_version() {
             "{name}: checkpoint image changed"
         );
     }
+}
+
+/// Images the six fault-free, telemetry-off goldens leave unpinned: a
+/// chaos run with telemetry on, checkpointed inside its open fault window
+/// (open-window bookkeeping, fault aggregates, recovery tracker, sampler
+/// and detector all in the image), and a 2-host coupled fleet (fabric
+/// ports, remote flow slots and the fleet envelope).
+#[test]
+fn fault_telemetry_and_fleet_images_are_pinned_to_the_format_version() {
+    let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut cfg = scenarios::chaos_replay();
+    cfg.telemetry = TelemetryConfig::enabled();
+    let mut sim = Simulation::new(cfg);
+    sim.run_to(at(6_000));
+    sim.world_mut().arm_metrics(at(6_000));
+    sim.run_to(at(6_900));
+    assert!(sim.world().faults.open_windows() > 0);
+    let image = sim.save_checkpoint().expect("slot-boundary checkpoint");
+    assert_eq!(
+        (SNAP_VERSION, fnv1a_64(&image)),
+        (3, 0x33f3_628a_75c9_71b2),
+        "chaos_replay: checkpoint image changed"
+    );
+
+    // Fan-in 1 on a 2-ring: each host both sends to and receives from
+    // the other, so every remote slot role is in the image.
+    let cfg = FleetConfig {
+        hosts: 2,
+        topology: FleetTopology::FaninRing { fanin: 1 },
+        ..small_fleet()
+    };
+    let mut fleet = Fleet::new(&cfg).expect("valid fleet");
+    fleet.run_to(SimTime::ZERO + WARMUP).expect("no stalls");
+    for h in fleet.hosts_mut() {
+        h.sim_mut().world_mut().arm_metrics(SimTime::ZERO + WARMUP);
+    }
+    fleet
+        .run_to(SimTime::ZERO + WARMUP + MID)
+        .expect("no stalls");
+    let image = fleet.save_checkpoint().expect("fleet checkpoint");
+    assert_eq!(
+        (SNAP_VERSION, fnv1a_64(&image)),
+        (3, 0x737a_945f_a5c9_08cf),
+        "2-host fleet: checkpoint image changed"
+    );
 }
 
 /// Run `cfg` with metrics armed at `arm`, a checkpoint boundary at `ck`
