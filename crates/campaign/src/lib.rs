@@ -19,7 +19,7 @@
 //!   restart-from-scratch of that one point — graceful degradation,
 //!   never a panic, and never a lost campaign.
 //!
-//! The [`bisect`] module adds chaos bisect-in-time: restore the
+//! The [`bisect`](mod@bisect) module adds chaos bisect-in-time: restore the
 //! checkpoint taken just before a point's first fault window, replay it
 //! twice — factually and counterfactually (faults suppressed) — in fine
 //! time quanta, and report the first slot where the two state digests

@@ -15,7 +15,7 @@
 //! point restarts from scratch (the checkpoint is redundant state — the
 //! manifest can always rebuild it); a watchdog stall records a `failed`
 //! journal entry and leaves the last good checkpoint on disk for
-//! [`crate::bisect`]; neither takes down the rest of the grid.
+//! [`crate::bisect`](mod@crate::bisect); neither takes down the rest of the grid.
 
 use crate::artifact::{append_journal, atomic_write, read_journal, JournalEntry};
 use crate::manifest::Manifest;

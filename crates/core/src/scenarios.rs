@@ -94,7 +94,7 @@ pub fn with_host_aware(mut cfg: TestbedConfig) -> TestbedConfig {
     cfg
 }
 
-/// §4-adjacent ablation (the on-NIC-memory direction, paper ref [30]):
+/// §4-adjacent ablation (the on-NIC-memory direction, paper ref \[30\]):
 /// an aggressively-reused hot buffer pool. The tiny working set fits both
 /// the IOTLB and the DDIO slice, relieving translation pressure *and*
 /// memory-bus write traffic.

@@ -24,7 +24,7 @@ pub use export::metrics_json;
 pub use fleet::FleetHost;
 pub use metrics::{MetricsCollector, RunMetrics};
 pub use vlink::VariableRateLink;
-pub use world::{DmaJob, Event, Simulation, Testbed};
+pub use world::{DmaJob, DmaRef, Event, Simulation, Testbed};
 
 // Re-export the fault-injection vocabulary (FaultPlan rides on
 // TestbedConfig, so every consumer of the config needs these types).

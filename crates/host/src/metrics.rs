@@ -75,7 +75,7 @@ impl RunMetrics {
         self.delivered_payload_bytes as f64 * 8.0 / self.measured.as_secs_f64() / 1e9
     }
 
-    /// Host access-link utilisation in [0,1]: wire arrival rate over the
+    /// Host access-link utilisation in `[0, 1]`: wire arrival rate over the
     /// link capacity.
     pub fn link_utilization(&self, link_bps: f64) -> f64 {
         if self.measured.is_zero() {

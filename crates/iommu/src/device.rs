@@ -265,11 +265,11 @@ impl Iommu {
     /// on every packet; the physical address is never consumed (the
     /// simulator models latency, not data movement) and the page size is a
     /// run constant per region. This path therefore skips the
-    /// learn-the-page-size table descent [`translate_range`] performs on
+    /// learn-the-page-size table descent [`translate_range`](Self::translate_range) performs on
     /// every call and touches the page table only when a page actually
     /// missed the IOTLB. On a mapped range the receipt, the IOTLB/PWC
     /// state and every statistic come out identical to
-    /// [`translate_range`]; `debug_assert` cross-checks the page-size hint
+    /// [`translate_range`](Self::translate_range); `debug_assert` cross-checks the page-size hint
     /// against the installed mapping.
     ///
     /// Divergence on *unmapped* ranges: the IOTLB is probed (and filled)

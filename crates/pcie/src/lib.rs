@@ -18,5 +18,5 @@ mod replay;
 
 pub use credits::{credits_for_write, CreditConfig, CreditState, WriteCredits, PD_CREDIT_BYTES};
 pub use link::{PcieGen, PcieLinkConfig, DLLP_OVERHEAD_BYTES_PER_TLP, TLP_OVERHEAD_BYTES};
-pub use reads::{read_round_trip_ns, ReadChannel, ReadChannelConfig};
+pub use reads::{read_round_trip_ns, ReadChannelConfig};
 pub use replay::{ReplayChannel, ReplayConfig};

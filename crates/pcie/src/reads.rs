@@ -37,59 +37,6 @@ impl ReadChannelConfig {
     }
 }
 
-/// Live state of the read channel: outstanding-request accounting.
-#[derive(Debug, Clone)]
-pub struct ReadChannel {
-    config: ReadChannelConfig,
-    outstanding: u32,
-    issued: u64,
-    stalls: u64,
-}
-
-impl ReadChannel {
-    /// A channel with all tags free.
-    pub fn new(config: ReadChannelConfig) -> Self {
-        ReadChannel {
-            config,
-            outstanding: 0,
-            issued: 0,
-            stalls: 0,
-        }
-    }
-
-    /// The configured limits.
-    pub fn config(&self) -> ReadChannelConfig {
-        self.config
-    }
-
-    /// Try to issue a read; `false` when the tag space is exhausted.
-    pub fn try_issue(&mut self) -> bool {
-        if self.outstanding >= self.config.max_outstanding {
-            self.stalls += 1;
-            return false;
-        }
-        self.outstanding += 1;
-        self.issued += 1;
-        true
-    }
-
-    /// A read's completions have all returned; its tag frees.
-    pub fn complete(&mut self) {
-        debug_assert!(self.outstanding > 0, "completion without request");
-        self.outstanding = self.outstanding.saturating_sub(1);
-    }
-
-    /// Reads currently in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-
-    /// Lifetime issued / stalled counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.issued, self.stalls)
-    }
-}
-
 /// Latency model for one DMA read round trip.
 ///
 /// `request serialisation + request propagation + memory access +
@@ -126,23 +73,6 @@ mod tests {
         assert_eq!(c.completions_for(129), 2);
         assert_eq!(c.completions_for(4096), 32);
         assert_eq!(c.completions_for(0), 1, "zero-length read still completes");
-    }
-
-    #[test]
-    fn tag_space_bounds_outstanding_reads() {
-        let mut ch = ReadChannel::new(ReadChannelConfig {
-            max_outstanding: 2,
-            completion_boundary: 128,
-        });
-        assert!(ch.try_issue());
-        assert!(ch.try_issue());
-        assert!(!ch.try_issue(), "tags exhausted");
-        assert_eq!(ch.outstanding(), 2);
-        ch.complete();
-        assert!(ch.try_issue());
-        let (issued, stalls) = ch.stats();
-        assert_eq!(issued, 3);
-        assert_eq!(stalls, 1);
     }
 
     #[test]

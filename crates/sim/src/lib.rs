@@ -14,9 +14,8 @@
 //!   conservative parallel execution of many coupled sub-simulations in
 //!   lookahead-bounded epochs;
 //! * [`SimRng`] — a seedable, stable xoshiro256** generator;
-//! * statistics: [`Running`], [`RateMeter`], [`Ewma`], [`TimeSeries`],
-//!   [`Histogram`];
-//! * pacing: [`TokenBucket`], [`SerialLink`].
+//! * statistics: [`Running`], [`Ewma`], [`Histogram`];
+//! * pacing: [`SerialLink`].
 //!
 //! Everything is synchronous and allocation-light, in the spirit of
 //! event-driven network stacks: components are explicit state machines that
@@ -39,7 +38,7 @@ mod wheel;
 
 pub use engine::{DispatchProfile, Engine, RunOutcome, Scheduler, World};
 pub use hist::Histogram;
-pub use pacer::{SerialLink, TokenBucket};
+pub use pacer::SerialLink;
 pub use parallel::{Envelope, ParallelEngine, ShardHost, WorkerProfile};
 pub use rng::{stream_seed, SimRng, SplitMix64};
 #[doc(hidden)]
@@ -52,5 +51,5 @@ pub use wheel::TimingWheel;
 
 /// The engine's event queue: the timing wheel.
 pub type EventQueue<E> = TimingWheel<E>;
-pub use stats::{Ewma, RateMeter, Running, TimeSeries};
+pub use stats::{Ewma, Running};
 pub use time::{Resolution, SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

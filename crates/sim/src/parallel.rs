@@ -156,7 +156,7 @@ pub trait ShardHost: Send {
     }
 
     /// Events this host has dispatched over its lifetime — the measured
-    /// cost that drives [`balanced_placement`]. Purely observational
+    /// cost that drives [`ParallelEngine::rebalance`]. Purely observational
     /// (never feeds the schedule); hosts that don't track it may keep
     /// the default 0, which degrades rebalancing to host-count packing.
     fn dispatched(&self) -> u64 {
@@ -413,7 +413,7 @@ impl<H: ShardHost> ParallelEngine<H> {
     }
 
     /// Per-host lifetime dispatched-event counts — the measured costs
-    /// that feed [`balanced_placement`].
+    /// that feed [`rebalance`](Self::rebalance).
     pub fn host_costs(&self) -> Vec<u64> {
         self.hosts.iter().map(|h| h.dispatched()).collect()
     }

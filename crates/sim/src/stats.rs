@@ -1,8 +1,6 @@
-//! Streaming statistics: counters, mean/variance accumulators and windowed
-//! rate meters used by every component to export measurements without
-//! storing per-packet logs.
-
-use crate::time::{SimDuration, SimTime};
+//! Streaming statistics: mean/variance and moving-average accumulators
+//! used by every component to export measurements without storing
+//! per-packet logs.
 
 /// Welford online mean/variance accumulator.
 #[derive(Debug, Clone, Default)]
@@ -109,76 +107,6 @@ impl Running {
     }
 }
 
-/// Counts bytes (or any quantity) over simulated time and reports the
-/// average rate over the measured interval.
-#[derive(Debug, Clone)]
-pub struct RateMeter {
-    total: u64,
-    start: SimTime,
-    last: SimTime,
-    started: bool,
-}
-
-crate::snap_fields!(RateMeter { total, start, last, started } blank { RateMeter::default() });
-
-impl Default for RateMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RateMeter {
-    /// A meter that starts counting at the first recorded sample.
-    pub fn new() -> Self {
-        RateMeter {
-            total: 0,
-            start: SimTime::ZERO,
-            last: SimTime::ZERO,
-            started: false,
-        }
-    }
-
-    /// Begin (or re-begin) measurement at `now`, discarding prior counts.
-    /// Used to skip warm-up transients.
-    pub fn reset(&mut self, now: SimTime) {
-        self.total = 0;
-        self.start = now;
-        self.last = now;
-        self.started = true;
-    }
-
-    /// Add `amount` units at time `now`.
-    pub fn record(&mut self, now: SimTime, amount: u64) {
-        if !self.started {
-            self.reset(now);
-        }
-        self.total += amount;
-        if now > self.last {
-            self.last = now;
-        }
-    }
-
-    /// Total units recorded since the last reset.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Average rate in units/second over `[start, now]`.
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_since(self.start).as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.total as f64 / elapsed
-        }
-    }
-
-    /// Average rate in bits/second (convenience for byte counters).
-    pub fn rate_bits_per_sec(&self, now: SimTime) -> f64 {
-        self.rate_per_sec(now) * 8.0
-    }
-}
-
 /// Exponentially-weighted moving average with a configurable gain.
 ///
 /// Swift and the delay instrumentation use EWMA filters; keeping one shared
@@ -231,52 +159,6 @@ impl Ewma {
     }
 }
 
-/// A time-binned series: accumulates samples into fixed-width time bins,
-/// used to export throughput/drop-rate curves over a run.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    bin_width: SimDuration,
-    bins: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// A series with the given bin width.
-    pub fn new(bin_width: SimDuration) -> Self {
-        assert!(!bin_width.is_zero(), "bin width must be positive");
-        TimeSeries {
-            bin_width,
-            bins: Vec::new(),
-        }
-    }
-
-    /// Add `amount` to the bin containing time `at`.
-    pub fn record(&mut self, at: SimTime, amount: f64) {
-        let idx = (at.as_nanos() / self.bin_width.as_nanos()) as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0.0);
-        }
-        self.bins[idx] += amount;
-    }
-
-    /// The accumulated bins in time order.
-    pub fn bins(&self) -> &[f64] {
-        &self.bins
-    }
-
-    /// The configured bin width.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin_width
-    }
-
-    /// (bin start time, value) pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (SimTime::from_nanos(i as u64 * self.bin_width.as_nanos()), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,31 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_meter_average() {
-        let mut m = RateMeter::new();
-        m.reset(SimTime::ZERO);
-        m.record(SimTime::from_micros(1), 1000);
-        m.record(SimTime::from_micros(2), 1000);
-        // 2000 bytes over 2us = 1e9 B/s = 8 Gbps.
-        let now = SimTime::from_micros(2);
-        assert!((m.rate_per_sec(now) - 1e9).abs() < 1.0);
-        assert!((m.rate_bits_per_sec(now) - 8e9).abs() < 8.0);
-    }
-
-    #[test]
-    fn rate_meter_reset_discards_history() {
-        let mut m = RateMeter::new();
-        m.record(SimTime::from_micros(1), 5000);
-        m.reset(SimTime::from_micros(10));
-        assert_eq!(m.total(), 0);
-        m.record(SimTime::from_micros(11), 100);
-        assert_eq!(m.total(), 100);
-        // Rate measured from the reset point, not t=0.
-        let r = m.rate_per_sec(SimTime::from_micros(11));
-        assert!((r - 1e8).abs() < 1.0);
-    }
-
-    #[test]
     fn ewma_converges() {
         let mut e = Ewma::new(0.25);
         assert!(!e.is_initialized());
@@ -359,18 +216,5 @@ mod tests {
             e.record(20.0);
         }
         assert!((e.get() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_series_bins() {
-        let mut s = TimeSeries::new(SimDuration::from_micros(10));
-        s.record(SimTime::from_micros(3), 1.0);
-        s.record(SimTime::from_micros(9), 1.0);
-        s.record(SimTime::from_micros(10), 5.0);
-        s.record(SimTime::from_micros(25), 7.0);
-        assert_eq!(s.bins(), &[2.0, 5.0, 7.0]);
-        let pts: Vec<_> = s.iter().collect();
-        assert_eq!(pts[1].0, SimTime::from_micros(10));
-        assert_eq!(pts[2].1, 7.0);
     }
 }
