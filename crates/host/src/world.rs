@@ -18,88 +18,32 @@
 //!    measured *host delay* (NIC arrival → processing done) — the signal
 //!    Swift compares against its 100 µs target.
 
-use crate::config::{CcKind, TestbedConfig};
+mod demand;
+mod dma_path;
+mod fault_path;
+mod receiver;
+mod senders;
+
+use crate::config::TestbedConfig;
 use crate::error::RunError;
 use crate::metrics::{MetricsCollector, RunMetrics};
-use crate::vlink::VariableRateLink;
+use demand::DemandWindow;
+use dma_path::{DmaPath, Launcher};
+use fault_path::FaultPath;
 use hostcc_fabric::{
-    EnqueueOutcome, FlowId, GenSlab, Link, PacketRef, PacketStore, SlabRef, SwitchPort, WireMsg,
+    EnqueueOutcome, FlowId, GenSlab, Packet, PacketRef, PacketStore, SlabRef, SwitchPort, WireMsg,
 };
-use hostcc_faults::{FaultKind, FaultState, RecoveryTracker};
-use hostcc_iommu::Iommu;
-use hostcc_mem::{Iova, PageSize, RecycleOrder, RegionRegistry, RxBufferPool};
-use hostcc_memsys::{AgentClass, AgentId, MemorySystem, StreamAntagonist};
+use hostcc_faults::{FaultKind, FaultState};
+use hostcc_mem::{Iova, PageSize};
 use hostcc_nic::Nic;
-use hostcc_pcie::{CreditState, ReplayChannel, ReplayConfig, WriteCredits};
 use hostcc_sim::{
-    check_resave, decode, fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, Ewma,
-    RunOutcome, Scheduler, SerialLink, SimDuration, SimRng, SimTime, Snap, SnapError, SnapReader,
-    SnapWriter, World,
+    check_resave, decode, fnv1a_64, DispatchProfile, Engine, Envelope, RunOutcome, Scheduler,
+    SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter, World,
 };
-use hostcc_telemetry::{SignalInputs, Telemetry};
+use hostcc_telemetry::Telemetry;
 use hostcc_trace::{CounterRegistry, Stage, TimelineRecorder, TraceConfig, TraceEvent, Tracer};
-use hostcc_transport::{
-    Dctcp, FixedWindow, FlowStats, HostAware, ReceiverFlow, RpcConfig, RpcReadChannel, SendBlocked,
-    SenderFlow, Swift,
-};
-
-/// Build one flow's congestion controller, drawing the target-dispersion
-/// scale from `rng` exactly as `Testbed::new` always has (shared with the
-/// fleet wiring path so remote flows get the same CC diversity and the
-/// draw sequence stays bit-identical).
-fn build_cc(
-    kind: &CcKind,
-    dispersion: f64,
-    initial_cwnd: f64,
-    rng: &mut SimRng,
-) -> Box<dyn hostcc_transport::CongestionControl> {
-    match kind {
-        CcKind::Swift(sc) => {
-            let mut sc = sc.clone();
-            let d = dispersion.clamp(0.0, 0.9);
-            let scale = 1.0 - d + 2.0 * d * rng.next_f64();
-            sc.fabric_base_target = sc.fabric_base_target.mul_f64(scale);
-            sc.fs_range = sc.fs_range.mul_f64(scale);
-            Box::new(Swift::new(sc, initial_cwnd))
-        }
-        CcKind::HostAware(hc) => {
-            let mut hc = hc.clone();
-            let d = dispersion.clamp(0.0, 0.9);
-            let scale = 1.0 - d + 2.0 * d * rng.next_f64();
-            hc.swift.fabric_base_target = hc.swift.fabric_base_target.mul_f64(scale);
-            hc.swift.fs_range = hc.swift.fs_range.mul_f64(scale);
-            Box::new(HostAware::new(hc, initial_cwnd))
-        }
-        CcKind::Dctcp(dc) => Box::new(Dctcp::new(dc.clone(), initial_cwnd)),
-        CcKind::Fixed(w) => Box::new(FixedWindow::new(*w)),
-    }
-}
-
-/// Sample one connection's RPC read size from the configured mix (no
-/// draw when the mix is empty — zero-mix runs stay bit-identical).
-fn sample_rpc_cfg(cfg: &TestbedConfig, rng: &mut SimRng) -> RpcConfig {
-    let mut rpc_cfg = cfg.rpc;
-    let total_weight: f64 = cfg.read_size_mix.iter().map(|(_, w)| w).sum();
-    if total_weight > 0.0 {
-        let mut pick = rng.next_f64() * total_weight;
-        for &(bytes, w) in &cfg.read_size_mix {
-            pick -= w;
-            if pick <= 0.0 {
-                rpc_cfg.read_bytes = bytes.max(rpc_cfg.mtu_payload);
-                break;
-            }
-        }
-    }
-    rpc_cfg
-}
-
-/// Build one sender access link, drawing its propagation-spread factor
-/// from `rng` (shared with the fleet wiring path).
-fn build_sender_link(cfg: &TestbedConfig, rng: &mut SimRng) -> Link {
-    let spread = cfg.propagation_spread.clamp(0.0, 0.95);
-    let factor = 1.0 - spread + 2.0 * spread * rng.next_f64();
-    Link::new(cfg.sender_link_bps, cfg.hop_propagation.mul_f64(factor))
-}
+use receiver::{Ctrl, Receiver};
+use senders::Senders;
 
 /// A DMA in flight between credit admission and completion.
 ///
@@ -282,134 +226,29 @@ impl Snap for Event {
     }
 }
 
-/// Role of a virtual flow slot appended by fleet wiring. Slot `k`
-/// (flow index `senders * receiver_threads + k`) owns virtual sender id
-/// `senders + k`, so the existing per-sender vectors stay uniformly
-/// indexed.
-#[derive(Debug, Clone, Copy)]
-enum RemoteEntry {
-    /// This host transmits; the data crosses the fabric to `dst_host`,
-    /// stamped with the destination-side flow id so the receive path
-    /// needs no translation table.
-    Sender {
-        /// Destination host (global fleet id).
-        dst_host: u32,
-        /// Flow id of the paired receiver slot on the destination.
-        dst_flow_id: FlowId,
-    },
-    /// This host receives; ACKs return across the fabric to flow
-    /// `src_flow` on `src_host`.
-    Receiver {
-        /// Source host (global fleet id).
-        src_host: u32,
-        /// Flow index of the paired sender slot on the source.
-        src_flow: u32,
-    },
-}
-
-/// Inter-host fabric attachment: identity, minimum latency (the parallel
-/// engine's lookahead), and the outbound/inbound message staging areas.
-/// `None` on single-host testbeds — the entire remote path costs one
-/// `is_empty` branch there.
-#[derive(Debug)]
-struct FabricPort {
-    /// This host's global fleet id (stamped on outgoing envelopes).
-    host_id: u32,
-    /// Minimum inter-host delivery latency, added to every crossing.
-    latency: SimDuration,
-    /// Monotonic per-host envelope counter: the deterministic merge
-    /// tiebreaker `(fire, src_host, seq)` needs uniqueness per host.
-    wire_seq: u64,
-    /// Envelopes emitted since the last `take_outbound` drain.
-    outbox: Vec<Envelope<WireMsg>>,
-    /// Inbound messages awaiting their `RemoteArrival` events, in
-    /// delivery order (the engine injects in merge order; the wheel's
-    /// FIFO-within-timestamp keeps event order aligned with this queue).
-    inbox: std::collections::VecDeque<WireMsg>,
-}
-
-// Identity and latency are topology; the sequence counter and the staged
-// messages evolve.
-hostcc_sim::snap_fields!(FabricPort { wire_seq, outbox, inbox } skip { host_id, latency });
-
 /// The complete simulated testbed (implements [`World`]).
+///
+/// The datapath is split into stages that each own their state, in the
+/// paper's pipeline order: the senders with the fleet's fabric port, the
+/// PCIe/IOMMU/memory path (plus its DMA launcher), the receiver stack,
+/// the memory-demand window and the fault path (DESIGN.md, "Testbed
+/// stages"). The switch, the packet and DMA slabs and the NIC are shared
+/// by several stages and stay here, next to the observation sinks. The
+/// event handlers are the seams between stages.
 pub struct Testbed {
     cfg: TestbedConfig,
-    rng: SimRng,
-    // --- senders & flows ---
-    flows: Vec<SenderFlow>,
-    flow_ids: Vec<FlowId>,
-    sender_links: Vec<Link>,
-    recv_flows: Vec<ReceiverFlow>,
-    rpc: Vec<RpcReadChannel>,
-    /// Roles of the virtual flow slots appended by fleet wiring (empty on
-    /// single-host testbeds; slot `k` is flow `base_flows() + k`).
-    remote: Vec<RemoteEntry>,
-    /// Inter-host fabric attachment (`None` outside a fleet).
-    fabric: Option<FabricPort>,
-    // --- fabric ---
+    senders: Senders,
     switch: SwitchPort,
     /// Every live packet, from `TrySend` until its ACK is consumed at the
     /// sender (or it drops). Events and queues carry `PacketRef` handles.
     store: PacketStore,
     /// DMA jobs in flight between admission and `CpuDone`.
     dma: GenSlab<DmaJob>,
-    // --- host ---
     nic: Nic,
-    iommu: Iommu,
-    mem: MemorySystem,
-    nic_agent: AgentId,
-    app_agent: AgentId,
-    antagonist: StreamAntagonist,
-    credits: CreditState,
-    pcie_pipe: SerialLink,
-    mem_pipe: VariableRateLink,
-    pools: Vec<RxBufferPool>,
-    core_free_at: Vec<SimTime>,
-    ring_cursor: Vec<[u64; 3]>,
-    /// Hot-window page counts per control structure (ring, CQ, ACK pool) —
-    /// run constants hoisted out of the per-packet ring-offset computation.
-    ring_pages: [u64; 3],
-    /// Per-packet receiver-core cost (plus strict-mode invalidation work):
-    /// a run constant precomputed at build.
-    per_pkt_cost: SimDuration,
-    /// Cached per-walk-access latency (ns); valid while `cached_mem_epoch`
-    /// matches the memory system's demand epoch.
-    cached_walk_ns: f64,
-    /// Cached DDIO commit latency term (ns); same epoch key.
-    cached_commit_ns: f64,
-    /// Cached descriptor-read round-trip (ns); same epoch key.
-    cached_read_rt_ns: u64,
-    /// Memory-system epoch the cached latency terms were derived at.
-    cached_mem_epoch: u64,
-    // --- demand window ---
-    window_payload: u64,
-    window_walks: u64,
-    last_tick: SimTime,
-    nic_demand: Ewma,
-    app_demand: Ewma,
-    // --- credit constants ---
-    /// PCIe credit cost of one full-MTU payload write (precomputed).
-    pkt_credits: WriteCredits,
-    /// Fraction of DMA writes currently reaching DRAM (DDIO leak),
-    /// refreshed every mem tick.
-    ddio_leak: f64,
-    /// Whether a `DmaLaunch` event is already scheduled at the current
-    /// instant. Packet arrivals and DMA completions both kick the launch
-    /// loop; coalescing the kicks removes one queue round-trip per packet
-    /// from the dispatch hot path without changing admission order (the
-    /// launch handler drains every admissible packet anyway).
-    dma_launch_pending: bool,
-    /// Chain fusion enabled for this run: `cfg.fuse_chains` and no fault
-    /// plan (CorePreempt windows rewrite `core_free_at`, which would
-    /// invalidate launch-time core reservations).
-    fuse_active: bool,
-    /// Unfused DMA jobs in flight per receiver thread. A chain may only
-    /// fuse when this is zero for its thread: a pending unfused
-    /// completion claims the core at *dispatch* time, so fusing past it
-    /// could start the fused packet's CPU work on a core an earlier
-    /// packet is about to take.
-    unfused_inflight: Vec<u32>,
+    path: DmaPath,
+    receiver: Receiver,
+    demand: DemandWindow,
+    launcher: Launcher,
     /// Metrics accumulator (armed after warm-up).
     pub metrics: MetricsCollector,
     /// Datapath event tracer (disabled by default; purely observational).
@@ -421,289 +260,62 @@ pub struct Testbed {
     /// Continuous host-congestion telemetry: sampler + episode detector +
     /// flight recorder (disabled by default; purely observational).
     pub telemetry: Telemetry,
-    rtx_base: u64,
-    timeout_base: u64,
-    // --- fault injection ---
+    /// Flow `(retransmits, timeouts)` totals when metrics were armed.
+    armed_totals: (u64, u64),
     /// Open-window bookkeeping + fault counters (empty-plan: all idle).
     pub faults: FaultState,
-    /// Dedicated RNG stream for fault coin flips (NAK draws). Kept apart
-    /// from the workload RNG so wiring the fault layer never perturbs a
-    /// zero-fault run's draws.
-    fault_rng: SimRng,
-    /// PCIe DLLP ACK/NAK replay state (exercised only during replay
-    /// windows; an idle channel costs one branch per DMA).
-    replay: ReplayChannel,
-    /// Goodput before/during/after fault windows.
-    recovery: RecoveryTracker,
-    /// Cached aggregates, refreshed on window edges (hot-path reads).
-    fault_link_down: bool,
-    fault_nak_rate: f64,
-    fault_refill_stalled: bool,
-    fault_throttle: f64,
-    /// Refills deferred per thread while a descriptor stall is open.
-    fault_pending_refills: Vec<u32>,
-    /// Diagnostic counterfactual switch (campaign bisect): when set, fault
-    /// windows that have not yet opened are skipped, so a replay from a
-    /// checkpoint shows what the run would have done without the fault.
-    /// Transient — never serialized; a checkpoint taken after suppression
-    /// does not record it.
-    faults_suppressed: bool,
-    /// Last NIC memory-bandwidth grant computed by the mem tick (so a
-    /// throttle edge can re-rate the pipe immediately, between ticks).
-    last_nic_avail: f64,
-    /// Delivered-byte watermark for recovery goodput sampling.
-    last_delivered_bytes: u64,
+    fault_path: FaultPath,
 }
 
-// The checkpoint image: every piece of evolving state. Topology,
-// configuration and run constants are skipped: a restore loads into a
-// testbed freshly built from the identical config (and, in a fleet, the
-// same remote-flow wiring), so shape-fixed containers (flows, links,
-// pools, the fabric attachment) must match it. Derived caches are
-// recomputed after load, and scratch buffers carry no state between events
-// at a slot boundary. The cached fault aggregates are saved rather than
-// re-derived: `refresh_fault_aggregates` re-rates the memory pipe, which
-// would perturb the restored busy horizon. `faults_suppressed` is a
-// transient diagnostic switch and is never saved.
+// The checkpoint image: every piece of evolving state, stage by stage in
+// this order (nested stage lists write no framing, so this is also the
+// byte layout). Configuration and the tracing buffers are skipped: a
+// restore loads into a testbed freshly built from the identical config
+// (and, in a fleet, the same remote-flow wiring), so shape-fixed
+// containers must match it.
 hostcc_sim::snap_fields!(Testbed {
-    rng, flows, sender_links, recv_flows, rpc, fabric, switch, store, dma, nic, iommu, mem,
-    antagonist, credits, pcie_pipe, mem_pipe, pools, core_free_at, ring_cursor, window_payload,
-    window_walks, last_tick, nic_demand, app_demand, ddio_leak, dma_launch_pending,
-    unfused_inflight, metrics, counters, telemetry, rtx_base, timeout_base, faults, fault_rng,
-    replay, recovery, fault_link_down, fault_nak_rate, fault_refill_stalled, fault_throttle,
-    fault_pending_refills, last_nic_avail, last_delivered_bytes,
-} skip {
-    cfg, flow_ids, remote, nic_agent, app_agent, ring_pages, per_pkt_cost, cached_walk_ns,
-    cached_commit_ns, cached_read_rt_ns, cached_mem_epoch, pkt_credits,
-    fuse_active, tracer, timeline, faults_suppressed,
-} check { Testbed::check_restored });
+    senders, switch, store, dma, nic, path, receiver, demand, launcher, metrics, counters,
+    telemetry, armed_totals, faults, fault_path,
+} skip { cfg, tracer, timeline } check { Testbed::check_restored });
 
 impl Testbed {
     /// Build the testbed from a configuration. Registers all memory
     /// regions, pre-posts descriptor rings and creates every flow.
     pub fn new(cfg: TestbedConfig) -> Self {
-        let mut rng = SimRng::new(cfg.seed);
-        let wire = cfg.wire;
-
-        // Memory system and agents.
-        let mut mem = MemorySystem::new(cfg.memsys.clone());
-        let nic_agent = mem.register_agent("nic-dma", AgentClass::Io);
-        let app_agent = mem.register_agent("receiver-copies", AgentClass::Cpu);
-        let mut antagonist = StreamAntagonist::new(&mut mem, cfg.stream.clone());
-        antagonist.set_cores(&mut mem, cfg.antagonist_cores);
-
-        // IOMMU and registered regions.
-        let mut iommu = Iommu::new(cfg.iommu.clone());
-        let threads = cfg.receiver_threads;
-        let phys = (threads as u64 + 2) * (cfg.rx_region_bytes + (4 << 20)) + (256 << 20);
-        let mut registry = RegionRegistry::new(phys);
-
+        let demand = DemandWindow::new();
+        let mut path = DmaPath::new(&cfg, demand.ddio_leak());
         let mut nic = Nic::new(cfg.nic.clone());
-        let mut pools = Vec::with_capacity(threads as usize);
-        for t in 0..threads {
-            // Data region (hugepage or 4K mapping per the scenario).
-            let data = registry
-                .register(
-                    iommu.page_table_mut(),
-                    t,
-                    cfg.rx_region_bytes,
-                    cfg.data_page,
-                )
-                .expect("phys budget");
-            // Control region: descriptor ring + CQ + ACK buffer, 4 KiB
-            // mappings (as in the paper's setup).
-            let ring_bytes = cfg.nic.ring_entries as u64 * cfg.nic.desc_bytes;
-            let cq_bytes = cfg.nic.ring_entries as u64 * cfg.nic.cqe_bytes;
-            let ack_pool_bytes = cfg.ack_pool_pages.max(1) as u64 * 4096;
-            let ctrl_len = ring_bytes + cq_bytes + ack_pool_bytes;
-            let ctrl = registry
-                .register(iommu.page_table_mut(), t, ctrl_len, PageSize::Size4K)
-                .expect("phys budget");
-            let ring_base = ctrl.iova_base;
-            let cq_base = ctrl.iova_base.add(ring_bytes);
-            let ack_buf = ctrl.iova_base.add(ring_bytes + cq_bytes);
-            let q = nic.add_queue(ring_base, cq_base, ack_buf);
-
-            let order = match cfg.recycling {
-                crate::config::BufferRecycling::Scattered => RecycleOrder::Random {
-                    // SplitMix64-finalized per-thread stream: adjacent
-                    // (seed, thread) pairs must not yield correlated
-                    // recycling orders.
-                    seed: stream_seed(cfg.seed, t as u64),
-                },
-                crate::config::BufferRecycling::Sequential => RecycleOrder::Fifo,
-                crate::config::BufferRecycling::Hot => RecycleOrder::Lifo,
-            };
-            let mut pool = RxBufferPool::new(&data, cfg.buffer_slot_bytes, order);
-            // Pre-post the descriptor ring. A hot (on-NIC-memory-style)
-            // pool posts a shallow ring so the outstanding buffer set
-            // stays small; the default stack fills the whole ring.
-            let prepost = match cfg.recycling {
-                crate::config::BufferRecycling::Hot => 64,
-                _ => cfg.nic.ring_entries,
-            };
-            for _ in 0..prepost {
-                if nic.queues[q].ring.free_slots() == 0 {
-                    break;
-                }
-                match pool.alloc() {
-                    Some(b) => {
-                        nic.queues[q].ring.post(b);
-                    }
-                    None => break,
-                }
-            }
-            pools.push(pool);
-        }
-
-        // Flows: one per (sender, thread).
-        let n_flows = (cfg.senders * threads) as usize;
-        let mut flows = Vec::with_capacity(n_flows);
-        let mut flow_ids = Vec::with_capacity(n_flows);
-        let mut recv_flows = Vec::with_capacity(n_flows);
-        let mut rpc = Vec::with_capacity(n_flows);
-        for s in 0..cfg.senders {
-            for t in 0..threads {
-                // Sample this connection's read size from the mix.
-                let rpc_cfg = sample_rpc_cfg(&cfg, &mut rng);
-                let cc = build_cc(
-                    &cfg.cc,
-                    cfg.target_dispersion,
-                    cfg.flow.initial_cwnd,
-                    &mut rng,
-                );
-                let mut f = SenderFlow::new(cfg.flow.clone(), cc);
-                let ch = RpcReadChannel::new(rpc_cfg);
-                f.set_data_frontier(ch.data_frontier());
-                flows.push(f);
-                flow_ids.push(FlowId {
-                    sender: s,
-                    thread: t,
-                });
-                recv_flows.push(ReceiverFlow::new());
-                rpc.push(ch);
-            }
-        }
-
-        let sender_links: Vec<Link> = (0..cfg.senders)
-            .map(|_| build_sender_link(&cfg, &mut rng))
-            .collect();
-        let switch = SwitchPort::new(
-            cfg.access_link_bps,
-            cfg.hop_propagation,
-            cfg.switch_buffer_bytes,
-            cfg.ecn_threshold_bytes,
-        );
-
-        let pcie_pipe = SerialLink::new(cfg.pcie.effective_goodput_bytes_per_sec());
-        let mem_pipe = VariableRateLink::new(cfg.memsys.achievable_bytes_per_sec());
-        // Quantised time happens once, at the event-queue boundary: the
-        // scheduler's queue rounds every pushed timestamp up to
-        // `cfg.resolution`, so all dispatch instants land on the grid and
-        // nearby completions share wheel slots. The rate models above
-        // deliberately keep their *internal* clocks exact — rounding each
-        // serialisation term inside a link would cap it at one packet per
-        // grid step (a 400 G link quantised per-packet to 64 ns behaves
-        // like 128 G), whereas quantising only the dispatch instant
-        // displaces each event by < one grid step without distorting
-        // sustained rates. The queue boundary is the only quantiser.
-        let credits = CreditState::new(cfg.credits);
-        let pkt_credits = WriteCredits::for_write(wire.mtu_payload as u64, cfg.pcie.max_payload);
-
-        // Slab working sets: packets in flight are bounded by the flows'
-        // aggregate windows plus queued buffers; DMA jobs by the credit
-        // window times threads. Both slabs grow to the real peak and then
-        // recycle; these pre-sizes just skip the early doublings.
-        let store = PacketStore::with_capacity(1024.max(n_flows * 16));
-        let dma = GenSlab::with_capacity(256);
-
-        let faults = FaultState::new(&cfg.faults);
-        let fault_rng = SimRng::new(stream_seed(cfg.seed ^ cfg.faults.seed, 0xFA017));
-        let last_nic_avail = cfg.memsys.achievable_bytes_per_sec();
-
-        // Hot-window page counts and the per-packet CPU cost are run
-        // constants; hoist them out of the per-packet handlers.
-        let ring_bytes = cfg.nic.ring_entries as u64 * cfg.nic.desc_bytes;
-        let cq_bytes = cfg.nic.ring_entries as u64 * cfg.nic.cqe_bytes;
-        let ack_pool_bytes = cfg.ack_pool_pages.max(1) as u64 * 4096;
-        let ring_pages = [
-            (ring_bytes / 4096)
-                .max(1)
-                .min(cfg.ring_hot_pages.max(1) as u64),
-            (cq_bytes / 4096).max(1).min(cfg.cq_hot_pages.max(1) as u64),
-            (ack_pool_bytes / 4096)
-                .max(1)
-                .min(cfg.ack_pool_pages.max(1) as u64),
-        ];
-        let mut per_pkt_cost = cfg.core_pkt_cost;
-        if cfg.strict_iommu {
-            per_pkt_cost += cfg.invalidation_cost;
-        }
-
-        let _ = &mut rng;
-        let mut tb = Testbed {
-            rng,
-            flows,
-            flow_ids,
-            sender_links,
-            recv_flows,
-            rpc,
-            remote: Vec::new(),
-            fabric: None,
-            switch,
-            store,
-            dma,
+        let receiver = Receiver::new(&cfg, path.page_table_mut(), &mut nic);
+        let n_flows = (cfg.senders * cfg.receiver_threads) as usize;
+        Testbed {
+            senders: Senders::new(&cfg),
+            switch: SwitchPort::new(
+                cfg.access_link_bps,
+                cfg.hop_propagation,
+                cfg.switch_buffer_bytes,
+                cfg.ecn_threshold_bytes,
+            ),
+            // Slab working sets: packets in flight are bounded by the
+            // flows' aggregate windows plus queued buffers; DMA jobs by
+            // the credit window times threads. Both slabs grow to the real
+            // peak and then recycle; these pre-sizes skip early doublings.
+            store: PacketStore::with_capacity(1024.max(n_flows * 16)),
+            dma: GenSlab::with_capacity(256),
             nic,
-            iommu,
-            mem,
-            nic_agent,
-            app_agent,
-            antagonist,
-            credits,
-            pcie_pipe,
-            mem_pipe,
-            pools,
-            core_free_at: vec![SimTime::ZERO; threads as usize],
-            ring_cursor: vec![[0; 3]; threads as usize],
-            ring_pages,
-            per_pkt_cost,
-            cached_walk_ns: 0.0,
-            cached_commit_ns: 0.0,
-            cached_read_rt_ns: 0,
-            cached_mem_epoch: u64::MAX,
-            window_payload: 0,
-            window_walks: 0,
-            last_tick: SimTime::ZERO,
-            nic_demand: Ewma::new(0.3),
-            app_demand: Ewma::new(0.3),
-            pkt_credits,
-            ddio_leak: 1.0,
-            dma_launch_pending: false,
-            fuse_active: cfg.fuse_chains && cfg.faults.is_empty(),
-            unfused_inflight: vec![0; threads as usize],
+            path,
+            receiver,
+            demand,
+            launcher: Launcher::new(&cfg),
             metrics: MetricsCollector::new(),
             tracer: Tracer::disabled(),
             counters: CounterRegistry::new(),
             timeline: TimelineRecorder::disabled(),
             telemetry: Telemetry::new(cfg.telemetry),
-            rtx_base: 0,
-            timeout_base: 0,
-            faults,
-            fault_rng,
-            replay: ReplayChannel::new(ReplayConfig::default()),
-            recovery: RecoveryTracker::new(),
-            fault_link_down: false,
-            fault_nak_rate: 0.0,
-            fault_refill_stalled: false,
-            faults_suppressed: false,
-            fault_throttle: 1.0,
-            fault_pending_refills: vec![0; threads as usize],
-            last_nic_avail,
-            last_delivered_bytes: 0,
+            armed_totals: (0, 0),
+            faults: FaultState::new(&cfg.faults),
+            fault_path: FaultPath::new(&cfg),
             cfg,
-        };
-        tb.refresh_latency_cache();
-        tb
+        }
     }
 
     /// Install a trace configuration (tracer + timeline recorder). The
@@ -721,16 +333,7 @@ impl Testbed {
 
     /// Kick off the simulation: initial send attempts + periodic timers.
     pub fn start(&mut self, sched: &mut Scheduler<Event>) {
-        let n = self.flows.len() as u32;
-        for f in 0..n {
-            // Fleet receiver slots hold no transmitting flow.
-            if self.is_remote_receiver(f as usize) {
-                continue;
-            }
-            // Slight deterministic desynchronisation of flow start times.
-            let jitter = SimDuration::from_nanos((f as u64 * 193) % 20_000);
-            sched.after(jitter, Event::TrySend(f));
-        }
+        self.senders.start(sched);
         sched.after(self.cfg.mem_tick, Event::MemTick);
         sched.after(self.cfg.rto_sweep, Event::RtoSweep);
         // Fault windows ride the same wheel as everything else: every
@@ -751,54 +354,20 @@ impl Testbed {
         }
     }
 
-    fn flow_index(&self, id: FlowId) -> u32 {
-        if id.sender >= self.cfg.senders {
-            // Virtual sender from fleet wiring: slot k = sender - senders,
-            // one flow per slot, appended after the local grid.
-            self.base_flows() + (id.sender - self.cfg.senders)
-        } else {
-            id.sender * self.cfg.receiver_threads + id.thread
-        }
-    }
-
-    /// Number of local (sender, thread) flows; remote slots start here.
-    #[inline]
-    fn base_flows(&self) -> u32 {
-        self.cfg.senders * self.cfg.receiver_threads
-    }
-
-    /// Whether flow `f` is a fleet-wiring receiver slot (a placeholder
-    /// sender that must never be started or swept into transmitting).
-    #[inline]
-    fn is_remote_receiver(&self, f: usize) -> bool {
-        let base = self.base_flows() as usize;
-        f >= base && matches!(self.remote[f - base], RemoteEntry::Receiver { .. })
-    }
-
     // ---- fleet wiring (all calls happen before `start`) ----
 
     /// Attach this testbed to the inter-host fabric as `host_id`, with
     /// the given minimum crossing latency (the parallel engine's
     /// lookahead). Must precede any `add_remote_*` call.
     pub fn enable_fabric(&mut self, host_id: u32, latency: SimDuration) {
-        assert!(
-            latency > SimDuration::ZERO,
-            "inter-host latency must be positive (it is the lookahead)"
-        );
-        self.fabric = Some(FabricPort {
-            host_id,
-            latency,
-            wire_seq: 0,
-            outbox: Vec::new(),
-            inbox: std::collections::VecDeque::new(),
-        });
+        self.senders.enable_fabric(host_id, latency);
     }
 
     /// Flow index the next `add_remote_*` call will allocate. The fleet
     /// builder reads this on the *sender* host before wiring the receiver
     /// side, so the receiver knows the return address up front.
     pub fn next_remote_flow(&self) -> u32 {
-        self.flows.len() as u32
+        self.senders.next_remote_flow()
     }
 
     /// Whether this testbed can ever emit a fabric envelope: it is
@@ -807,7 +376,7 @@ impl Testbed {
     /// parallel engine's epoch bound (super-epoch batching) — the answer
     /// is fixed once `start` runs, so it is a sound promise.
     pub fn coupled(&self) -> bool {
-        self.fabric.is_some() && !self.remote.is_empty()
+        self.senders.coupled()
     }
 
     /// Allocate the receiver half of a cross-host flow terminating on
@@ -822,37 +391,8 @@ impl Testbed {
         src_flow: u32,
         thread: u32,
     ) -> (u32, FlowId, u64) {
-        assert!(
-            self.fabric.is_some(),
-            "enable_fabric before wiring remote flows"
-        );
-        let f = self.flows.len() as u32;
-        let id = FlowId {
-            sender: self.cfg.senders + self.remote.len() as u32,
-            thread: thread % self.cfg.receiver_threads.max(1),
-        };
-        // Same per-connection draws as local flows (read-size mix, link
-        // spread), from the host's own RNG: the wiring is a fixed part of
-        // the fleet topology, so the draw sequence is independent of
-        // shard count.
-        let rpc_cfg = sample_rpc_cfg(&self.cfg, &mut self.rng);
-        let ch = RpcReadChannel::new(rpc_cfg);
-        let frontier = ch.data_frontier();
-        // The slot's sender side never transmits (its TrySend is never
-        // scheduled and no ACK ever addresses it); the placeholder just
-        // keeps the flow vectors parallel.
-        self.flows.push(SenderFlow::new(
-            self.cfg.flow.clone(),
-            Box::new(FixedWindow::new(1.0)),
-        ));
-        self.flow_ids.push(id);
-        self.recv_flows.push(ReceiverFlow::new());
-        self.rpc.push(ch);
-        self.sender_links
-            .push(build_sender_link(&self.cfg, &mut self.rng));
-        self.remote
-            .push(RemoteEntry::Receiver { src_host, src_flow });
-        (f, id, frontier)
+        self.senders
+            .add_remote_receiver(&self.cfg, src_host, src_flow, thread)
     }
 
     /// Allocate the sender half of a cross-host flow: a full sender flow
@@ -866,70 +406,20 @@ impl Testbed {
         dst_flow_id: FlowId,
         initial_frontier: u64,
     ) -> u32 {
-        assert!(
-            self.fabric.is_some(),
-            "enable_fabric before wiring remote flows"
-        );
-        let f = self.flows.len() as u32;
-        let id = FlowId {
-            sender: self.cfg.senders + self.remote.len() as u32,
-            thread: dst_flow_id.thread,
-        };
-        let cc = build_cc(
-            &self.cfg.cc,
-            self.cfg.target_dispersion,
-            self.cfg.flow.initial_cwnd,
-            &mut self.rng,
-        );
-        let mut fl = SenderFlow::new(self.cfg.flow.clone(), cc);
-        fl.set_data_frontier(initial_frontier);
-        self.flows.push(fl);
-        self.flow_ids.push(id);
-        // Unused on the sender host (data is consumed remotely); parallel
-        // for uniform indexing.
-        self.recv_flows.push(ReceiverFlow::new());
-        self.rpc.push(RpcReadChannel::new(self.cfg.rpc));
-        self.sender_links
-            .push(build_sender_link(&self.cfg, &mut self.rng));
-        self.remote.push(RemoteEntry::Sender {
-            dst_host,
-            dst_flow_id,
-        });
-        f
+        self.senders
+            .add_remote_sender(&self.cfg, dst_host, dst_flow_id, initial_frontier)
     }
 
     /// Move every envelope emitted since the last drain into `out`
     /// (parallel-engine send phase). No-op outside a fleet.
     pub fn take_outbound(&mut self, out: &mut Vec<Envelope<WireMsg>>) {
-        if let Some(port) = self.fabric.as_mut() {
-            out.append(&mut port.outbox);
-        }
+        self.senders.take_outbound(out);
     }
 
     /// Queue an inbound fabric message; the caller schedules the matching
     /// [`Event::RemoteArrival`] at the envelope's fire time.
     pub fn push_inbound(&mut self, msg: WireMsg) {
-        self.fabric
-            .as_mut()
-            .expect("inbound message without fabric")
-            .inbox
-            .push_back(msg);
-    }
-
-    /// Stamp and stage an outbound envelope: `fire` is the local
-    /// emission-side arrival instant, to which the fabric crossing adds
-    /// its minimum latency (so `fire >= now + lookahead` always holds).
-    fn queue_remote(&mut self, fire: SimTime, dst_host: u32, msg: WireMsg) {
-        let port = self.fabric.as_mut().expect("remote flow without fabric");
-        let seq = port.wire_seq;
-        port.wire_seq += 1;
-        port.outbox.push(Envelope {
-            fire: fire + port.latency,
-            src_host: port.host_id,
-            seq,
-            dst_host,
-            msg,
-        });
+        self.senders.push_inbound(msg);
     }
 
     /// Suppress fault windows that have not yet opened (campaign bisect's
@@ -938,8 +428,10 @@ impl Testbed {
     /// Transient: the flag is never serialized, so a checkpoint saved
     /// after suppression restores with faults active again.
     pub fn suppress_faults(&mut self) {
-        self.faults_suppressed = true;
+        self.fault_path.suppress();
     }
+
+    // ---- observation ----
 
     /// Begin measurement (discard warm-up counts). Also baselines the
     /// counter registry so `since_baseline` reports the measurement
@@ -947,17 +439,12 @@ impl Testbed {
     pub fn arm_metrics(&mut self, now: SimTime) {
         self.metrics.arm(now);
         self.nic.input.reset_peak();
-        self.rtx_base = self.flows.iter().map(|f| f.stats().retransmits).sum();
-        self.timeout_base = self.flows.iter().map(|f| f.stats().timeouts).sum();
+        let flows = self.senders.stats();
+        self.armed_totals = (flows.retransmits, flows.timeouts);
         if !self.cfg.faults.is_empty() {
             // Recovery goodput is measured over the same interval as the
-            // headline metrics. Windows already open at arm time carry
-            // over (their closing edges must still balance the tracker).
-            self.recovery = RecoveryTracker::new();
-            for _ in 0..self.faults.open_windows() {
-                self.recovery.on_window_start(now.as_nanos());
-            }
-            self.last_delivered_bytes = 0;
+            // headline metrics.
+            self.fault_path.arm(now, &self.faults);
         }
         self.collect_counters();
         self.counters.mark_baseline();
@@ -965,27 +452,14 @@ impl Testbed {
 
     /// Snapshot metrics at `now`.
     pub fn snapshot(&mut self, now: SimTime) -> RunMetrics {
-        // Placeholder receiver slots hold no real window; exclude them so
-        // fleet hosts report the mean over transmitting flows (identical
-        // accumulation when no remote slots exist).
-        let (mut cwnd_sum, mut cwnd_n) = (0.0f64, 0u64);
-        for (i, fl) in self.flows.iter().enumerate() {
-            if self.is_remote_receiver(i) {
-                continue;
-            }
-            cwnd_sum += fl.cwnd();
-            cwnd_n += 1;
-        }
-        let mean_cwnd = cwnd_sum / cwnd_n as f64;
-        let mut m = self
-            .metrics
-            .snapshot(now, self.nic.input.peak_bytes(), mean_cwnd);
-        let rtx_now: u64 = self.flows.iter().map(|f| f.stats().retransmits).sum();
-        let to_now: u64 = self.flows.iter().map(|f| f.stats().timeouts).sum();
-        m.retransmits = rtx_now - self.rtx_base;
-        m.timeouts = to_now - self.timeout_base;
+        let mut m =
+            self.metrics
+                .snapshot(now, self.nic.input.peak_bytes(), self.senders.mean_cwnd());
+        let flows = self.senders.stats();
+        m.retransmits = flows.retransmits - self.armed_totals.0;
+        m.timeouts = flows.timeouts - self.armed_totals.1;
         if !self.cfg.faults.is_empty() {
-            m.faults = Some(self.recovery.summarize(&self.faults.counters));
+            m.faults = Some(self.fault_path.summary(&self.faults));
         }
         // Like `faults`: the section exists only when the subsystem ran,
         // so telemetry-off exports stay byte-identical.
@@ -999,20 +473,14 @@ impl Testbed {
     /// Refresh the counter registry from every datapath component.
     pub fn collect_counters(&mut self) {
         self.counters.collect(&self.nic);
-        self.counters.collect(&self.credits);
-        self.counters.collect(&self.iommu);
-        self.counters.collect(&self.mem);
-        let mut agg = FlowStats::default();
-        for f in &self.flows {
-            agg.absorb(&f.stats());
-        }
-        self.counters.collect(&agg);
+        self.path.collect_counters(&mut self.counters);
+        self.counters.collect(&self.senders.stats());
         // Fault counters only exist in the registry when a plan is present:
         // a zero-fault run's counter export must stay byte-identical to a
         // build without the fault layer.
         if !self.cfg.faults.is_empty() {
             self.counters.collect(&self.faults.counters);
-            self.counters.collect(&self.replay);
+            self.fault_path.collect_counters(&mut self.counters);
         }
     }
 
@@ -1020,174 +488,26 @@ impl Testbed {
     /// delivered in order at the receiver). Chaos tests diff two readings
     /// to prove no flow is permanently stalled after a fault window.
     pub fn flow_progress(&self) -> Vec<(u64, u64)> {
-        self.flows
-            .iter()
-            .zip(&self.recv_flows)
-            .map(|(s, r)| (s.cum_acked(), r.delivered_packets()))
-            .collect()
+        self.senders.progress()
     }
 
-    /// Revalidate restored state against the prebuilt topology (per-thread
-    /// vectors sized to the receiver threads, ring cursors inside their
-    /// hot windows) and value ranges, then recompute the derived caches.
+    /// After a restore: the per-thread vectors of every stage must match
+    /// the receiver stack's thread count, and the path's latency caches
+    /// are re-derived from the restored memory state.
     fn check_restored(&mut self) -> Result<(), SnapError> {
-        let threads = self.pools.len();
-        if self.core_free_at.len() != threads {
-            return Err(SnapError::Corrupt("receiver core count mismatch"));
-        }
-        if self.ring_cursor.len() != threads {
-            return Err(SnapError::Corrupt("ring cursor count mismatch"));
-        }
-        for cur in &self.ring_cursor {
-            if cur
-                .iter()
-                .zip(&self.ring_pages)
-                .any(|(c, pages)| c >= pages)
-            {
-                return Err(SnapError::Corrupt("ring cursor out of range"));
-            }
-        }
-        if self.unfused_inflight.len() != threads {
+        let threads = self.receiver.threads();
+        if self.launcher.threads() != threads {
             return Err(SnapError::Corrupt("unfused inflight count mismatch"));
         }
-        if self.fault_pending_refills.len() != threads {
+        if self.fault_path.threads() != threads {
             return Err(SnapError::Corrupt("pending refill count mismatch"));
         }
-        if !(0.0..=1.0).contains(&self.ddio_leak) {
-            return Err(SnapError::Corrupt("ddio leak out of range"));
-        }
-        if !(0.0..=1.0).contains(&self.fault_nak_rate) {
-            return Err(SnapError::Corrupt("nak rate out of range"));
-        }
-        if !self.fault_throttle.is_finite() || self.fault_throttle < 0.0 {
-            return Err(SnapError::Corrupt("invalid throttle factor"));
-        }
-        if !self.last_nic_avail.is_finite() || self.last_nic_avail < 0.0 {
-            return Err(SnapError::Corrupt("invalid nic bandwidth"));
-        }
-        self.refresh_latency_cache();
+        self.path
+            .refresh_latency_cache(&self.cfg, self.demand.ddio_leak());
         Ok(())
     }
 
-    /// Latency charged per page-walk memory access: the memory latency
-    /// curve (capped — page-table lines are cache-friendly) times the
-    /// IOMMU walker penalty (dependent accesses through the root complex).
-    fn walk_access_latency_ns(&mut self) -> f64 {
-        let full = self.mem.access_latency_ns();
-        let base = self.cfg.memsys.base_latency_ns;
-        full.min(base * self.cfg.walk_latency_cap_factor) * self.cfg.walk_access_penalty
-    }
-
-    /// Re-derive the cached per-DMA latency terms. Each term is the exact
-    /// f64 expression the launch path used to evaluate per packet, and its
-    /// inputs change only at memory ticks (demand + DDIO-leak refresh) or
-    /// agent registration — so caching them keyed on the memory system's
-    /// demand epoch (plus an explicit refresh at the tick, which also
-    /// covers a leak-only change) is bit-identical to recomputing.
-    fn refresh_latency_cache(&mut self) {
-        self.cached_walk_ns = self.walk_access_latency_ns();
-        self.cached_commit_ns = self.ddio_leak * self.mem.access_latency_ns()
-            + (1.0 - self.ddio_leak) * self.cfg.llc_latency_ns;
-        self.cached_read_rt_ns = hostcc_pcie::read_round_trip_ns(
-            &self.cfg.pcie,
-            &self.cfg.read_channel,
-            self.cfg.nic.desc_bytes,
-            250.0,
-            self.mem.access_latency_ns(),
-        ) as u64;
-        self.cached_mem_epoch = self.mem.demand_epoch();
-    }
-
-    /// Pick the control-structure page a per-packet ring access touches.
-    ///
-    /// Each ring keeps a hot window of pages that per-packet accesses
-    /// cycle through (descriptor prefetch batches, out-of-order
-    /// completion retirement). Cyclic reuse is LRU's worst case: below
-    /// IOTLB capacity it is free, past capacity it thrashes — which is
-    /// what produces the sharp Fig. 3 knee.
-    fn ring_page_offset(&mut self, thread: usize, which: usize) -> u64 {
-        let pages = self.ring_pages[which];
-        let c = self.ring_cursor[thread][which];
-        // Wrapping cursor: `c` stays in `[0, pages)`, so the offset
-        // sequence is identical to `(count % pages) * 4096` without the
-        // per-packet hardware division.
-        self.ring_cursor[thread][which] = if c + 1 == pages { 0 } else { c + 1 };
-        c * 4096
-    }
-
     // ---- event handlers ----
-
-    /// Schedule a `DmaLaunch` at the current instant unless one is
-    /// already pending (coalesced kick; see `dma_launch_pending`).
-    fn kick_dma_launch(&mut self, sched: &mut Scheduler<Event>) {
-        if !self.dma_launch_pending {
-            self.dma_launch_pending = true;
-            sched.immediately(Event::DmaLaunch);
-        }
-    }
-
-    fn handle_try_send(&mut self, now: SimTime, f: u32, sched: &mut Scheduler<Event>) {
-        // Bursty workloads: outside the active window, hold transmissions
-        // until the next burst begins (all of a host's flows share the
-        // pattern, as co-located application phases do).
-        if self.cfg.duty_cycle < 1.0 {
-            let period = self.cfg.duty_period.as_nanos().max(1);
-            let active = (period as f64 * self.cfg.duty_cycle) as u64;
-            let phase = now.as_nanos() % period;
-            if phase >= active {
-                let next_burst = now + SimDuration::from_nanos(period - phase);
-                sched.at(next_burst, Event::TrySend(f));
-                return;
-            }
-        }
-        let id = self.flow_ids[f as usize];
-        match self.flows[f as usize].try_send(now) {
-            Ok(seq) => {
-                let base = self.base_flows();
-                if f >= base {
-                    // Cross-host flow: the packet leaves this host
-                    // entirely, stamped with the destination-side flow id.
-                    // It still serialises through this slot's access link
-                    // (so pacing and link contention are modelled), then
-                    // crosses the fabric at its minimum latency and joins
-                    // the destination's datapath at its incast switch.
-                    let RemoteEntry::Sender {
-                        dst_host,
-                        dst_flow_id,
-                    } = self.remote[(f - base) as usize]
-                    else {
-                        unreachable!("receiver slots never transmit");
-                    };
-                    let pkt = self.cfg.wire.data_packet(dst_flow_id, seq, now);
-                    if self.metrics.armed {
-                        self.metrics.data_packets_sent += 1;
-                    }
-                    let link = &mut self.sender_links[id.sender as usize];
-                    let arrive = link.transmit(now, &pkt);
-                    let next = link.free_at().max(now);
-                    self.queue_remote(arrive, dst_host, WireMsg::Data(pkt));
-                    sched.at(next, Event::TrySend(f));
-                    return;
-                }
-                let pkt = self.cfg.wire.data_packet(id, seq, now);
-                if self.metrics.armed {
-                    self.metrics.data_packets_sent += 1;
-                }
-                let link = &mut self.sender_links[id.sender as usize];
-                let arrive = link.transmit(now, &pkt);
-                // The packet enters the store here and is referenced by
-                // handle for the rest of its life.
-                sched.at(arrive, Event::AtSwitch(self.store.alloc(pkt)));
-                // Chain the next attempt at the link's serialisation slot.
-                let next = link.free_at().max(now);
-                sched.at(next, Event::TrySend(f));
-            }
-            Err(SendBlocked::PacedUntil(t)) => sched.at(t.max(now), Event::TrySend(f)),
-            Err(SendBlocked::WindowLimited) | Err(SendBlocked::DataLimited) => {
-                // Woken by the next ACK / frontier advance.
-            }
-        }
-    }
 
     fn handle_at_switch(&mut self, now: SimTime, pkt: PacketRef, sched: &mut Scheduler<Event>) {
         match self.switch.enqueue(now, self.store.get_mut(pkt)) {
@@ -1204,7 +524,7 @@ impl Testbed {
     fn handle_at_nic(&mut self, now: SimTime, pkt: PacketRef, sched: &mut Scheduler<Event>) {
         // Link-flap blackout: the packet is lost on the wire, so it never
         // arrives at the NIC at all (no wire-byte accounting, no buffer).
-        if self.fault_link_down {
+        if self.fault_path.link_down() {
             self.store.free(pkt);
             self.faults.counters.link_dropped_packets += 1;
             if self.metrics.armed {
@@ -1217,37 +537,29 @@ impl Testbed {
             self.metrics.nic_arrival_wire_bytes += wire_bytes as u64;
         }
         if self.nic.input.enqueue(now, pkt, wire_bytes) {
-            self.kick_dma_launch(sched);
+            self.launcher.kick(sched);
         } else {
             self.store.free(pkt);
             self.nic.stats.drops_buffer_full += 1;
             if self.metrics.armed {
                 self.metrics.drops_buffer_full += 1;
             }
-            if self.tracer.is_enabled() {
-                self.tracer.record(TraceEvent::instant(
-                    now.as_nanos(),
-                    Stage::NicDropBufferFull,
-                ));
-            }
+            self.tracer.record(TraceEvent::instant(
+                now.as_nanos(),
+                Stage::NicDropBufferFull,
+            ));
         }
     }
 
+    /// Admit queued packets into the DMA pipeline while credits last.
     fn handle_dma_launch(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        self.dma_launch_pending = false;
-        if self.cached_mem_epoch != self.mem.demand_epoch() {
-            self.refresh_latency_cache();
-        }
-        loop {
-            if self.nic.input.is_empty() {
-                return;
-            }
-            if !self.credits.can_admit_write(self.pkt_credits) {
-                self.credits.note_stall();
-                if self.tracer.is_enabled() {
-                    self.tracer
-                        .record(TraceEvent::instant(now.as_nanos(), Stage::PcieCreditStall));
-                }
+        self.launcher.launching();
+        self.path
+            .refresh_if_stale(&self.cfg, self.demand.ddio_leak());
+        while !self.nic.input.is_empty() {
+            if !self.path.credits_available() {
+                self.tracer
+                    .record(TraceEvent::instant(now.as_nanos(), Stage::PcieCreditStall));
                 return; // retried on the next DmaComplete
             }
             let qp = self.nic.input.dequeue().expect("peeked non-empty");
@@ -1263,102 +575,34 @@ impl Testbed {
                 if self.metrics.armed {
                     self.metrics.drops_no_descriptor += 1;
                 }
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent::instant(
-                        now.as_nanos(),
-                        Stage::NicDropNoDescriptor,
-                    ));
-                }
+                self.tracer.record(TraceEvent::instant(
+                    now.as_nanos(),
+                    Stage::NicDropNoDescriptor,
+                ));
                 continue;
             };
-            assert!(self.credits.try_admit_write(self.pkt_credits));
+            self.path.admit_write();
 
-            // Steps 3-5: translate descriptor fetch, payload write and
+            // Steps 3-5: translate the descriptor fetch, payload write and
             // completion write; all contribute IOTLB pressure. Ring
-            // accesses land on batched/prefetched (effectively random)
-            // pages of their structures.
-            let ring_bytes = self.cfg.nic.ring_entries as u64 * self.cfg.nic.desc_bytes;
-            let mut cost = hostcc_iommu::TranslationCost::default();
-            let desc_off = self.ring_page_offset(thread, 0);
-            let desc_iova = self.nic.queues[thread]
-                .ring
-                .descriptor_iova(0)
-                .add(desc_off);
-            cost.add(
-                self.iommu
-                    .translate_range_cost(desc_iova, self.cfg.nic.desc_bytes, PageSize::Size4K)
-                    .expect("descriptor mapped"),
-            );
-            cost.add(
-                self.iommu
-                    .translate_range_cost(desc.buffer, payload, self.cfg.data_page)
-                    .expect("buffer mapped"),
-            );
-            let cq_off = self.ring_page_offset(thread, 1);
+            // accesses land on the hot pages of their structures.
+            let desc_iova = self.receiver.next_ctrl_iova(thread, Ctrl::Ring);
+            let cq_iova = self.receiver.next_ctrl_iova(thread, Ctrl::Cq);
             self.nic.queues[thread].cq.push();
-            let cq_base = self.nic.queues[thread]
-                .ring
-                .descriptor_iova(0)
-                .add(ring_bytes);
-            cost.add(
-                self.iommu
-                    .translate_range_cost(
-                        cq_base.add(cq_off),
-                        self.cfg.nic.cqe_bytes,
-                        PageSize::Size4K,
-                    )
-                    .expect("cq mapped"),
+            let cost = self.path.translate(
+                [
+                    (desc_iova, self.cfg.nic.desc_bytes, PageSize::Size4K),
+                    (desc.buffer, payload, self.cfg.data_page),
+                    (cq_iova, self.cfg.nic.cqe_bytes, PageSize::Size4K),
+                ],
+                &mut self.metrics,
+                &mut self.demand,
             );
-
-            if self.metrics.armed {
-                self.metrics.iotlb_lookups += cost.iotlb_lookups as u64;
-                self.metrics.iotlb_misses += cost.iotlb_misses as u64;
-                self.metrics.walk_memory_accesses += cost.walk_memory_accesses as u64;
-            }
-            self.window_walks += cost.walk_memory_accesses as u64;
-
-            // Pipeline: PCIe serialisation, then the memory-bus stage at
-            // the NIC's currently-available bandwidth; fixed base latency,
-            // serialized page walks and the commit latency ride on top and
-            // hold the credits (Little's law).
-            let pcie_done = self
-                .pcie_pipe
-                .transmit(now, self.cfg.pcie.wire_bytes_for(payload));
-            // Only the DDIO-leaked share of the write stream occupies the
-            // DRAM bus; the rest coalesces in the LLC slice.
-            let leaked_bytes = (payload as f64 * self.ddio_leak) as u64;
-            let mem_done = self.mem_pipe.transmit(pcie_done, leaked_bytes);
-            let walk_ns = cost.walk_memory_accesses as f64 * self.cached_walk_ns;
-            // Commit latency: DRAM round-trip for leaked lines, LLC hit
-            // for absorbed ones.
-            let commit_ns = self.cached_commit_ns;
-            // Accumulate the completion delay as three integer-ns stage
-            // components (the sum is identical to adding each term to
-            // `done` directly, so the decomposition is exact and free).
-            let mut pcie_ns =
-                pcie_done.saturating_since(now).as_nanos() + self.cfg.dma_base_latency.as_nanos();
-            let mem_ns = mem_done.saturating_since(pcie_done).as_nanos() + commit_ns as u64;
-            let mut iommu_ns = walk_ns as u64 + cost.lookup_ns;
-            if self.cfg.strict_iommu && self.iommu.is_enabled() {
-                // Strict mode: the walker interleaves invalidation
-                // commands with translations.
-                iommu_ns += self.cfg.invalidation_dma_stall.as_nanos();
-            }
-            if self.cfg.model_dma_read_latency {
-                // No descriptor prefetch: the descriptor-fetch DMA read's
-                // full PCIe round trip gates the payload write.
-                pcie_ns += self.cached_read_rt_ns;
-            }
-            if self.fault_nak_rate > 0.0 {
-                // PCIe link-layer error window: the DLLP layer NAKs this
-                // TLP with probability `nak_rate` and the write replays
-                // from the replay buffer after a backed-off replay timer.
-                if self.fault_rng.next_f64() < self.fault_nak_rate {
-                    pcie_ns += self.replay.nak();
-                } else {
-                    self.replay.ack();
-                }
-            }
+            // Step 6: the write through PCIe and the memory bus.
+            let (mut pcie_ns, mem_ns, iommu_ns) =
+                self.path
+                    .write(now, payload, &cost, self.demand.ddio_leak(), &self.cfg);
+            pcie_ns += self.fault_path.nak_delay();
             let done = now + SimDuration::from_nanos(pcie_ns + mem_ns + iommu_ns);
 
             let job = self.dma.alloc(DmaJob {
@@ -1371,88 +615,62 @@ impl Testbed {
                 mem_ns,
                 iommu_ns,
             });
-            // Chain fusion: when the receiver core is provably idle
-            // through the DMA completion (no unfused completion pending
-            // on it, and its busy horizon ends by then), reserve the core
-            // now and collapse DmaComplete -> CpuDone into one macro
-            // event — half the wheel traffic for the uncontended common
-            // case. The event queue rounds timestamps up to the run's
-            // resolution, so the reservation uses the same quantised
-            // instant the macro event will actually dispatch at.
-            if self.fuse_active && self.unfused_inflight[thread] == 0 {
-                let done_q = self.cfg.resolution.ceil_time(done);
-                if self.core_free_at[thread] <= done_q {
-                    self.core_free_at[thread] = done_q + self.per_pkt_cost;
-                    sched.at(done, Event::DmaChain(job));
-                    continue;
-                }
-            }
-            if self.fuse_active {
-                self.unfused_inflight[thread] += 1;
-            }
-            sched.at(done, Event::DmaComplete(job));
+            self.launcher.schedule(
+                job,
+                thread,
+                done,
+                &mut self.receiver,
+                self.cfg.resolution,
+                sched,
+            );
         }
     }
 
-    fn handle_dma_complete(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
-        self.credits.release_write(self.pkt_credits);
-        self.kick_dma_launch(sched);
-        let (pkt, thread) = {
-            let j = self.dma.get(job);
-            (j.pkt, j.thread as usize)
-        };
-        self.window_payload += self.store.get(pkt).payload_bytes as u64;
-        if self.fuse_active {
-            // This job was counted as a fusion blocker at launch; its
-            // core claim happens right here, so the thread may fuse again.
-            self.unfused_inflight[thread] -= 1;
-        }
+    /// A DMA write retired: its credits return (kicking the launcher) and
+    /// its payload joins the memory-demand window. Returns the job's
+    /// receiver thread.
+    fn retire_dma(&mut self, job: DmaRef, sched: &mut Scheduler<Event>) -> usize {
+        self.path.release_write();
+        self.launcher.kick(sched);
+        let j = self.dma.get(job);
+        self.demand
+            .add_payload(self.store.get(j.pkt).payload_bytes as u64);
+        j.thread as usize
+    }
 
-        // Step 7: a dedicated receiver core processes the packet (strict
-        // IOMMU mode adds the unmap/invalidate work to the per-packet
-        // cost, precomputed into `per_pkt_cost`).
-        let start = now.max(self.core_free_at[thread]);
-        let done = start + self.per_pkt_cost;
-        self.core_free_at[thread] = done;
+    fn handle_dma_complete(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
+        let thread = self.retire_dma(job, sched);
+        self.launcher.retire(thread);
+        // Step 7: a dedicated receiver core processes the packet.
+        let done = self.receiver.run_core(thread, now);
         sched.at(done, Event::CpuDone(job));
     }
 
     /// Fused DMA chain: the DMA retired at `now` and the receiver core —
-    /// reserved for this packet at launch — finishes at
-    /// `now + per_pkt_cost`. Credits return exactly as a `DmaComplete`
-    /// would return them, then the CPU-done tail runs with the reserved
-    /// completion instant as its logical timestamp. `core_free_at` was
-    /// already advanced at launch and must not be touched here.
+    /// reserved for this packet at launch — finishes one per-packet cost
+    /// later. The CPU-done handler runs with that reserved completion
+    /// instant as its logical timestamp.
     fn handle_dma_chain(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
-        self.credits.release_write(self.pkt_credits);
-        self.kick_dma_launch(sched);
-        self.window_payload += self.store.get(self.dma.get(job).pkt).payload_bytes as u64;
-        let cpu_done = now + self.per_pkt_cost;
-        self.cpu_done_body(cpu_done, job, sched);
+        self.retire_dma(job, sched);
+        self.handle_cpu_done(now + self.receiver.per_pkt_cost(), job, sched);
     }
 
+    /// Receiver-core completion at logical time `now`: its own `CpuDone`
+    /// event on the unfused path, or inline from a fused chain — where
+    /// the engine clock still reads the DMA-retire instant and `now` is
+    /// the core's reserved finish time, strictly in the future.
+    /// Everything time-stamped here (stage decomposition, telemetry, the
+    /// ACK's departure) uses `now`, so both paths agree on when
+    /// processing finished.
     fn handle_cpu_done(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
-        self.cpu_done_body(now, job, sched);
-    }
-
-    /// Receiver-core completion at logical time `done_at`. Dispatched as
-    /// its own `CpuDone` event (`done_at == now`) on the unfused path, or
-    /// inline from a fused chain — where the engine clock still reads the
-    /// DMA-retire instant and `done_at` is the core's reserved finish
-    /// time, strictly in the future. Everything time-stamped here (stage
-    /// decomposition, telemetry, the ACK's return-path departure) uses
-    /// `done_at`, so both paths agree on when processing finished.
-    fn cpu_done_body(&mut self, done_at: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
-        let now = done_at;
         // The packet's host lifecycle ends here: both slab entries retire
         // (free returns the final value by copy), and only the ACK —
         // allocated below — survives into the return path.
         let job = self.dma.free(job);
         let pkt = self.store.free(job.pkt);
-        let f = self.flow_index(pkt.flow) as usize;
         let t = job.thread as usize;
 
-        let (ack_seq, fresh) = self.recv_flows[f].on_data_detailed(pkt.seq);
+        let (f, ack_seq, fresh) = self.senders.deliver(&pkt);
         if fresh {
             self.nic.stats.delivered_packets += 1;
             self.nic.stats.delivered_payload_bytes += pkt.payload_bytes as u64;
@@ -1461,31 +679,14 @@ impl Testbed {
                 self.metrics.delivered_payload_bytes += pkt.payload_bytes as u64;
             }
         }
-        // Closed-loop RPC: completed reads issue new ones.
-        let in_order = self.recv_flows[f].delivered_packets();
-        let prev = self.rpc[f].delivered_packets();
-        if in_order > prev {
-            self.rpc[f].on_delivered(in_order - prev);
-        }
 
-        // Strict IOMMU mode: the driver unmaps the consumed buffer, which
-        // invalidates its IOTLB entry — the next DMA to this page walks.
-        if self.cfg.strict_iommu && self.iommu.is_enabled() {
-            self.iommu.invalidate_page(job.buffer, self.cfg.data_page);
-        }
+        self.path.unmap(job.buffer, &self.cfg);
         // Free the buffer and replenish the descriptor ring. During a
         // descriptor-stall window the refill is deferred instead: the ring
         // drains, packets drop descriptor-starved, and the backlog posts
         // when the window closes.
-        self.pools[t].free(job.buffer);
-        if self.fault_refill_stalled {
-            self.fault_pending_refills[t] += 1;
-            self.faults.counters.deferred_refills += 1;
-        } else if self.nic.queues[t].ring.free_slots() > 0 {
-            if let Some(b) = self.pools[t].alloc() {
-                self.nic.queues[t].ring.post(b);
-            }
-        }
+        let defer = self.fault_path.defer_refill(t, &mut self.faults);
+        self.receiver.recycle(t, job.buffer, defer, &mut self.nic);
 
         // Host delay: NIC arrival -> stack processing done, decomposed
         // exactly into its stages. `admitted` and the three DMA components
@@ -1512,134 +713,49 @@ impl Testbed {
         if self.tracer.sample() {
             let (flow, thread, seq) = (pkt.flow.sender, job.thread, pkt.seq);
             let t0 = job.admitted.as_nanos();
-            self.tracer.record(TraceEvent::span(
-                job.nic_arrival.as_nanos(),
-                Stage::BufferWait,
-                buffer_ns,
-                flow,
-                thread,
-                seq,
-            ));
-            self.tracer.record(TraceEvent::span(
-                t0,
-                Stage::PcieTransfer,
-                job.pcie_ns,
-                flow,
-                thread,
-                seq,
-            ));
-            self.tracer.record(TraceEvent::span(
-                t0 + job.pcie_ns,
-                Stage::IommuTranslate,
-                job.iommu_ns,
-                flow,
-                thread,
-                seq,
-            ));
-            self.tracer.record(TraceEvent::span(
-                t0 + job.pcie_ns + job.iommu_ns,
-                Stage::MemoryGrant,
-                job.mem_ns,
-                flow,
-                thread,
-                seq,
-            ));
-            self.tracer.record(TraceEvent::span(
-                dma_done.as_nanos(),
-                Stage::CpuProcess,
-                cpu_ns,
-                flow,
-                thread,
-                seq,
-            ));
+            for (at, stage, ns) in [
+                (job.nic_arrival.as_nanos(), Stage::BufferWait, buffer_ns),
+                (t0, Stage::PcieTransfer, job.pcie_ns),
+                (t0 + job.pcie_ns, Stage::IommuTranslate, job.iommu_ns),
+                (
+                    t0 + job.pcie_ns + job.iommu_ns,
+                    Stage::MemoryGrant,
+                    job.mem_ns,
+                ),
+                (dma_done.as_nanos(), Stage::CpuProcess, cpu_ns),
+            ] {
+                self.tracer
+                    .record(TraceEvent::span(at, stage, ns, flow, thread, seq));
+            }
         }
 
         // ACK: the NIC DMA-reads the ACK from the thread's TX/ACK pool,
         // which cycles through its pages (one more IOTLB access per packet
         // over a multi-page working set).
-        let ack_off = self.ring_page_offset(t, 2);
-        let ack_cost = self
-            .iommu
-            .translate_range_cost(
-                self.nic.queues[t].ack_buffer.add(ack_off),
-                self.cfg.wire.ack_wire_bytes as u64,
-                PageSize::Size4K,
-            )
-            .expect("ack buffer mapped");
-        if self.metrics.armed {
-            self.metrics.iotlb_lookups += ack_cost.iotlb_lookups as u64;
-            self.metrics.iotlb_misses += ack_cost.iotlb_misses as u64;
-            self.metrics.walk_memory_accesses += ack_cost.walk_memory_accesses as u64;
-        }
-        self.window_walks += ack_cost.walk_memory_accesses as u64;
-
+        let ack_iova = self.receiver.next_ctrl_iova(t, Ctrl::Ack);
+        let ack_bytes = self.cfg.wire.ack_wire_bytes as u64;
+        self.path.translate(
+            [(ack_iova, ack_bytes, PageSize::Size4K)],
+            &mut self.metrics,
+            &mut self.demand,
+        );
         let mut ack = self.cfg.wire.ack_packet(&pkt, ack_seq, host_delay);
         // Echo the freshest host-congestion signal: the NIC input-buffer
         // occupancy at ACK-generation time (hardware telemetry a
         // host-aware protocol could read; §4's new congestion signal).
         ack.nic_buffer_frac =
             self.nic.input.occupancy_bytes() as f64 / self.nic.input.capacity_bytes() as f64;
-        let frontier = self.rpc[f].data_frontier();
-        // Return path: receiver uplink + switch + sender downlink are all
-        // uncontended; charge propagation + a small fixed processing cost
-        // + jitter (engine scheduling noise, ACK coalescing variance).
-        let jitter =
-            SimDuration::from_nanos(self.rng.next_below(self.cfg.ack_jitter.as_nanos().max(1)));
-        let back = self.cfg.hop_propagation * 2 + SimDuration::from_micros(1) + jitter;
-        // Anchored at `done_at`, not the engine clock: a fused chain runs
-        // this body at the DMA-retire instant but the ACK leaves when the
-        // core finishes.
-        if f >= self.base_flows() as usize {
-            // Cross-host flow: the ACK crosses the fabric back to the
-            // paired sender slot, taking the same local return path plus
-            // the fabric's minimum latency.
-            let RemoteEntry::Receiver { src_host, src_flow } =
-                self.remote[f - self.base_flows() as usize]
-            else {
-                unreachable!("sender slots never receive data");
-            };
-            self.queue_remote(
-                now + back,
-                src_host,
-                WireMsg::Ack {
-                    flow: src_flow,
-                    ack,
-                    frontier,
-                },
-            );
-            return;
-        }
-        sched.at(
-            now + back,
-            Event::AckToSender {
-                flow: f as u32,
-                ack: self.store.alloc(ack),
-                frontier,
-            },
-        );
+        self.senders
+            .send_ack(now, f, ack, &self.cfg, &mut self.store, sched);
     }
 
+    /// ACK consumption at the sender. Local ACKs leave the packet store
+    /// on dispatch; cross-host ones arrive by value.
     fn handle_ack(
         &mut self,
         now: SimTime,
         f: u32,
-        ack: PacketRef,
-        frontier: u64,
-        sched: &mut Scheduler<Event>,
-    ) {
-        // The ACK is consumed at the sender; its slab entry retires.
-        let ack = self.store.free(ack);
-        self.ack_body(now, f, ack, frontier, sched);
-    }
-
-    /// ACK consumption at the sender, shared by the local path (after the
-    /// store retire above) and the cross-host path (where the ACK arrives
-    /// by value, never having entered this host's store).
-    fn ack_body(
-        &mut self,
-        now: SimTime,
-        f: u32,
-        ack: hostcc_fabric::Packet,
+        ack: Packet,
         frontier: u64,
         sched: &mut Scheduler<Event>,
     ) {
@@ -1655,33 +771,14 @@ impl Testbed {
             let rtt = now.saturating_since(ack.sent_at);
             self.metrics.rtt.record(rtt.as_nanos());
         }
-        let flow = &mut self.flows[f as usize];
-        flow.on_ack(
-            now,
-            ack.seq,
-            ack.sent_at,
-            ack.host_delay_echo,
-            ack.ecn_ce,
-            ack.nic_buffer_frac,
-        );
-        flow.set_data_frontier(frontier);
-        sched.immediately(Event::TrySend(f));
+        self.senders.on_ack(now, f, &ack, frontier, sched);
     }
 
-    /// A cross-host message fires: pop the fabric inbox head (injection
-    /// order matches event order — see [`Event::RemoteArrival`]). Data
-    /// joins the local datapath at the incast switch, exactly where a
-    /// local sender's packet enters; ACKs take the shared consumption
-    /// path without a store round-trip.
+    /// A cross-host message fires. Data joins the local datapath at the
+    /// incast switch, exactly where a local sender's packet enters; ACKs
+    /// take the shared consumption path without a store round-trip.
     fn handle_remote_arrival(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        let msg = self
-            .fabric
-            .as_mut()
-            .expect("RemoteArrival without fabric")
-            .inbox
-            .pop_front()
-            .expect("RemoteArrival without queued message");
-        match msg {
+        match self.senders.pop_inbound() {
             WireMsg::Data(pkt) => {
                 let pref = self.store.alloc(pkt);
                 self.handle_at_switch(now, pref, sched);
@@ -1690,17 +787,8 @@ impl Testbed {
                 flow,
                 ack,
                 frontier,
-            } => self.ack_body(now, flow, ack, frontier, sched),
+            } => self.handle_ack(now, flow, ack, frontier, sched),
         }
-    }
-
-    fn handle_rto_sweep(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        for f in 0..self.flows.len() {
-            if self.flows[f].check_timeout(now) {
-                sched.immediately(Event::TrySend(f as u32));
-            }
-        }
-        sched.after(self.cfg.rto_sweep, Event::RtoSweep);
     }
 
     /// A fault-plan transition fired: open a window, close one, or run an
@@ -1708,7 +796,7 @@ impl Testbed {
     /// `(spec_index << 2) | phase`.
     fn handle_fault(&mut self, now: SimTime, code: u32, sched: &mut Scheduler<Event>) {
         let idx = (code >> 2) as usize;
-        if self.faults_suppressed && code & 3 == 0 {
+        if self.fault_path.suppressed() && code & 3 == 0 {
             // Counterfactual replay: drop the opening edge entirely. The
             // window never begins, so no closing edge or storm tick is
             // scheduled; windows already open before suppression still
@@ -1721,7 +809,6 @@ impl Testbed {
                 // timestamps it was inserted before any storm tick, so the
                 // wheel dispatches it first and ticks see a closed window.
                 let kind = self.faults.begin(idx);
-                self.recovery.on_window_start(now.as_nanos());
                 self.telemetry.on_fault_window(now.as_nanos());
                 let duration = self.faults.spec(idx).duration;
                 match kind {
@@ -1731,51 +818,45 @@ impl Testbed {
                     FaultKind::CorePreempt { cores } => {
                         // Deschedule the first `cores` receiver threads for
                         // the window: push their busy horizon out to its end.
-                        let horizon = now + duration;
-                        for t in 0..(cores as usize).min(self.core_free_at.len()) {
-                            if self.core_free_at[t] < horizon {
-                                let stolen_from = self.core_free_at[t].max(now);
-                                self.faults.counters.preempt_ns +=
-                                    horizon.saturating_since(stolen_from).as_nanos();
-                                self.core_free_at[t] = horizon;
-                            }
-                        }
+                        self.faults.counters.preempt_ns +=
+                            self.receiver.preempt(cores, now, now + duration);
                     }
                     FaultKind::MemThrottle { .. } => {
                         self.faults.counters.throttle_windows += 1;
                     }
                     _ => {}
                 }
-                self.refresh_fault_aggregates(now);
+                self.fault_path
+                    .edge(now, true, &self.faults, &mut self.path);
                 sched.after(duration, Event::Fault(code | 1));
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent::value(
-                        now.as_nanos(),
-                        Stage::FaultStart,
-                        idx as f64,
-                    ));
-                }
+                self.tracer.record(TraceEvent::value(
+                    now.as_nanos(),
+                    Stage::FaultStart,
+                    idx as f64,
+                ));
             }
             1 => {
                 let kind = self.faults.end(idx);
-                self.recovery.on_window_end(now.as_nanos());
-                self.refresh_fault_aggregates(now);
-                if matches!(kind, FaultKind::DescriptorStall) && !self.fault_refill_stalled {
-                    self.drain_deferred_refills(sched);
+                self.fault_path
+                    .edge(now, false, &self.faults, &mut self.path);
+                if matches!(kind, FaultKind::DescriptorStall)
+                    && !self.fault_path.refill_stalled()
+                    && self
+                        .fault_path
+                        .drain_deferred_refills(&mut self.receiver, &mut self.nic)
+                {
+                    self.launcher.kick(sched);
                 }
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent::value(
-                        now.as_nanos(),
-                        Stage::FaultEnd,
-                        idx as f64,
-                    ));
-                }
+                self.tracer.record(TraceEvent::value(
+                    now.as_nanos(),
+                    Stage::FaultEnd,
+                    idx as f64,
+                ));
             }
             _ => {
                 // Storm tick: flush, then rearm while the window is open.
                 if self.faults.is_open(idx) {
-                    if self.iommu.is_enabled() {
-                        self.iommu.invalidate_all();
+                    if self.path.flush_iotlb() {
                         self.faults.counters.iotlb_flushes += 1;
                     }
                     if let FaultKind::IotlbStorm { flush_period } = self.faults.spec(idx).kind {
@@ -1787,102 +868,26 @@ impl Testbed {
         }
     }
 
-    /// Recompute the cached hot-path fault aggregates after a window edge.
-    fn refresh_fault_aggregates(&mut self, now: SimTime) {
-        self.fault_link_down = self.faults.link_down();
-        self.fault_nak_rate = self.faults.nak_rate();
-        self.fault_refill_stalled = self.faults.refill_stalled();
-        let throttle = self.faults.throttle_factor();
-        if throttle != self.fault_throttle {
-            // Re-rate the memory stage immediately rather than waiting for
-            // the next mem tick; the tick will keep it fresh afterwards.
-            self.fault_throttle = throttle;
-            self.mem_pipe
-                .set_rate(now, (self.last_nic_avail * throttle).max(1.0));
-        }
-    }
-
-    /// Post every refill deferred during a descriptor-stall window.
-    fn drain_deferred_refills(&mut self, sched: &mut Scheduler<Event>) {
-        let mut posted = false;
-        for t in 0..self.fault_pending_refills.len() {
-            while self.fault_pending_refills[t] > 0 && self.nic.queues[t].ring.free_slots() > 0 {
-                match self.pools[t].alloc() {
-                    Some(b) => {
-                        self.nic.queues[t].ring.post(b);
-                        self.fault_pending_refills[t] -= 1;
-                        posted = true;
-                    }
-                    None => break,
-                }
-            }
-            // Whatever could not be posted (ring full / pool drained) is
-            // owed nothing further: the normal per-packet refill path
-            // keeps the ring fed from here on.
-            self.fault_pending_refills[t] = 0;
-        }
-        if posted {
-            self.kick_dma_launch(sched);
-        }
-    }
-
+    /// Memory tick: close the demand window, re-grant the NIC's share of
+    /// the memory bus, refresh the path's latency terms and sample.
     fn handle_mem_tick(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        let dt = now.saturating_since(self.last_tick).as_secs_f64();
+        let dt = self.demand.elapsed(now);
         if dt > 0.0 {
-            // Measured NIC traffic: payload writes + page-walk reads (64 B
-            // lines). The *demand* registered with the controller is
-            // anchored at the NIC's line-rate potential: a hardware DMA
-            // engine keeps issuing at its credit-limited pace regardless of
-            // recent goodput, and anchoring prevents a measured-demand
-            // death spiral (delivered rate dips -> controller hands the
-            // antagonist more -> rate dips further).
-            // DDIO: the fraction of DMA writes (and of the application's
-            // copy reads) that actually reach DRAM depends on whether the
-            // buffer working set fits the LLC slice.
-            let hot_ws: u64 = self.pools.iter().map(|p| p.hot_set_bytes()).sum();
-            let ddio_write = self.cfg.ddio.write_traffic_factor(hot_ws);
-            let ddio_leak = self.cfg.ddio.leak_fraction(hot_ws);
-            self.ddio_leak = ddio_leak;
-            let nic_rate =
-                (self.window_payload as f64 * ddio_write + self.window_walks as f64 * 64.0) / dt;
-            let app_rate =
-                self.window_payload as f64 * self.cfg.app_copy_read_fraction * ddio_leak / dt;
-            self.nic_demand.record(nic_rate);
-            self.app_demand.record(app_rate);
-            let nic_potential = (self.cfg.access_link_bps / 8.0).max(self.nic_demand.get());
-            self.mem.set_demand(self.nic_agent, nic_potential);
-            self.mem.set_demand(self.app_agent, self.app_demand.get());
-
-            // The memory stage of the DMA pipeline drains at whatever the
-            // bus leaves for the NIC after CPU-class agents take their
-            // (weighted) shares: an idle bus gives DMA its full burst
-            // bandwidth, a saturated one squeezes it toward its protected
-            // share.
-            let capacity = self.cfg.memsys.achievable_bytes_per_sec();
-            let cpu_alloc =
-                self.antagonist.achieved(&mut self.mem) + self.mem.allocation(self.app_agent);
-            let nic_avail = (capacity - cpu_alloc).max(2e9);
-            self.last_nic_avail = nic_avail;
-            // An open throttle window multiplies the NIC's grant. The
-            // guard keeps the zero-fault path free of any f64 op, so its
-            // grants stay bit-identical to a build without the fault layer.
-            let granted = if self.fault_throttle == 1.0 {
-                nic_avail
-            } else {
-                nic_avail * self.fault_throttle
-            };
-            self.mem_pipe.set_rate(now, granted);
+            let hot_ws = self.receiver.hot_set_bytes();
+            let (nic, app) = self.demand.measure(dt, hot_ws, &self.cfg);
+            let nic_avail = self.path.grant_memory(nic, app, &self.cfg);
+            let granted = self.fault_path.grant(nic_avail);
+            self.path.set_memory_rate(now, granted);
             // The latency-model inputs (demands, DDIO leak) just changed;
             // re-derive the cached per-DMA terms. Explicit because a
             // leak-only change does not bump the demand epoch.
-            self.refresh_latency_cache();
+            self.path
+                .refresh_latency_cache(&self.cfg, self.demand.ddio_leak());
 
             if self.metrics.armed {
                 // Report *measured* traffic (Fig. 6 top panel), not the
                 // anchored potential.
-                let cpu_side =
-                    self.antagonist.achieved(&mut self.mem) + self.mem.allocation(self.app_agent);
-                self.metrics.mem_bw_sum += cpu_side + self.nic_demand.get();
+                self.metrics.mem_bw_sum += self.path.cpu_bandwidth() + self.demand.nic_demand();
                 self.metrics.nic_bw_sum += granted;
                 self.metrics.mem_bw_samples += 1;
                 let since = now.saturating_since(self.metrics.started).as_nanos();
@@ -1891,68 +896,34 @@ impl Testbed {
                     .push((since, self.nic.input.occupancy_bytes()));
             }
             if self.timeline.is_enabled() {
-                let t = now.as_nanos();
-                self.timeline.offer(
-                    "nic.buffer_bytes",
-                    t,
-                    self.nic.input.occupancy_bytes() as f64,
-                );
-                self.timeline
-                    .offer("nic.mem_bandwidth_bytes_per_sec", t, granted);
-                self.timeline.offer(
-                    "switch.backlog_us",
-                    t,
-                    self.switch.backlog_delay(now).as_micros_f64(),
-                );
-                self.timeline
-                    .offer("pcie.credit_stalls", t, self.credits.stalls() as f64);
-                let mean_cwnd =
-                    self.flows.iter().map(|f| f.cwnd()).sum::<f64>() / self.flows.len() as f64;
-                self.timeline.offer("cc.mean_cwnd", t, mean_cwnd);
+                for (series, value) in [
+                    ("nic.buffer_bytes", self.nic.input.occupancy_bytes() as f64),
+                    ("nic.mem_bandwidth_bytes_per_sec", granted),
+                    (
+                        "switch.backlog_us",
+                        self.switch.backlog_delay(now).as_micros_f64(),
+                    ),
+                    ("pcie.credit_stalls", self.path.credit_stalls() as f64),
+                    ("cc.mean_cwnd", self.senders.mean_cwnd()),
+                ] {
+                    self.timeline.offer(series, now.as_nanos(), value);
+                }
             }
         }
-        // Recovery goodput sampling rides the mem tick: the delivered-byte
-        // delta since the last tick is attributed to the before / during /
-        // after phase by the tracker's open-window state.
+        // Recovery goodput sampling rides the mem tick.
         if !self.cfg.faults.is_empty() && self.metrics.armed {
-            let delivered = self.metrics.delivered_payload_bytes;
-            let delta = delivered - self.last_delivered_bytes;
-            self.last_delivered_bytes = delivered;
-            self.recovery.sample(now.as_nanos(), delta);
+            self.fault_path
+                .sample_recovery(now, self.metrics.delivered_payload_bytes);
         }
-        self.window_payload = 0;
-        self.window_walks = 0;
-        self.last_tick = now;
+        self.demand.restart(now);
         sched.after(self.cfg.mem_tick, Event::MemTick);
     }
 
-    /// Telemetry sampling tick: read the datapath's gauges and lifetime
-    /// counters, hand them to the sampler (which stores per-window
-    /// deltas, runs the episode detector and streams to the sink), and
-    /// re-arm. Every read is observational — the memory-system calls are
-    /// pure memoization — so sampling cannot perturb the run.
+    /// Telemetry sampling tick: hand the datapath's gauges and lifetime
+    /// counters to the sampler (which stores per-window deltas, runs the
+    /// episode detector and streams to the sink), and re-arm.
     fn handle_telemetry_tick(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        let min_ring_free = self
-            .nic
-            .queues
-            .iter()
-            .map(|q| q.ring.free_slots())
-            .min()
-            .unwrap_or(0);
-        let tlb = self.iommu.iotlb_stats();
-        let inputs = SignalInputs {
-            buffer_occupancy_bytes: self.nic.input.occupancy_bytes(),
-            buffer_capacity_bytes: self.nic.input.capacity_bytes(),
-            min_ring_free,
-            delivered_total: self.nic.stats.delivered_packets,
-            drops_total: self.nic.stats.total_drops(),
-            credit_stalls_total: self.credits.stalls(),
-            iotlb_lookups_total: tlb.lookups,
-            iotlb_misses_total: tlb.misses,
-            walks_total: self.iommu.stats().walk_memory_accesses,
-            mem_util: self.mem.utilization(),
-            mem_latency_ns: self.mem.access_latency_ns(),
-        };
+        let inputs = self.path.signals(&self.nic);
         self.telemetry.sample(now.as_nanos(), inputs);
         sched.after(
             SimDuration::from_nanos(self.telemetry.interval_ns()),
@@ -1966,7 +937,10 @@ impl World for Testbed {
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match event {
-            Event::TrySend(f) => self.handle_try_send(now, f, sched),
+            Event::TrySend(f) => {
+                self.senders
+                    .try_send(now, f, &self.cfg, &mut self.store, &mut self.metrics, sched)
+            }
             Event::AtSwitch(p) => self.handle_at_switch(now, p, sched),
             Event::AtNic(p) => self.handle_at_nic(now, p, sched),
             Event::DmaLaunch => self.handle_dma_launch(now, sched),
@@ -1977,8 +951,15 @@ impl World for Testbed {
                 flow,
                 ack,
                 frontier,
-            } => self.handle_ack(now, flow, ack, frontier, sched),
-            Event::RtoSweep => self.handle_rto_sweep(now, sched),
+            } => {
+                // The ACK is consumed at the sender; its slab entry retires.
+                let ack = self.store.free(ack);
+                self.handle_ack(now, flow, ack, frontier, sched);
+            }
+            Event::RtoSweep => {
+                self.senders.rto_sweep(now, sched);
+                sched.after(self.cfg.rto_sweep, Event::RtoSweep);
+            }
             Event::MemTick => self.handle_mem_tick(now, sched),
             Event::Fault(code) => self.handle_fault(now, code, sched),
             Event::TelemetryTick => self.handle_telemetry_tick(now, sched),

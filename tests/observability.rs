@@ -203,3 +203,31 @@ fn zero_telemetry_runs_have_no_telemetry_artifacts() {
         "telemetry-off export must not mention telemetry"
     );
 }
+
+/// `cc.mean_cwnd` on the timeline and `mean_cwnd` in the snapshot are one
+/// rule — the mean over transmitting flows — so a fleet receiver slot's
+/// placeholder window counts in neither.
+#[test]
+fn timeline_and_snapshot_mean_cwnd_skip_remote_receiver_slots() {
+    use hostcc::substrate::sim::SimDuration;
+    use hostcc::{CcKind, Testbed, TestbedConfig};
+    let mut tb = Testbed::new(TestbedConfig {
+        senders: 2,
+        receiver_threads: 2,
+        cc: CcKind::Fixed(8.0),
+        ..TestbedConfig::default()
+    });
+    tb.enable_fabric(0, SimDuration::from_micros(8));
+    tb.add_remote_receiver(1, 0, 0);
+    tb.set_trace(TraceConfig::enabled(1024).with_timeline(100_000));
+    let mut sim = Simulation::from_testbed(tb);
+    let m = sim.run(SimDuration::from_millis(1), SimDuration::from_millis(1));
+    let series = sim
+        .world()
+        .timeline
+        .get("cc.mean_cwnd")
+        .expect("the mem tick records cc.mean_cwnd");
+    let &(_, last) = series.points.last().expect("sampled at least once");
+    assert_eq!(m.mean_cwnd, 8.0);
+    assert_eq!(last, m.mean_cwnd);
+}
