@@ -544,10 +544,12 @@ impl Testbed {
             if self.metrics.armed {
                 self.metrics.drops_buffer_full += 1;
             }
-            self.tracer.record(TraceEvent::instant(
-                now.as_nanos(),
-                Stage::NicDropBufferFull,
-            ));
+            if self.tracer.is_enabled() {
+                self.tracer.record(TraceEvent::instant(
+                    now.as_nanos(),
+                    Stage::NicDropBufferFull,
+                ));
+            }
         }
     }
 
@@ -558,8 +560,10 @@ impl Testbed {
             .refresh_if_stale(&self.cfg, self.demand.ddio_leak());
         while !self.nic.input.is_empty() {
             if !self.path.credits_available() {
-                self.tracer
-                    .record(TraceEvent::instant(now.as_nanos(), Stage::PcieCreditStall));
+                if self.tracer.is_enabled() {
+                    self.tracer
+                        .record(TraceEvent::instant(now.as_nanos(), Stage::PcieCreditStall));
+                }
                 return; // retried on the next DmaComplete
             }
             let qp = self.nic.input.dequeue().expect("peeked non-empty");
@@ -575,10 +579,12 @@ impl Testbed {
                 if self.metrics.armed {
                     self.metrics.drops_no_descriptor += 1;
                 }
-                self.tracer.record(TraceEvent::instant(
-                    now.as_nanos(),
-                    Stage::NicDropNoDescriptor,
-                ));
+                if self.tracer.is_enabled() {
+                    self.tracer.record(TraceEvent::instant(
+                        now.as_nanos(),
+                        Stage::NicDropNoDescriptor,
+                    ));
+                }
                 continue;
             };
             self.path.admit_write();
@@ -829,11 +835,13 @@ impl Testbed {
                 self.fault_path
                     .edge(now, true, &self.faults, &mut self.path);
                 sched.after(duration, Event::Fault(code | 1));
-                self.tracer.record(TraceEvent::value(
-                    now.as_nanos(),
-                    Stage::FaultStart,
-                    idx as f64,
-                ));
+                if self.tracer.is_enabled() {
+                    self.tracer.record(TraceEvent::value(
+                        now.as_nanos(),
+                        Stage::FaultStart,
+                        idx as f64,
+                    ));
+                }
             }
             1 => {
                 let kind = self.faults.end(idx);
@@ -847,11 +855,13 @@ impl Testbed {
                 {
                     self.launcher.kick(sched);
                 }
-                self.tracer.record(TraceEvent::value(
-                    now.as_nanos(),
-                    Stage::FaultEnd,
-                    idx as f64,
-                ));
+                if self.tracer.is_enabled() {
+                    self.tracer.record(TraceEvent::value(
+                        now.as_nanos(),
+                        Stage::FaultEnd,
+                        idx as f64,
+                    ));
+                }
             }
             _ => {
                 // Storm tick: flush, then rearm while the window is open.
