@@ -56,8 +56,8 @@ use senders::Senders;
 /// Jobs live in the testbed's DMA slab between `DmaLaunch` and `CpuDone`;
 /// events carry only a [`DmaRef`] handle. The packet itself is referenced
 /// by handle too — its bytes stay in the `PacketStore` for the whole
-/// NIC-to-ACK lifecycle. The per-packet PCIe credit cost is a testbed
-/// constant (`pkt_credits`), so the job does not repeat it.
+/// NIC-to-ACK lifecycle. The per-packet PCIe credit cost is a run
+/// constant of the PCIe/IOMMU/memory path, so the job does not repeat it.
 #[derive(Debug, Clone, Copy)]
 pub struct DmaJob {
     pkt: PacketRef,
