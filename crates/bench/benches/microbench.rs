@@ -55,9 +55,12 @@ fn bench_iommu(iters: u64) {
     io.map_range(Iova(0), PhysAddr(0), 512 << 20, PageSize::Size2M)
         .unwrap();
     let mut i = 0u64;
-    bench("iommu_translate_range", 1_000, iters, || {
+    bench("iommu_translate_range_cost", 1_000, iters, || {
         i = (i + 1) % 200;
-        black_box(io.translate_range(Iova(i * (2 << 20)), 4096).unwrap());
+        black_box(
+            io.translate_range_cost(Iova(i * (2 << 20)), 4096, PageSize::Size2M)
+                .unwrap(),
+        );
     });
 }
 

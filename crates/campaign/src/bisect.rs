@@ -72,12 +72,18 @@ pub fn bisect(
         return Err(CampaignError::MissingCheckpoint(label.to_string()));
     }
     let raw = std::fs::read(&prefault).map_err(|e| io_err(&prefault, e))?;
-    let corrupt = |source| CampaignError::Run {
-        label: label.to_string(),
-        source: RunError::Checkpoint(source),
+    let replica = || {
+        decode_point(label, &raw, |b| {
+            Ok(Simulation::restore_checkpoint(cfg.clone(), b)?)
+        })
+        .map(|(sim, _)| sim)
+        .map_err(|source| CampaignError::Run {
+            label: label.to_string(),
+            source,
+        })
     };
-    let (mut factual, _) = decode_point(cfg.clone(), label, &raw).map_err(corrupt)?;
-    let (mut counterfactual, _) = decode_point(cfg, label, &raw).map_err(corrupt)?;
+    let mut factual = replica()?;
+    let mut counterfactual = replica()?;
     counterfactual.world_mut().suppress_faults();
 
     let from_ns = factual.now().as_nanos();
@@ -106,13 +112,7 @@ pub fn bisect(
         if let RunOutcome::Stalled { at } = counterfactual.run_to(bt) {
             return Err(CampaignError::Run {
                 label: label.to_string(),
-                source: RunError::Stalled {
-                    at,
-                    pending: 0,
-                    host: None,
-                    shard: None,
-                    telemetry: None,
-                },
+                source: counterfactual.stall_error(at),
             });
         }
         let df = digest(label, &factual)?;

@@ -26,7 +26,7 @@
 use crate::CampaignError;
 use hostcc::fleet::{FleetConfig, FleetTopology};
 use hostcc::scenarios;
-use hostcc::{FaultKind, TestbedConfig};
+use hostcc::TestbedConfig;
 use hostcc_sim::SimDuration;
 use std::path::Path;
 
@@ -399,33 +399,14 @@ fn apply_override(cfg: &mut TestbedConfig, spec: &str) -> Result<(), CampaignErr
     Ok(())
 }
 
-/// Apply a named fault as the same canned recurring train the CLI's
-/// `--faults` flag uses: 1 ms windows every 5 ms from t = 6 ms, nine
-/// occurrences.
+/// Apply a named fault as the canned recurring train of
+/// [`scenarios::add_fault_train`] (`none` adds nothing).
 fn apply_fault(cfg: &mut TestbedConfig, name: &str) -> Result<(), CampaignError> {
     if name == "none" {
         return Ok(());
     }
-    let kind = match name {
-        "replay" => FaultKind::PcieReplay { nak_rate: 0.3 },
-        "flap" => FaultKind::LinkFlap,
-        "stall" => FaultKind::DescriptorStall,
-        "storm" => FaultKind::IotlbStorm {
-            flush_period: SimDuration::from_micros(50),
-        },
-        "throttle" => FaultKind::MemThrottle { factor: 0.4 },
-        "preempt" => FaultKind::CorePreempt { cores: 2 },
-        other => return Err(CampaignError::UnknownFault(other.to_string())),
-    };
-    cfg.faults = cfg.faults.clone().recurring(
-        kind,
-        SimDuration::from_millis(6),
-        SimDuration::from_millis(1),
-        SimDuration::from_millis(5),
-        9,
-    );
-    cfg.flow.partial_ack_rtx = true;
-    Ok(())
+    scenarios::add_fault_train(cfg, name)
+        .ok_or_else(|| CampaignError::UnknownFault(name.to_string()))
 }
 
 #[cfg(test)]

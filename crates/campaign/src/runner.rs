@@ -1,12 +1,15 @@
 //! The campaign execution loop: checkpoint, stream, resume.
 //!
-//! Every grid point advances through the same deterministic *slice
-//! schedule*: the checkpoint cadence grid, plus the warm-up boundary
-//! (where metrics arm) and the end of measurement. At each boundary the
-//! runner snapshots the simulation with
-//! [`Simulation::save_checkpoint`], appends one slice record to the
-//! point's metrics JSONL, and atomically rewrites both the artifact and
-//! the point checkpoint. The checkpoint embeds the metric lines emitted
+//! Every grid point, one host or a fleet, runs through one loop and
+//! advances through the same deterministic *slice schedule*: the
+//! checkpoint cadence grid, plus the warm-up boundary (where metrics
+//! arm) and the end of measurement. At each boundary the runner
+//! snapshots the simulation ([`Simulation::save_checkpoint`] or
+//! [`Fleet::save_checkpoint`]), appends one slice record to the point's
+//! metrics JSONL, and atomically rewrites both the artifact and the
+//! point checkpoint. What differs between the two kinds of point — how
+//! it is built and restored, how metrics arm, its final line, and a
+//! fleet's per-slice rebalance — lives in the private `Point` enum. The checkpoint embeds the metric lines emitted
 //! so far, so `--resume` restores the simulation *and* regenerates the
 //! artifact prefix byte-for-byte — an interrupted-and-resumed campaign
 //! produces artifacts identical to an uninterrupted one.
@@ -18,10 +21,10 @@
 //! [`crate::bisect`](mod@crate::bisect); neither takes down the rest of the grid.
 
 use crate::artifact::{append_journal, atomic_write, read_journal, JournalEntry};
-use crate::manifest::Manifest;
+use crate::manifest::{Manifest, PointSpec};
 use crate::{io_err, CampaignError};
 use hostcc::fleet::{Fleet, FleetConfig};
-use hostcc_host::{RunError, Simulation, TestbedConfig};
+use hostcc_host::{RunError, RunMetrics, Simulation, TestbedConfig};
 use hostcc_sim::{fnv1a_64, RunOutcome, SimTime, SnapError, SnapReader, SnapWriter};
 use std::path::{Path, PathBuf};
 
@@ -123,51 +126,156 @@ fn encode_point(label: &str, lines: &[String], sim_ckpt: &[u8]) -> Vec<u8> {
     w.into_envelope()
 }
 
-/// Decode a point checkpoint back into a restored simulation plus the
-/// artifact lines accumulated before the snapshot.
-pub(crate) fn decode_point(
-    cfg: TestbedConfig,
+/// Decode a point checkpoint: `restore` rebuilds the simulation (or
+/// fleet) from the embedded checkpoint, and the artifact lines
+/// accumulated before the snapshot come back with it.
+pub(crate) fn decode_point<T>(
     label: &str,
     bytes: &[u8],
-) -> Result<(Simulation, Vec<String>), SnapError> {
-    let mut r = SnapReader::open(bytes)?;
-    if r.str()? != label {
-        return Err(SnapError::Corrupt("checkpoint label mismatch"));
-    }
-    let joined = r.str()?.to_string();
-    let sim_bytes = r.bytes()?;
-    let sim = Simulation::restore_checkpoint(cfg, sim_bytes)?;
-    r.finish()?;
-    let lines = if joined.is_empty() {
-        Vec::new()
-    } else {
-        joined.lines().map(String::from).collect()
-    };
-    Ok((sim, lines))
-}
-
-/// Decode a point checkpoint back into a restored fleet plus the
-/// artifact lines accumulated before the snapshot (the fleet analogue of
-/// [`decode_point`]; same envelope, fleet checkpoint in the bytes slot).
-fn decode_fleet_point(
-    cfg: &FleetConfig,
-    label: &str,
-    bytes: &[u8],
-) -> Result<(Fleet, Vec<String>), RunError> {
+    restore: impl FnOnce(&[u8]) -> Result<T, RunError>,
+) -> Result<(T, Vec<String>), RunError> {
     let mut r = SnapReader::open(bytes)?;
     if r.str()? != label {
         return Err(SnapError::Corrupt("checkpoint label mismatch").into());
     }
     let joined = r.str()?.to_string();
-    let fleet_bytes = r.bytes()?;
-    let fleet = Fleet::restore_checkpoint(cfg, fleet_bytes)?;
+    let restored = restore(r.bytes()?)?;
     r.finish()?;
-    let lines = if joined.is_empty() {
-        Vec::new()
-    } else {
-        joined.lines().map(String::from).collect()
-    };
-    Ok((fleet, lines))
+    Ok((restored, joined.lines().map(String::from).collect()))
+}
+
+/// A grid point's configuration: one host or a fleet.
+enum Config {
+    Host(TestbedConfig),
+    Fleet(FleetConfig),
+}
+
+impl Config {
+    /// Build and validate the configuration of `p`.
+    fn of(m: &Manifest, p: &PointSpec) -> Result<Config, CampaignError> {
+        let invalid = |source| CampaignError::Run {
+            label: p.label.clone(),
+            source,
+        };
+        if p.fleet.is_some() {
+            let cfg = m.build_fleet_config(p)?;
+            cfg.validate().map_err(invalid)?;
+            Ok(Config::Fleet(cfg))
+        } else {
+            let cfg = m.build_config(p)?;
+            cfg.validate().map_err(|e| invalid(e.into()))?;
+            Ok(Config::Host(cfg))
+        }
+    }
+
+    /// When the first fault window opens, in nanoseconds.
+    fn earliest_fault(&self) -> Option<u64> {
+        let plan = match self {
+            Config::Host(cfg) => &cfg.faults,
+            Config::Fleet(cfg) => &cfg.base.faults,
+        };
+        plan.specs
+            .iter()
+            .flat_map(|s| s.occurrences())
+            .map(|d| d.as_nanos())
+            .min()
+    }
+
+    fn fresh(&self) -> Result<Point, RunError> {
+        Ok(match self {
+            Config::Host(cfg) => Point::Host(Box::new(Simulation::new(cfg.clone()))),
+            Config::Fleet(cfg) => Point::Fleet(Box::new(Fleet::new(cfg)?)),
+        })
+    }
+
+    fn restore(&self, bytes: &[u8]) -> Result<Point, RunError> {
+        Ok(match self {
+            Config::Host(cfg) => Point::Host(Box::new(Simulation::restore_checkpoint(
+                cfg.clone(),
+                bytes,
+            )?)),
+            Config::Fleet(cfg) => Point::Fleet(Box::new(Fleet::restore_checkpoint(cfg, bytes)?)),
+        })
+    }
+}
+
+/// A running grid point. The slice loop in [`execute`] is the same for
+/// both kinds; only what this enum's methods do differs.
+enum Point {
+    Host(Box<Simulation>),
+    Fleet(Box<Fleet>),
+}
+
+impl Point {
+    fn now(&self) -> SimTime {
+        match self {
+            Point::Host(sim) => sim.now(),
+            Point::Fleet(fleet) => fleet.now(),
+        }
+    }
+
+    /// Run to the slice boundary `t`; a tripped watchdog is the error.
+    fn run_to(&mut self, t: SimTime) -> Result<(), RunError> {
+        match self {
+            Point::Host(sim) => match sim.run_to(t) {
+                RunOutcome::Stalled { at } => Err(sim.stall_error(at)),
+                _ => Ok(()),
+            },
+            Point::Fleet(fleet) => fleet.run_to(t),
+        }
+    }
+
+    /// Arm metrics at the warm-up boundary (every host of a fleet).
+    fn arm_metrics(&mut self, t: SimTime) {
+        match self {
+            Point::Host(sim) => sim.world_mut().arm_metrics(t),
+            Point::Fleet(fleet) => {
+                for h in fleet.hosts_mut() {
+                    h.sim_mut().world_mut().arm_metrics(t);
+                }
+            }
+        }
+    }
+
+    fn save_checkpoint(&self) -> Result<Vec<u8>, SnapError> {
+        match self {
+            Point::Host(sim) => sim.save_checkpoint(),
+            Point::Fleet(fleet) => fleet.save_checkpoint(),
+        }
+    }
+
+    fn dispatched_total(&self) -> u64 {
+        match self {
+            Point::Host(sim) => sim.dispatched_total(),
+            Point::Fleet(fleet) => fleet.dispatched_total(),
+        }
+    }
+
+    /// The final-metrics line at the end of measurement `t2`.
+    fn final_line(&mut self, t2: u64) -> String {
+        let t = SimTime::from_nanos(t2);
+        match self {
+            Point::Host(sim) => final_line(t2, &sim.world_mut().snapshot(t)),
+            Point::Fleet(fleet) => {
+                let per_host: Vec<RunMetrics> = fleet
+                    .hosts_mut()
+                    .iter_mut()
+                    .map(|h| h.sim_mut().world_mut().snapshot(t))
+                    .collect();
+                fleet_final_line(t2, fleet, &per_host)
+            }
+        }
+    }
+
+    /// End a slice. A fleet is cost-rebalanced onto its measured
+    /// per-host event counters — observationally inert (placement never
+    /// feeds the simulation), so artifacts stay byte-identical with or
+    /// without it, interrupted or not.
+    fn end_slice(&mut self) {
+        if let Point::Fleet(fleet) = self {
+            fleet.rebalance();
+        }
+    }
 }
 
 /// Render the final-metrics JSONL line for a completed fleet point:
@@ -177,7 +285,7 @@ fn decode_fleet_point(
 /// derived numbers (per-shard totals, imbalance) are deliberately
 /// absent: artifacts must be bit-identical under any host→shard
 /// assignment.
-fn fleet_final_line(t2: u64, fleet: &Fleet, per_host: &[hostcc_host::RunMetrics]) -> String {
+fn fleet_final_line(t2: u64, fleet: &Fleet, per_host: &[RunMetrics]) -> String {
     let delivered: u64 = per_host.iter().map(|m| m.delivered_packets).sum();
     let payload: u64 = per_host.iter().map(|m| m.delivered_payload_bytes).sum();
     let drops: u64 = per_host.iter().map(|m| m.host_drops()).sum();
@@ -199,7 +307,7 @@ fn fleet_final_line(t2: u64, fleet: &Fleet, per_host: &[hostcc_host::RunMetrics]
 /// Render the final-metrics JSONL line for a completed point. Floats are
 /// carried as IEEE-754 bit patterns alongside the readable value, so
 /// artifact diffs are exact.
-fn final_line(t2: u64, m: &hostcc_host::RunMetrics) -> String {
+fn final_line(t2: u64, m: &RunMetrics) -> String {
     format!(
         "{{\"t_ns\":{t2},\"final\":true,\"delivered_packets\":{},\
          \"delivered_payload_bytes\":{},\"drops\":{},\"retransmits\":{},\
@@ -262,55 +370,31 @@ pub fn execute(
             report.skipped.push(p.label.clone());
             continue;
         }
-        if p.fleet.is_some() {
-            let aborted = run_fleet_point(
-                m,
-                &p,
-                &layout,
-                opts,
-                &bounds,
-                (t1, t2),
-                &mut slices_done,
-                &mut report,
-                log,
-            )?;
-            if aborted {
-                return Ok(report);
-            }
-            continue;
-        }
-        let cfg = m.build_config(&p)?;
-        cfg.validate().map_err(|source| CampaignError::Run {
+        let run_err = |source| CampaignError::Run {
             label: p.label.clone(),
-            source: RunError::from(source),
-        })?;
-        let earliest_fault: Option<u64> = cfg
-            .faults
-            .specs
-            .iter()
-            .flat_map(|s| s.occurrences())
-            .map(|d| d.as_nanos())
-            .min();
+            source,
+        };
+        let cfg = Config::of(m, &p)?;
+        let earliest_fault = cfg.earliest_fault();
 
         // Restore from the latest checkpoint, or start fresh — falling
         // back to fresh (with a warning) when the checkpoint is corrupt
         // or truncated. Never a panic: every decode failure is a typed
-        // SnapError routed here.
+        // error routed here.
         let ckpt_path = layout.checkpoint(&p.label);
-        let mut restored = false;
-        let (mut sim, mut lines) = if opts.resume && ckpt_path.exists() {
+        let mut restored = None;
+        if opts.resume && ckpt_path.exists() {
             let raw = std::fs::read(&ckpt_path).map_err(|e| io_err(&ckpt_path, e))?;
-            match decode_point(cfg.clone(), &p.label, &raw) {
-                Ok((sim, lines)) => {
-                    restored = true;
+            match decode_point(&p.label, &raw, |b| cfg.restore(b)) {
+                Ok((point, lines)) => {
                     report.resumed.push(p.label.clone());
                     log(&format!(
                         "{}: restored checkpoint at {} ns ({} slice(s) already recorded)",
                         p.label,
-                        sim.now().as_nanos(),
+                        point.now().as_nanos(),
                         lines.len()
                     ));
-                    (sim, lines)
+                    restored = Some((point, lines));
                 }
                 Err(e) => {
                     log(&format!(
@@ -318,27 +402,28 @@ pub fn execute(
                         p.label
                     ));
                     report.fallbacks.push(p.label.clone());
-                    (Simulation::new(cfg.clone()), Vec::new())
-                }
-            }
-        } else {
-            (Simulation::new(cfg.clone()), Vec::new())
-        };
-        if !restored {
-            // Clear stale artifacts from any earlier attempt.
-            for stale in [&ckpt_path, &layout.prefault(&p.label)] {
-                match std::fs::remove_file(stale) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(io_err(stale, e)),
                 }
             }
         }
+        let (mut point, mut lines) = match restored {
+            Some(restored) => restored,
+            None => {
+                // Clear stale artifacts from any earlier attempt.
+                for stale in [&ckpt_path, &layout.prefault(&p.label)] {
+                    match std::fs::remove_file(stale) {
+                        Ok(()) => {}
+                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                        Err(e) => return Err(io_err(stale, e)),
+                    }
+                }
+                (cfg.fresh().map_err(run_err)?, Vec::new())
+            }
+        };
         // Regenerate the artifact from the checkpoint's embedded lines
         // (fresh runs truncate it) so artifact and state always agree.
         atomic_write(&layout.artifact(&p.label), render(&lines).as_bytes())?;
 
-        let resumed_from = sim.now().as_nanos();
+        let resumed_from = point.now().as_nanos();
         for &b in bounds.iter().filter(|&&b| b > resumed_from) {
             if let Some(limit) = opts.abort_after_slices {
                 if slices_done >= limit {
@@ -350,35 +435,33 @@ pub fn execute(
                 }
             }
             let bt = SimTime::from_nanos(b);
-            if let RunOutcome::Stalled { at } = sim.run_to(bt) {
+            if let Err(e) = point.run_to(bt) {
+                let at = match &e {
+                    RunError::Stalled { at, .. } => at.as_nanos(),
+                    _ => b,
+                };
                 let entry = JournalEntry {
                     label: p.label.clone(),
                     status: "failed".to_string(),
-                    t_ns: at.as_nanos(),
+                    t_ns: at,
                 };
                 append_journal(&layout.journal, &entry)?;
-                let msg = format!(
-                    "watchdog stall at {} ns; last checkpoint kept for `campaign bisect`",
-                    at.as_nanos()
-                );
+                let msg = format!("{e}; last checkpoint kept");
                 log(&format!("{}: {msg}", p.label));
                 report.failed.push((p.label.clone(), msg));
                 continue 'points;
             }
             if b == t1 {
-                sim.world_mut().arm_metrics(bt);
+                point.arm_metrics(bt);
             }
-            let sim_ckpt = sim.save_checkpoint().map_err(|e| CampaignError::Run {
-                label: p.label.clone(),
-                source: RunError::from(e),
-            })?;
+            let sim_ckpt = point.save_checkpoint().map_err(|e| run_err(e.into()))?;
             lines.push(format!(
                 "{{\"t_ns\":{b},\"digest\":{},\"dispatched\":{}}}",
                 fnv1a_64(&sim_ckpt),
-                sim.dispatched_total()
+                point.dispatched_total()
             ));
             if b == t2 {
-                lines.push(final_line(t2, &sim.world_mut().snapshot(bt)));
+                lines.push(point.final_line(t2));
             }
             let envelope = encode_point(&p.label, &lines, &sim_ckpt);
             if earliest_fault.is_some_and(|ef| b < ef) {
@@ -387,6 +470,7 @@ pub fn execute(
             atomic_write(&ckpt_path, &envelope)?;
             atomic_write(&layout.artifact(&p.label), render(&lines).as_bytes())?;
             slices_done += 1;
+            point.end_slice();
         }
 
         append_journal(
@@ -405,157 +489,6 @@ pub fn execute(
         report.completed.push(p.label.clone());
     }
     Ok(report)
-}
-
-/// Execute (or resume) one fleet grid point through the same slice
-/// schedule as the single-host path: run to each boundary, checkpoint
-/// the whole fleet, append a digest line, and atomically rewrite the
-/// artifact + checkpoint pair. After every boundary the engine is
-/// cost-rebalanced onto the measured per-host event counters —
-/// observationally inert (placement never feeds the simulation), so the
-/// artifacts stay byte-identical with or without it, interrupted or not.
-/// Returns `Ok(true)` when the simulated-crash hook fired.
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_point(
-    m: &Manifest,
-    p: &crate::manifest::PointSpec,
-    layout: &Layout,
-    opts: &ExecuteOptions,
-    bounds: &[u64],
-    (t1, t2): (u64, u64),
-    slices_done: &mut u64,
-    report: &mut RunReport,
-    log: &mut dyn FnMut(&str),
-) -> Result<bool, CampaignError> {
-    let run_err = |source: RunError| CampaignError::Run {
-        label: p.label.clone(),
-        source,
-    };
-    let cfg = m.build_fleet_config(p)?;
-    cfg.validate().map_err(run_err)?;
-    let earliest_fault: Option<u64> = cfg
-        .base
-        .faults
-        .specs
-        .iter()
-        .flat_map(|s| s.occurrences())
-        .map(|d| d.as_nanos())
-        .min();
-
-    let ckpt_path = layout.checkpoint(&p.label);
-    let mut restored = false;
-    let (mut fleet, mut lines) = if opts.resume && ckpt_path.exists() {
-        let raw = std::fs::read(&ckpt_path).map_err(|e| io_err(&ckpt_path, e))?;
-        match decode_fleet_point(&cfg, &p.label, &raw) {
-            Ok((fleet, lines)) => {
-                restored = true;
-                report.resumed.push(p.label.clone());
-                log(&format!(
-                    "{}: restored fleet checkpoint at {} ns ({} slice(s) already recorded)",
-                    p.label,
-                    fleet.now().as_nanos(),
-                    lines.len()
-                ));
-                (fleet, lines)
-            }
-            Err(e) => {
-                log(&format!(
-                    "{}: checkpoint unusable ({e}); restarting point from scratch",
-                    p.label
-                ));
-                report.fallbacks.push(p.label.clone());
-                (Fleet::new(&cfg).map_err(run_err)?, Vec::new())
-            }
-        }
-    } else {
-        (Fleet::new(&cfg).map_err(run_err)?, Vec::new())
-    };
-    if !restored {
-        for stale in [&ckpt_path, &layout.prefault(&p.label)] {
-            match std::fs::remove_file(stale) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err(stale, e)),
-            }
-        }
-    }
-    atomic_write(&layout.artifact(&p.label), render(&lines).as_bytes())?;
-
-    let resumed_from = fleet.now().as_nanos();
-    for &b in bounds.iter().filter(|&&b| b > resumed_from) {
-        if let Some(limit) = opts.abort_after_slices {
-            if *slices_done >= limit {
-                report.aborted = true;
-                log(&format!(
-                    "aborting after {} slice(s) (simulated crash)",
-                    *slices_done
-                ));
-                return Ok(true);
-            }
-        }
-        let bt = SimTime::from_nanos(b);
-        if let Err(e) = fleet.run_to(bt) {
-            let at = match &e {
-                RunError::Stalled { at, .. } => at.as_nanos(),
-                _ => b,
-            };
-            let entry = JournalEntry {
-                label: p.label.clone(),
-                status: "failed".to_string(),
-                t_ns: at,
-            };
-            append_journal(&layout.journal, &entry)?;
-            let msg = format!("{e}; last checkpoint kept");
-            log(&format!("{}: {msg}", p.label));
-            report.failed.push((p.label.clone(), msg));
-            return Ok(false);
-        }
-        if b == t1 {
-            for h in fleet.hosts_mut() {
-                h.sim_mut().world_mut().arm_metrics(bt);
-            }
-        }
-        let fleet_ckpt = fleet
-            .save_checkpoint()
-            .map_err(|e| run_err(RunError::from(e)))?;
-        lines.push(format!(
-            "{{\"t_ns\":{b},\"digest\":{},\"dispatched\":{}}}",
-            fnv1a_64(&fleet_ckpt),
-            fleet.dispatched_total()
-        ));
-        if b == t2 {
-            let per_host: Vec<hostcc_host::RunMetrics> = fleet
-                .hosts_mut()
-                .iter_mut()
-                .map(|h| h.sim_mut().world_mut().snapshot(bt))
-                .collect();
-            lines.push(fleet_final_line(t2, &fleet, &per_host));
-        }
-        let envelope = encode_point(&p.label, &lines, &fleet_ckpt);
-        if earliest_fault.is_some_and(|ef| b < ef) {
-            atomic_write(&layout.prefault(&p.label), &envelope)?;
-        }
-        atomic_write(&ckpt_path, &envelope)?;
-        atomic_write(&layout.artifact(&p.label), render(&lines).as_bytes())?;
-        *slices_done += 1;
-        fleet.rebalance();
-    }
-
-    append_journal(
-        &layout.journal,
-        &JournalEntry {
-            label: p.label.clone(),
-            status: "done".to_string(),
-            t_ns: t2,
-        },
-    )?;
-    log(&format!(
-        "{}: done ({} artifact lines)",
-        p.label,
-        lines.len()
-    ));
-    report.completed.push(p.label.clone());
-    Ok(false)
 }
 
 /// Join artifact lines with a trailing newline (empty file for no lines).
@@ -760,88 +693,100 @@ mod tests {
         let _ = fs::remove_dir_all(&interrupted);
     }
 
+    /// One single-host and one fleet point, with their labels: the two
+    /// kinds every restore-path test runs over.
+    fn both_kinds() -> [(Manifest, &'static str); 2] {
+        [
+            (tiny_manifest(), "incast-s7-none-o0"),
+            (tiny_fleet_manifest(), "fleet-h4-x2-tree.2-s3-none-o0"),
+        ]
+    }
+
     #[test]
     fn corrupt_checkpoint_falls_back_to_scratch_and_still_completes() {
-        let m = tiny_manifest();
-        let reference = tmpdir("cref");
-        let damaged = tmpdir("cdam");
-        let mut log = quiet();
-        execute(&m, &reference, &ExecuteOptions::default(), &mut log).unwrap();
-        execute(
-            &m,
-            &damaged,
-            &ExecuteOptions {
-                resume: false,
-                abort_after_slices: Some(2),
-            },
-            &mut log,
-        )
-        .unwrap();
-        // Flip a byte deep in the checkpoint payload.
-        let ckpt = damaged.join("checkpoints/incast-s7-none-o0.ckpt");
-        let mut raw = fs::read(&ckpt).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x40;
-        fs::write(&ckpt, &raw).unwrap();
+        for (m, label) in both_kinds() {
+            let reference = tmpdir(&format!("cref-{label}"));
+            let damaged = tmpdir(&format!("cdam-{label}"));
+            let mut log = quiet();
+            execute(&m, &reference, &ExecuteOptions::default(), &mut log).unwrap();
+            execute(
+                &m,
+                &damaged,
+                &ExecuteOptions {
+                    resume: false,
+                    abort_after_slices: Some(2),
+                },
+                &mut log,
+            )
+            .unwrap();
+            // Flip a byte deep in the checkpoint payload.
+            let ckpt = damaged.join(format!("checkpoints/{label}.ckpt"));
+            let mut raw = fs::read(&ckpt).unwrap();
+            let mid = raw.len() / 2;
+            raw[mid] ^= 0x40;
+            fs::write(&ckpt, &raw).unwrap();
 
-        let mut warnings = Vec::new();
-        let mut log = |msg: &str| warnings.push(msg.to_string());
-        let r = execute(
-            &m,
-            &damaged,
-            &ExecuteOptions {
-                resume: true,
-                ..Default::default()
-            },
-            &mut log,
-        )
-        .unwrap();
-        assert_eq!(r.fallbacks, vec!["incast-s7-none-o0"]);
-        assert_eq!(r.completed, vec!["incast-s7-none-o0"]);
-        assert!(
-            warnings.iter().any(|w| w.contains("checkpoint unusable")),
-            "{warnings:?}"
-        );
-        let a = fs::read(reference.join("points/incast-s7-none-o0.jsonl")).unwrap();
-        let b = fs::read(damaged.join("points/incast-s7-none-o0.jsonl")).unwrap();
-        assert_eq!(
-            a, b,
-            "restart-from-scratch still converges to the reference"
-        );
-        let _ = fs::remove_dir_all(&reference);
-        let _ = fs::remove_dir_all(&damaged);
+            let mut warnings = Vec::new();
+            let mut log = |msg: &str| warnings.push(msg.to_string());
+            let r = execute(
+                &m,
+                &damaged,
+                &ExecuteOptions {
+                    resume: true,
+                    ..Default::default()
+                },
+                &mut log,
+            )
+            .unwrap();
+            assert_eq!(r.fallbacks, vec![label]);
+            assert_eq!(r.completed, vec![label]);
+            assert!(
+                warnings.iter().any(|w| w.contains("checkpoint unusable")),
+                "{warnings:?}"
+            );
+            let artifact = format!("points/{label}.jsonl");
+            let a = fs::read(reference.join(&artifact)).unwrap();
+            let b = fs::read(damaged.join(&artifact)).unwrap();
+            assert_eq!(
+                a, b,
+                "{label}: restart-from-scratch still converges to the reference"
+            );
+            let _ = fs::remove_dir_all(&reference);
+            let _ = fs::remove_dir_all(&damaged);
+        }
     }
 
     #[test]
     fn truncated_checkpoint_is_a_typed_fallback_too() {
-        let m = tiny_manifest();
-        let d = tmpdir("trunc");
-        let mut log = quiet();
-        execute(
-            &m,
-            &d,
-            &ExecuteOptions {
-                resume: false,
-                abort_after_slices: Some(1),
-            },
-            &mut log,
-        )
-        .unwrap();
-        let ckpt = d.join("checkpoints/incast-s7-none-o0.ckpt");
-        let raw = fs::read(&ckpt).unwrap();
-        fs::write(&ckpt, &raw[..raw.len() / 3]).unwrap();
-        let r = execute(
-            &m,
-            &d,
-            &ExecuteOptions {
-                resume: true,
-                ..Default::default()
-            },
-            &mut log,
-        )
-        .unwrap();
-        assert_eq!(r.fallbacks.len(), 1);
-        assert_eq!(r.completed.len(), 1);
-        let _ = fs::remove_dir_all(&d);
+        for (m, label) in both_kinds() {
+            let d = tmpdir(&format!("trunc-{label}"));
+            let mut log = quiet();
+            execute(
+                &m,
+                &d,
+                &ExecuteOptions {
+                    resume: false,
+                    abort_after_slices: Some(1),
+                },
+                &mut log,
+            )
+            .unwrap();
+            let ckpt = d.join(format!("checkpoints/{label}.ckpt"));
+            let raw = fs::read(&ckpt).unwrap();
+            fs::write(&ckpt, &raw[..raw.len() / 3]).unwrap();
+            let r = execute(
+                &m,
+                &d,
+                &ExecuteOptions {
+                    resume: true,
+                    ..Default::default()
+                },
+                &mut log,
+            )
+            .unwrap();
+            assert_eq!(r.fallbacks, vec![label]);
+            assert_eq!(r.completed, vec![label]);
+            let _ = fs::remove_dir_all(&d);
+        }
     }
 }

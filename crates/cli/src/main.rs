@@ -14,8 +14,9 @@ use args::{parse, ArgError, ParsedArgs};
 use hostcc::experiment::{sweep as sweep_sims, RunPlan};
 use hostcc::fleet::{Fleet, FleetConfig, FleetTopology};
 use hostcc::report::{f, pct, Table};
+use hostcc::scenarios;
 use hostcc::{
-    chrome_trace_json, metrics_json, CcKind, FaultKind, RunMetrics, Simulation, TelemetryConfig,
+    chrome_trace_json, metrics_json, CcKind, RunMetrics, Simulation, TelemetryConfig,
     TestbedConfig, TraceConfig,
 };
 use hostcc_campaign::{
@@ -285,40 +286,19 @@ fn apply_overrides(cfg: &mut TestbedConfig, p: &ParsedArgs) -> Result<(), ArgErr
     Ok(())
 }
 
-/// Apply the `--faults` flag: each named fault becomes a canned recurring
-/// window train (1 ms windows every 5 ms from t=6 ms, nine occurrences —
-/// the same cadence as the chaos-* scenarios).
+/// Apply the `--faults` flag: each named fault becomes the canned
+/// recurring window train of [`scenarios::add_fault_train`].
 fn apply_faults(cfg: &mut TestbedConfig, p: &ParsedArgs) -> Result<(), String> {
     let Some(list) = p.flags.get("faults") else {
         return Ok(());
     };
     for name in list.split(',').filter(|s| !s.is_empty()) {
-        let kind = match name {
-            "replay" => FaultKind::PcieReplay { nak_rate: 0.3 },
-            "flap" => FaultKind::LinkFlap,
-            "stall" => FaultKind::DescriptorStall,
-            "storm" => FaultKind::IotlbStorm {
-                flush_period: SimDuration::from_micros(50),
-            },
-            "throttle" => FaultKind::MemThrottle { factor: 0.4 },
-            "preempt" => FaultKind::CorePreempt { cores: 2 },
-            other => {
-                return Err(format!(
-                    "--faults: unknown fault `{other}` \
-                     (expected replay|flap|stall|storm|throttle|preempt)"
-                ))
-            }
-        };
-        cfg.faults = cfg.faults.clone().recurring(
-            kind,
-            SimDuration::from_millis(6),
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(5),
-            9,
-        );
-        // Blackout-style faults lose whole windows; partial-ACK recovery
-        // brings flows back at ACK-clock speed instead of one per RTO.
-        cfg.flow.partial_ack_rtx = true;
+        scenarios::add_fault_train(cfg, name).ok_or_else(|| {
+            format!(
+                "--faults: unknown fault `{name}` \
+                 (expected replay|flap|stall|storm|throttle|preempt)"
+            )
+        })?;
     }
     Ok(())
 }
@@ -698,6 +678,7 @@ fn cmd_sweep(p: &ParsedArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostcc::FaultKind;
 
     #[test]
     fn range_parsing() {

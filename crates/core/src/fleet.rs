@@ -471,9 +471,9 @@ impl Fleet {
             .collect())
     }
 
-    fn check_stalls(&mut self) -> Result<(), RunError> {
-        let placement = self.engine.placement().to_vec();
-        for (i, h) in self.engine.hosts_mut().iter_mut().enumerate() {
+    fn check_stalls(&self) -> Result<(), RunError> {
+        let placement = self.engine.placement();
+        for (i, h) in self.engine.hosts().iter().enumerate() {
             // Attribute the stall: which host froze, and its home shard
             // under the current placement.
             h.check_stalled().map_err(|e| match e {

@@ -3,7 +3,7 @@
 //! Each function returns the `TestbedConfig` for one point of one figure,
 //! so harnesses, examples and tests all drive the *same* configurations.
 
-use hostcc_host::{CcKind, FaultKind, FaultPlan, TestbedConfig};
+use hostcc_host::{CcKind, FaultKind, TestbedConfig};
 use hostcc_mem::PageSize;
 use hostcc_sim::SimDuration;
 use hostcc_transport::DctcpConfig;
@@ -233,63 +233,68 @@ pub fn with_line_rate_generation(mut cfg: TestbedConfig, gen_mult: u32) -> Testb
     cfg
 }
 
-/// Shared base for the chaos scenarios: a smaller testbed (8 senders,
-/// 4 receiver cores) so CI chaos smoke runs stay cheap, with fault
-/// windows recurring every 5 ms from t=6 ms — inside the measurement
-/// interval of both `RunPlan::quick()` (5–15 ms) and the default plan
-/// (25–50 ms), so counters and the recovery summary are populated under
-/// either plan.
-fn chaos_base() -> TestbedConfig {
-    let mut cfg = baseline();
-    cfg.senders = 8;
-    cfg.receiver_threads = 4;
-    // Whole-window losses (blackouts) need partial-ACK recovery to come
-    // back at ACK-clock speed instead of one packet per RTO.
-    cfg.flow.partial_ack_rtx = true;
-    cfg
-}
-
-fn chaos_windows(cfg: &mut TestbedConfig, kind: FaultKind, duration_us: u64) {
-    cfg.faults = FaultPlan::new().recurring(
+/// Add the canned fault train named `name` to `cfg`: 1 ms windows of
+/// that fault every 5 ms from t = 6 ms, nine occurrences — inside the
+/// measurement interval of both `RunPlan::quick()` (5–15 ms) and the
+/// default plan (25–50 ms), so counters and the recovery summary are
+/// populated under either plan. Whole-window losses (blackouts) need
+/// partial-ACK recovery to come back at ACK-clock speed instead of one
+/// packet per RTO, so it is switched on. The chaos scenarios, the CLI's
+/// `--faults` and campaign manifests all inject faults through this.
+/// `None` (and `cfg` untouched) for a name outside
+/// replay|flap|stall|storm|throttle|preempt.
+pub fn add_fault_train(cfg: &mut TestbedConfig, name: &str) -> Option<()> {
+    let kind = match name {
+        "replay" => FaultKind::PcieReplay { nak_rate: 0.3 },
+        "flap" => FaultKind::LinkFlap,
+        "stall" => FaultKind::DescriptorStall,
+        "storm" => FaultKind::IotlbStorm {
+            flush_period: SimDuration::from_micros(50),
+        },
+        "throttle" => FaultKind::MemThrottle { factor: 0.4 },
+        "preempt" => FaultKind::CorePreempt { cores: 2 },
+        _ => return None,
+    };
+    cfg.faults = std::mem::take(&mut cfg.faults).recurring(
         kind,
         SimDuration::from_millis(6),
-        SimDuration::from_micros(duration_us),
+        SimDuration::from_millis(1),
         SimDuration::from_millis(5),
         9,
     );
+    cfg.flow.partial_ack_rtx = true;
+    Some(())
+}
+
+/// A chaos scenario: a smaller testbed (8 senders, 4 receiver cores) so
+/// CI chaos smoke runs stay cheap, under the canned `fault` train.
+fn chaos(fault: &str) -> TestbedConfig {
+    let mut cfg = baseline();
+    cfg.senders = 8;
+    cfg.receiver_threads = 4;
+    add_fault_train(&mut cfg, fault).expect("a canned fault name");
+    cfg
 }
 
 /// Chaos scenario `chaos-replay`: recurring PCIe link-error windows. 30%
 /// of TLPs are NAKed during each window and replay from the DLLP replay
 /// buffer after an exponentially backed-off replay timer.
 pub fn chaos_replay() -> TestbedConfig {
-    let mut cfg = chaos_base();
-    chaos_windows(&mut cfg, FaultKind::PcieReplay { nak_rate: 0.3 }, 1000);
-    cfg
+    chaos("replay")
 }
 
 /// Chaos scenario `chaos-flap`: recurring access-link blackouts. Every
 /// packet on the wire during a 1 ms window is lost; recovery is the
 /// transport's dup-ACK / RTO-backoff machinery.
 pub fn chaos_flap() -> TestbedConfig {
-    let mut cfg = chaos_base();
-    chaos_windows(&mut cfg, FaultKind::LinkFlap, 1000);
-    cfg
+    chaos("flap")
 }
 
 /// Chaos scenario `chaos-invalidate`: recurring IOTLB invalidation storms
 /// (a full IOTLB + page-walk-cache flush every 50 µs inside each window),
 /// forcing page-walk bursts on the DMA translation path.
 pub fn chaos_invalidate() -> TestbedConfig {
-    let mut cfg = chaos_base();
-    chaos_windows(
-        &mut cfg,
-        FaultKind::IotlbStorm {
-            flush_period: SimDuration::from_micros(50),
-        },
-        1000,
-    );
-    cfg
+    chaos("storm")
 }
 
 #[cfg(test)]

@@ -16,11 +16,12 @@ use hostcc_sim::{Envelope, RunOutcome, ShardHost, SimTime};
 /// One fleet member: a started testbed simulation driven in epoch slices.
 pub struct FleetHost {
     sim: Simulation,
-    /// First watchdog trip, if any. A stalled host is withdrawn from the
-    /// epoch computation (it reports no pending events and stops
-    /// advancing) so the fleet run can terminate and surface the error
-    /// instead of spinning on a frozen clock.
-    stalled: Option<SimTime>,
+    /// The first watchdog trip's error, if any, built at the stall. A
+    /// stalled host is withdrawn from the epoch computation (it reports
+    /// no pending events and stops advancing) so the fleet run can
+    /// terminate and surface the error instead of spinning on a frozen
+    /// clock.
+    stalled: Option<RunError>,
 }
 
 // A stalled fleet is never checkpointed, so the watchdog record is not
@@ -47,25 +48,16 @@ impl FleetHost {
     /// When the host's progress watchdog tripped, the frozen instant.
     /// A stalled host cannot be checkpointed (its queue is mid-abort).
     pub fn stalled_at(&self) -> Option<SimTime> {
-        self.stalled
+        match self.stalled {
+            Some(RunError::Stalled { at, .. }) => Some(at),
+            _ => None,
+        }
     }
 
-    /// Check the host for a tripped progress watchdog.
-    pub fn check_stalled(&mut self) -> Result<(), RunError> {
-        match self.stalled {
-            None => Ok(()),
-            Some(at) => {
-                let pending = 0;
-                self.sim.world_mut().telemetry.on_stall(at.as_nanos());
-                Err(RunError::Stalled {
-                    at,
-                    pending,
-                    host: None,
-                    shard: None,
-                    telemetry: self.sim.world_mut().telemetry.last_sample().map(Box::new),
-                })
-            }
-        }
+    /// Check the host for a tripped progress watchdog: the error
+    /// [`Simulation::stall_error`] built when it tripped.
+    pub fn check_stalled(&self) -> Result<(), RunError> {
+        self.stalled.clone().map_or(Ok(()), Err)
     }
 }
 
@@ -108,7 +100,7 @@ impl ShardHost for FleetHost {
             return;
         }
         if let RunOutcome::Stalled { at } = self.sim.run_to(deadline) {
-            self.stalled = Some(at);
+            self.stalled = Some(self.sim.stall_error(at));
         }
     }
 

@@ -1172,21 +1172,25 @@ impl Simulation {
 
     fn check_outcome(&mut self, outcome: RunOutcome) -> Result<(), RunError> {
         match outcome {
-            RunOutcome::Stalled { at } => {
-                let pending = self.engine.sched.pending();
-                // Fire the flight recorder (the samples leading into the
-                // stall) and carry the final signals on the error itself,
-                // so a tripped watchdog is diagnosable without re-running.
-                self.engine.world.telemetry.on_stall(at.as_nanos());
-                Err(RunError::Stalled {
-                    at,
-                    pending,
-                    host: None,
-                    shard: None,
-                    telemetry: self.engine.world.telemetry.last_sample().map(Box::new),
-                })
-            }
+            RunOutcome::Stalled { at } => Err(self.stall_error(at)),
             _ => Ok(()),
+        }
+    }
+
+    /// The typed error for a watchdog trip at `at`, built once, right
+    /// after [`run_to`](Self::run_to) returned [`RunOutcome::Stalled`]:
+    /// the events still queued, and the final telemetry sample. Fires the
+    /// flight recorder (the samples leading into the stall), so call it
+    /// once per stall.
+    pub fn stall_error(&mut self, at: SimTime) -> RunError {
+        let telemetry = &mut self.engine.world.telemetry;
+        telemetry.on_stall(at.as_nanos());
+        RunError::Stalled {
+            at,
+            pending: self.engine.sched.pending(),
+            host: None,
+            shard: None,
+            telemetry: telemetry.last_sample().map(Box::new),
         }
     }
 
@@ -1285,6 +1289,34 @@ mod tests {
         assert_eq!(m0.rtt.p50(), m1.rtt.p50());
         assert_eq!(m0.occupancy_samples, m1.occupancy_samples);
         assert_eq!(m0.mean_cwnd, m1.mean_cwnd);
+    }
+
+    #[test]
+    fn fleet_host_stall_reports_what_try_run_reports() {
+        // A watchdog limit of two same-instant events trips at the
+        // testbed's first burst of three.
+        let stalling = || {
+            let mut sim = Simulation::new(small_cfg());
+            sim.engine.stall_limit = Some(2);
+            sim
+        };
+        let ms = SimDuration::from_millis(1);
+        let Err(RunError::Stalled { at, pending, .. }) = stalling().try_run(ms, ms) else {
+            panic!("a limit of 2 same-instant events must stall");
+        };
+        assert!(pending > 0, "events are still queued at the stall");
+        let mut host = crate::FleetHost::new(stalling());
+        hostcc_sim::ShardHost::advance_to(&mut host, SimTime::ZERO + ms);
+        assert_eq!(host.stalled_at(), Some(at));
+        let Err(RunError::Stalled {
+            at: host_at,
+            pending: host_pending,
+            ..
+        }) = host.check_stalled()
+        else {
+            panic!("the fleet host must report its stall");
+        };
+        assert_eq!((host_at, host_pending), (at, pending));
     }
 
     #[test]

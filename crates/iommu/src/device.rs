@@ -12,19 +12,7 @@
 
 use crate::iotlb::{Iotlb, IotlbStats, IotlbTag};
 use crate::walk_cache::WalkCache;
-use hostcc_mem::{pages_touched, Fault, IoPageTable, Iova, MapError, PageSize, PhysAddr};
-
-/// A protection domain: one isolated I/O address space (typically one per
-/// device or per VM passthrough assignment). The NIC of the paper's
-/// testbed lives alone in domain 0; multi-device hosts attach each device
-/// to its own domain and all domains share the IOTLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DomainId(pub u32);
-
-impl DomainId {
-    /// The default domain (the NIC's, in the testbed).
-    pub const DEFAULT: DomainId = DomainId(0);
-}
+use hostcc_mem::{Fault, IoPageTable, Iova, MapError, PageSize, PhysAddr};
 
 /// IOMMU configuration.
 #[derive(Debug, Clone)]
@@ -77,15 +65,6 @@ impl TranslationCost {
     }
 }
 
-/// A successful DMA translation.
-#[derive(Debug, Clone, Copy)]
-pub struct DmaTranslation {
-    /// Physical address of the first byte.
-    pub pa: PhysAddr,
-    /// Cost receipt for the whole range.
-    pub cost: TranslationCost,
-}
-
 /// Cumulative IOMMU statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IommuStats {
@@ -104,19 +83,18 @@ hostcc_sim::snap_fields!(IommuStats {
     walk_memory_accesses
 });
 
-/// The IOMMU: one or more protection domains sharing an IOTLB and a
-/// page-walk cache. The paper's testbed uses a single domain (the NIC's);
-/// additional domains model multi-device hosts.
+/// The IOMMU: the NIC's protection domain (one I/O page table) with its
+/// IOTLB and page-walk cache, as in the paper's testbed.
 #[derive(Debug)]
 pub struct Iommu {
     config: IommuConfig,
-    tables: Vec<IoPageTable>,
+    table: IoPageTable,
     iotlb: Iotlb,
     pwc: WalkCache,
     stats: IommuStats,
 }
 
-hostcc_sim::snap_fields!(Iommu { iotlb, pwc, stats } skip { config, tables });
+hostcc_sim::snap_fields!(Iommu { iotlb, pwc, stats } skip { config, table });
 
 impl Iommu {
     /// Build an IOMMU with the given configuration and an empty page table.
@@ -125,22 +103,11 @@ impl Iommu {
         let pwc = WalkCache::new(config.pwc_entries);
         Iommu {
             config,
-            tables: vec![IoPageTable::new()],
+            table: IoPageTable::new(),
             iotlb,
             pwc,
             stats: IommuStats::default(),
         }
-    }
-
-    /// Create a new (empty) protection domain and return its id.
-    pub fn create_domain(&mut self) -> DomainId {
-        self.tables.push(IoPageTable::new());
-        DomainId(self.tables.len() as u32 - 1)
-    }
-
-    /// Number of protection domains.
-    pub fn domain_count(&self) -> usize {
-        self.tables.len()
     }
 
     /// The active configuration.
@@ -153,8 +120,8 @@ impl Iommu {
         self.config.enabled
     }
 
-    /// Install a mapping range in the default domain (driver registration
-    /// path; "loose mode" keeps these alive for the lifetime of the run).
+    /// Install a mapping range (driver registration path; "loose mode"
+    /// keeps these alive for the lifetime of the run).
     pub fn map_range(
         &mut self,
         iova: Iova,
@@ -162,115 +129,36 @@ impl Iommu {
         len: u64,
         size: PageSize,
     ) -> Result<u64, MapError> {
-        self.map_range_in(DomainId::DEFAULT, iova, pa, len, size)
+        self.table.map_range(iova, pa, len, size)
     }
 
-    /// Install a mapping range in a specific domain.
-    pub fn map_range_in(
-        &mut self,
-        domain: DomainId,
-        iova: Iova,
-        pa: PhysAddr,
-        len: u64,
-        size: PageSize,
-    ) -> Result<u64, MapError> {
-        self.tables[domain.0 as usize].map_range(iova, pa, len, size)
-    }
-
-    /// Mutable access to the default domain's page table (registration
-    /// helpers).
+    /// Mutable access to the page table (registration helpers).
     pub fn page_table_mut(&mut self) -> &mut IoPageTable {
-        &mut self.tables[0]
+        &mut self.table
     }
 
-    /// Number of leaf mappings currently installed across all domains.
+    /// Number of leaf mappings currently installed.
     pub fn mapped_pages(&self) -> u64 {
-        self.tables.iter().map(|t| t.mapped_pages()).sum()
+        self.table.mapped_pages()
     }
 
-    /// Translate the DMA byte range `[iova, iova+len)`.
+    /// Translate the DMA byte range `[iova, iova+len)` whose mapping page
+    /// size the caller already knows, returning its cost receipt.
     ///
     /// Performs one IOTLB lookup per page the range touches; every miss
     /// walks the page table, with the page-walk cache trimming the upper
-    /// levels. With the IOMMU disabled this is an identity translation at
-    /// zero cost.
-    pub fn translate_range(&mut self, iova: Iova, len: u64) -> Result<DmaTranslation, Fault> {
-        self.translate_range_in(DomainId::DEFAULT, iova, len)
-    }
-
-    /// Translate a DMA byte range within a specific protection domain.
-    pub fn translate_range_in(
-        &mut self,
-        domain: DomainId,
-        iova: Iova,
-        len: u64,
-    ) -> Result<DmaTranslation, Fault> {
-        if !self.config.enabled {
-            return Ok(DmaTranslation {
-                pa: PhysAddr(iova.as_u64()),
-                cost: TranslationCost::default(),
-            });
-        }
-        self.stats.translations += 1;
-
-        // Resolve the first page to learn the mapping size; regions are
-        // registered with a uniform page size, so the rest of the range
-        // shares it.
-        let first = self.tables[domain.0 as usize]
-            .translate(iova)
-            .inspect_err(|_| {
-                self.stats.faults += 1;
-            })?;
-        let page_size = first.page_size;
-
-        let mut cost = TranslationCost::default();
-        for pn in pages_touched(iova, len, page_size) {
-            cost.iotlb_lookups += 1;
-            cost.lookup_ns += self.config.iotlb_hit_ns;
-            let tag = IotlbTag {
-                domain: domain.0,
-                page_number: pn,
-                page_size,
-            };
-            if self.iotlb.access(tag) {
-                continue;
-            }
-            cost.iotlb_misses += 1;
-            // Walk. PWC caches the path down to the directory level:
-            //  - 4 KiB leaf: key = 2 MiB region; hit -> 1 access (PT leaf),
-            //    miss -> 4 accesses (PML4, PDPT, PD, PT).
-            //  - 2 MiB leaf: key = 1 GiB region; hit -> 1 access (PD leaf),
-            //    miss -> 3 accesses (PML4, PDPT, PD).
-            let full_walk = page_size.walk_levels();
-            let pwc_key = match page_size {
-                PageSize::Size4K => (pn << 12) >> 21, // 2 MiB region
-                PageSize::Size2M => ((pn << 21) >> 30) | (1 << 62), // 1 GiB region
-                PageSize::Size1G => (pn << 30) >> 39 | (1 << 63),
-            };
-            let accesses = if self.pwc.access(pwc_key) {
-                1
-            } else {
-                full_walk
-            };
-            cost.walk_memory_accesses += accesses;
-        }
-        self.stats.walk_memory_accesses += cost.walk_memory_accesses as u64;
-        Ok(DmaTranslation { pa: first.pa, cost })
-    }
-
-    /// Cost-only translation of a default-domain DMA byte range whose
-    /// mapping page size the caller already knows.
+    /// levels. With the IOMMU disabled the translation is free.
     ///
     /// The hot datapath translates the same statically-registered regions
     /// on every packet; the physical address is never consumed (the
     /// simulator models latency, not data movement) and the page size is a
-    /// run constant per region. This path therefore skips the
-    /// learn-the-page-size table descent [`translate_range`](Self::translate_range) performs on
-    /// every call and touches the page table only when a page actually
-    /// missed the IOTLB. On a mapped range the receipt, the IOTLB/PWC
-    /// state and every statistic come out identical to
-    /// [`translate_range`](Self::translate_range); `debug_assert` cross-checks the page-size hint
-    /// against the installed mapping.
+    /// run constant per region. This path therefore skips a
+    /// learn-the-page-size table descent on every call and touches the
+    /// page table only when a page actually missed the IOTLB. On a mapped
+    /// range the receipt, the IOTLB/PWC state and every statistic come
+    /// out identical to a full translation that walks the table first
+    /// (the unit tests keep that reference); `debug_assert` cross-checks
+    /// the page-size hint against the installed mapping.
     ///
     /// Divergence on *unmapped* ranges: the IOTLB is probed (and filled)
     /// before the fault surfaces, where the scalar path faults first. The
@@ -287,7 +175,7 @@ impl Iommu {
         }
         self.stats.translations += 1;
         debug_assert!(
-            self.tables[0]
+            self.table
                 .translate(iova)
                 .map(|t| t.page_size == page_size)
                 .unwrap_or(true),
@@ -307,14 +195,12 @@ impl Iommu {
             walk_memory_accesses: 0,
             lookup_ns: self.config.iotlb_hit_ns * count as u64,
         };
-        let mut missed = self
-            .iotlb
-            .access_run(DomainId::DEFAULT.0, page_size, first_pn, count);
+        let mut missed = self.iotlb.access_run(page_size, first_pn, count);
         if missed != 0 {
             // A page actually needs a walk: validate the mapping (this is
             // where an unmapped range faults) and charge the PWC-trimmed
             // walk for each missing page in ascending order.
-            self.tables[0].translate(iova).inspect_err(|_| {
+            self.table.translate(iova).inspect_err(|_| {
                 self.stats.faults += 1;
             })?;
             cost.iotlb_misses = missed.count_ones();
@@ -322,6 +208,11 @@ impl Iommu {
             while missed != 0 {
                 let pn = first_pn + missed.trailing_zeros() as u64;
                 missed &= missed - 1;
+                // PWC caches the path down to the directory level:
+                //  - 4 KiB leaf: key = 2 MiB region; hit -> 1 access (PT leaf),
+                //    miss -> 4 accesses (PML4, PDPT, PD, PT).
+                //  - 2 MiB leaf: key = 1 GiB region; hit -> 1 access (PD leaf),
+                //    miss -> 3 accesses (PML4, PDPT, PD).
                 let pwc_key = match page_size {
                     PageSize::Size4K => (pn << 12) >> 21,
                     PageSize::Size2M => ((pn << 21) >> 30) | (1 << 62),
@@ -338,20 +229,13 @@ impl Iommu {
         Ok(cost)
     }
 
-    /// Invalidate the cached translation for one page of the default
-    /// domain (strict-mode unmap).
+    /// Invalidate the cached translation for one page (strict-mode
+    /// unmap).
     pub fn invalidate_page(&mut self, iova: Iova, size: PageSize) {
         self.iotlb.invalidate(IotlbTag {
-            domain: DomainId::DEFAULT.0,
             page_number: iova.page_number(size),
             page_size: size,
         });
-    }
-
-    /// Invalidate every cached translation of one domain (device detach,
-    /// VM teardown).
-    pub fn invalidate_domain(&mut self, domain: DomainId) {
-        self.iotlb.invalidate_domain(domain.0);
     }
 
     /// Domain-wide invalidation of IOTLB and PWC.
@@ -380,6 +264,67 @@ impl Iommu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostcc_mem::pages_touched;
+
+    /// A successful DMA translation.
+    #[derive(Debug, Clone, Copy)]
+    struct DmaTranslation {
+        /// Physical address of the first byte.
+        pa: PhysAddr,
+        /// Cost receipt for the whole range.
+        cost: TranslationCost,
+    }
+
+    impl Iommu {
+        /// The reference translation: resolve the first page to learn
+        /// the mapping size, then look up and walk page by page. With the
+        /// IOMMU disabled this is an identity translation at zero cost.
+        fn translate_range(&mut self, iova: Iova, len: u64) -> Result<DmaTranslation, Fault> {
+            if !self.config.enabled {
+                return Ok(DmaTranslation {
+                    pa: PhysAddr(iova.as_u64()),
+                    cost: TranslationCost::default(),
+                });
+            }
+            self.stats.translations += 1;
+
+            // Resolve the first page to learn the mapping size; regions are
+            // registered with a uniform page size, so the rest of the range
+            // shares it.
+            let first = self.table.translate(iova).inspect_err(|_| {
+                self.stats.faults += 1;
+            })?;
+            let page_size = first.page_size;
+
+            let mut cost = TranslationCost::default();
+            for pn in pages_touched(iova, len, page_size) {
+                cost.iotlb_lookups += 1;
+                cost.lookup_ns += self.config.iotlb_hit_ns;
+                let tag = IotlbTag {
+                    page_number: pn,
+                    page_size,
+                };
+                if self.iotlb.access(tag) {
+                    continue;
+                }
+                cost.iotlb_misses += 1;
+                let full_walk = page_size.walk_levels();
+                let pwc_key = match page_size {
+                    PageSize::Size4K => (pn << 12) >> 21, // 2 MiB region
+                    PageSize::Size2M => ((pn << 21) >> 30) | (1 << 62), // 1 GiB region
+                    PageSize::Size1G => (pn << 30) >> 39 | (1 << 63),
+                };
+                let accesses = if self.pwc.access(pwc_key) {
+                    1
+                } else {
+                    full_walk
+                };
+                cost.walk_memory_accesses += accesses;
+            }
+            self.stats.walk_memory_accesses += cost.walk_memory_accesses as u64;
+            Ok(DmaTranslation { pa: first.pa, cost })
+        }
+    }
 
     fn mapped_iommu(enabled: bool, region_bytes: u64, size: PageSize) -> Iommu {
         let mut io = Iommu::new(IommuConfig {
@@ -561,133 +506,5 @@ mod tests {
         assert_eq!(a.iotlb_misses, 1);
         assert_eq!(a.walk_memory_accesses, 3);
         assert_eq!(a.lookup_ns, 6);
-    }
-}
-
-#[cfg(test)]
-mod domain_tests {
-    use super::*;
-
-    #[test]
-    fn domains_are_isolated_address_spaces() {
-        let mut io = Iommu::new(IommuConfig::default());
-        let d1 = io.create_domain();
-        // The *same* IOVA maps to different physical pages per domain.
-        io.map_range(
-            Iova(0x10_0000),
-            PhysAddr(0x1000_0000),
-            4096,
-            PageSize::Size4K,
-        )
-        .unwrap();
-        io.map_range_in(
-            d1,
-            Iova(0x10_0000),
-            PhysAddr(0x2000_0000),
-            4096,
-            PageSize::Size4K,
-        )
-        .unwrap();
-        let a = io.translate_range(Iova(0x10_0000), 64).unwrap();
-        let b = io.translate_range_in(d1, Iova(0x10_0000), 64).unwrap();
-        assert_eq!(a.pa, PhysAddr(0x1000_0000));
-        assert_eq!(b.pa, PhysAddr(0x2000_0000));
-        assert_eq!(io.domain_count(), 2);
-    }
-
-    #[test]
-    fn iotlb_entries_do_not_alias_across_domains() {
-        let mut io = Iommu::new(IommuConfig::default());
-        let d1 = io.create_domain();
-        io.map_range(Iova(0), PhysAddr(0x1000_0000), 4096, PageSize::Size4K)
-            .unwrap();
-        io.map_range_in(d1, Iova(0), PhysAddr(0x2000_0000), 4096, PageSize::Size4K)
-            .unwrap();
-        // Warm domain 0's entry; the same page number in d1 must still miss.
-        io.translate_range(Iova(0), 64).unwrap();
-        let b = io.translate_range_in(d1, Iova(0), 64).unwrap();
-        assert_eq!(b.cost.iotlb_misses, 1, "no cross-domain hit");
-        // Both now cached independently.
-        assert_eq!(
-            io.translate_range(Iova(0), 64).unwrap().cost.iotlb_misses,
-            0
-        );
-        assert_eq!(
-            io.translate_range_in(d1, Iova(0), 64)
-                .unwrap()
-                .cost
-                .iotlb_misses,
-            0
-        );
-    }
-
-    #[test]
-    fn unmapped_domain_faults_independently() {
-        let mut io = Iommu::new(IommuConfig::default());
-        let d1 = io.create_domain();
-        io.map_range(Iova(0x1000), PhysAddr(0x1000), 4096, PageSize::Size4K)
-            .unwrap();
-        assert!(io.translate_range(Iova(0x1000), 64).is_ok());
-        assert!(io.translate_range_in(d1, Iova(0x1000), 64).is_err());
-    }
-
-    #[test]
-    fn domain_selective_invalidation() {
-        let mut io = Iommu::new(IommuConfig::default());
-        let d1 = io.create_domain();
-        io.map_range(Iova(0), PhysAddr(0x1000_0000), 4096, PageSize::Size4K)
-            .unwrap();
-        io.map_range_in(d1, Iova(0), PhysAddr(0x2000_0000), 4096, PageSize::Size4K)
-            .unwrap();
-        io.translate_range(Iova(0), 64).unwrap();
-        io.translate_range_in(d1, Iova(0), 64).unwrap();
-        io.invalidate_domain(d1);
-        // d1 refills; d0 still hits.
-        assert_eq!(
-            io.translate_range_in(d1, Iova(0), 64)
-                .unwrap()
-                .cost
-                .iotlb_misses,
-            1
-        );
-        assert_eq!(
-            io.translate_range(Iova(0), 64).unwrap().cost.iotlb_misses,
-            0
-        );
-    }
-
-    #[test]
-    fn shared_iotlb_capacity_couples_domains() {
-        // Two busy domains contend for the same 128 entries: a second
-        // device's translations evict the first's — the multi-device
-        // pressure scenario.
-        let mut io = Iommu::new(IommuConfig {
-            iotlb_entries: 128,
-            iotlb_ways: 128,
-            ..IommuConfig::default()
-        });
-        let d1 = io.create_domain();
-        io.map_range(Iova(0), PhysAddr(0), 512 << 20, PageSize::Size2M)
-            .unwrap();
-        io.map_range_in(d1, Iova(0), PhysAddr(1 << 33), 512 << 20, PageSize::Size2M)
-            .unwrap();
-        // Fill with domain 0 (96 pages), then touch 96 pages of domain 1.
-        for p in 0..96u64 {
-            io.translate_range(Iova(p * (2 << 20)), 64).unwrap();
-        }
-        io.reset_stats();
-        for p in 0..96u64 {
-            io.translate_range_in(d1, Iova(p * (2 << 20)), 64).unwrap();
-        }
-        // Re-touch domain 0: many of its entries were evicted.
-        for p in 0..96u64 {
-            io.translate_range(Iova(p * (2 << 20)), 64).unwrap();
-        }
-        let s = io.iotlb_stats();
-        assert!(
-            s.misses > 96,
-            "cross-domain capacity pressure expected, misses {}",
-            s.misses
-        );
     }
 }

@@ -18,15 +18,11 @@ use hostcc_sim::SnapError;
 
 /// A translation-cache tag: the page this entry covers.
 ///
-/// Entries are tagged by protection domain, page base *and* page size: a
-/// 2 MiB mapping and a 4 KiB mapping occupy one entry each regardless of
-/// span, which is exactly why hugepages relieve IOTLB pressure (Fig. 4);
-/// the domain tag keeps devices in different domains from aliasing each
-/// other's translations.
+/// Entries are tagged by page base *and* page size: a 2 MiB mapping and
+/// a 4 KiB mapping occupy one entry each regardless of span, which is
+/// exactly why hugepages relieve IOTLB pressure (Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IotlbTag {
-    /// Protection domain the translation belongs to.
-    pub domain: u32,
     /// Page number (IOVA >> page shift).
     pub page_number: u64,
     /// Size of the cached leaf mapping.
@@ -44,31 +40,26 @@ const PN_MASK: u64 = (1 << 52) - 1;
 /// Pack a tag into one u64, so that a tag compare is one word compare
 /// and the hash index hashes one word.
 ///
-/// Layout: bits 0–51 page number, 52–53 page size, 54–63 domain. The
+/// Layout: bits 0–51 page number, 52–53 page size, 54–63 zero. The
 /// page number is structurally bounded (an IOVA is 64 bits, so
-/// `iova >> 12 < 2^52`); the domain budget is asserted. Distinct tags
-/// pack to distinct keys, so key equality *is* tag equality.
+/// `iova >> 12 < 2^52`). Distinct tags pack to distinct keys, so key
+/// equality *is* tag equality.
 #[inline]
 pub(crate) fn pack_tag(tag: IotlbTag) -> u64 {
     debug_assert!(tag.page_number < 1 << 52, "page number exceeds 52 bits");
-    assert!(
-        (tag.domain as u64) < 1 << 10,
-        "domain id exceeds packing budget"
-    );
     let size = match tag.page_size {
         PageSize::Size4K => 0u64,
         PageSize::Size2M => 1,
         PageSize::Size1G => 2,
     };
-    tag.page_number | (size << 52) | ((tag.domain as u64) << 54)
+    tag.page_number | (size << 52)
 }
 
 /// The set a page maps to among `sets` (a power of two).
 #[inline]
-pub(crate) fn set_index(page_number: u64, domain: u32, sets: usize) -> usize {
-    // Mix the page number (and domain) so that large-stride access
-    // patterns spread across sets; xor-fold high bits into the index.
-    let pn = page_number ^ ((domain as u64) << 7);
+pub(crate) fn set_index(pn: u64, sets: usize) -> usize {
+    // Mix the page number so that large-stride access patterns spread
+    // across sets; xor-fold high bits into the index.
     let h = pn ^ (pn >> 13) ^ (pn >> 29);
     (h as usize) & (sets - 1)
 }
@@ -211,13 +202,13 @@ impl Iotlb {
 
     #[inline]
     fn set_of(&self, tag: IotlbTag) -> usize {
-        set_index(tag.page_number, tag.domain, self.sets)
+        set_index(tag.page_number, self.sets)
     }
 
     /// The set a packed key belongs to.
     #[inline]
     fn set_of_key(&self, key: u64) -> usize {
-        set_index(key & PN_MASK, (key >> 54) as u32, self.sets)
+        set_index(key & PN_MASK, self.sets)
     }
 
     /// The recency-list sentinel of `set`.
@@ -236,27 +227,20 @@ impl Iotlb {
     }
 
     /// Look up `count` consecutive pages of one region in a single call:
-    /// page numbers `first_pn .. first_pn + count`, all sharing `domain`
-    /// and `page_size`. Returns a bitmask of *misses* — bit `i` set means
+    /// page numbers `first_pn .. first_pn + count`, all sharing
+    /// `page_size`. Returns a bitmask of *misses* — bit `i` set means
     /// page `first_pn + i` missed (and was filled, exactly as
     /// [`access`](Iotlb::access) would have). State and statistics after
     /// this call are identical to `count` sequential `access` calls in
     /// ascending page order.
     ///
-    /// The win over the scalar loop is hoisting: the size/domain bits are
-    /// packed once, and the per-page tag is a single add. `count` must be
+    /// The win over the scalar loop is hoisting: the size bits are packed
+    /// once, and the per-page tag is a single add. `count` must be
     /// at most 64 so the mask fits one word (DMA ranges in the testbed
     /// touch a handful of pages).
-    pub fn access_run(
-        &mut self,
-        domain: u32,
-        page_size: PageSize,
-        first_pn: u64,
-        count: u32,
-    ) -> u64 {
+    pub fn access_run(&mut self, page_size: PageSize, first_pn: u64, count: u32) -> u64 {
         assert!(count <= 64, "run of {count} pages exceeds the 64-bit mask");
         let high = pack_tag(IotlbTag {
-            domain,
             page_number: 0,
             page_size,
         });
@@ -267,7 +251,7 @@ impl Iotlb {
         let mut missed = 0u64;
         for i in 0..count {
             let pn = first_pn + i as u64;
-            let set = set_index(pn, domain, self.sets);
+            let set = set_index(pn, self.sets);
             if !self.access_slot(high | pn, set) {
                 missed |= 1u64 << i;
             }
@@ -419,21 +403,11 @@ impl Iotlb {
         self.link_before(slot, at);
     }
 
-    /// Invalidate everything (global flush).
-    pub fn invalidate_all(&mut self) {
-        self.invalidate_where(|_| true);
-    }
-
-    /// Invalidate every entry belonging to one protection domain.
-    pub fn invalidate_domain(&mut self, domain: u32) {
-        self.invalidate_where(|key| (key >> 54) as u32 == domain);
-    }
-
-    /// Empty every live slot whose key matches, then rebuild the derived
+    /// Invalidate everything (global flush), then rebuild the derived
     /// structures.
-    fn invalidate_where(&mut self, matches: impl Fn(u64) -> bool) {
+    pub fn invalidate_all(&mut self) {
         for (k, s) in self.keys.iter_mut().zip(self.stamps.iter_mut()) {
-            if *k != INVALID_KEY && matches(*k) {
+            if *k != INVALID_KEY {
                 *k = INVALID_KEY;
                 *s = 0;
                 self.stats.invalidations += 1;
@@ -540,15 +514,6 @@ mod tests {
 
     fn tag(pn: u64) -> IotlbTag {
         IotlbTag {
-            domain: 0,
-            page_number: pn,
-            page_size: PageSize::Size2M,
-        }
-    }
-
-    fn dtag(domain: u32, pn: u64) -> IotlbTag {
-        IotlbTag {
-            domain,
             page_number: pn,
             page_size: PageSize::Size2M,
         }
@@ -622,26 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn domains_tag_separately_and_flush_selectively() {
-        let mut t = Iotlb::new(16, 16);
-        t.access(dtag(0, 5));
-        assert!(!t.access(dtag(1, 5)), "same page, other domain: miss");
-        assert_eq!(t.occupancy(), 2);
-        t.invalidate_domain(0);
-        assert!(!t.probe(dtag(0, 5)), "domain 0 flushed");
-        assert!(t.probe(dtag(1, 5)), "domain 1 untouched");
-    }
-
-    #[test]
     fn page_sizes_tag_separately() {
         let mut t = Iotlb::new(8, 8);
         let t2m = IotlbTag {
-            domain: 0,
             page_number: 5,
             page_size: PageSize::Size2M,
         };
         let t4k = IotlbTag {
-            domain: 0,
             page_number: 5,
             page_size: PageSize::Size4K,
         };
@@ -698,20 +650,19 @@ mod tests {
         // demand identical miss masks, statistics and final contents.
         let mut batch = Iotlb::new(128, 8);
         let mut scalar = Iotlb::new(128, 8);
-        let runs: &[(u32, PageSize, u64, u32)] = &[
-            (0, PageSize::Size4K, 100, 5),
-            (0, PageSize::Size4K, 102, 5), // overlaps the previous run
-            (1, PageSize::Size2M, 100, 3), // same pages, other domain/size
-            (0, PageSize::Size4K, 0, 64),  // max-width run
-            (0, PageSize::Size4K, 100, 1),
-            (2, PageSize::Size1G, 7, 2),
+        let runs: &[(PageSize, u64, u32)] = &[
+            (PageSize::Size4K, 100, 5),
+            (PageSize::Size4K, 102, 5), // overlaps the previous run
+            (PageSize::Size2M, 100, 3), // same pages, other size
+            (PageSize::Size4K, 0, 64),  // max-width run
+            (PageSize::Size4K, 100, 1),
+            (PageSize::Size1G, 7, 2),
         ];
-        for &(domain, page_size, first_pn, count) in runs {
-            let mask = batch.access_run(domain, page_size, first_pn, count);
+        for &(page_size, first_pn, count) in runs {
+            let mask = batch.access_run(page_size, first_pn, count);
             let mut expect = 0u64;
             for i in 0..count {
                 let hit = scalar.access(IotlbTag {
-                    domain,
                     page_number: first_pn + i as u64,
                     page_size,
                 });
@@ -727,10 +678,9 @@ mod tests {
         assert_eq!(b.misses, s.misses);
         assert_eq!(b.evictions, s.evictions);
         assert_eq!(batch.occupancy(), scalar.occupancy());
-        for &(domain, page_size, first_pn, count) in runs {
+        for &(page_size, first_pn, count) in runs {
             for i in 0..count {
                 let tag = IotlbTag {
-                    domain,
                     page_number: first_pn + i as u64,
                     page_size,
                 };
@@ -743,7 +693,7 @@ mod tests {
     #[should_panic(expected = "64-bit mask")]
     fn access_run_rejects_oversized_runs() {
         let mut t = Iotlb::new(128, 8);
-        t.access_run(0, PageSize::Size4K, 0, 65);
+        t.access_run(PageSize::Size4K, 0, 65);
     }
 
     /// Save `t` and restore the image into a fresh cache of its geometry.

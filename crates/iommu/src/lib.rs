@@ -18,6 +18,6 @@ mod iotlb;
 mod scan_iotlb;
 mod walk_cache;
 
-pub use device::{DmaTranslation, DomainId, Iommu, IommuConfig, IommuStats, TranslationCost};
+pub use device::{Iommu, IommuConfig, IommuStats, TranslationCost};
 pub use iotlb::{Iotlb, IotlbStats, IotlbTag};
 pub use walk_cache::WalkCache;

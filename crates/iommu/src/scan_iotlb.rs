@@ -39,27 +39,20 @@ impl ScanIotlb {
         }
     }
 
-    fn base(&self, page_number: u64, domain: u32) -> usize {
-        set_index(page_number, domain, self.sets) * self.ways
+    fn base(&self, page_number: u64) -> usize {
+        set_index(page_number, self.sets) * self.ways
     }
 
     pub(crate) fn access(&mut self, tag: IotlbTag) -> bool {
-        let base = self.base(tag.page_number, tag.domain);
+        let base = self.base(tag.page_number);
         self.access_slot(pack_tag(tag), base)
     }
 
-    pub(crate) fn access_run(
-        &mut self,
-        domain: u32,
-        page_size: PageSize,
-        first_pn: u64,
-        count: u32,
-    ) -> u64 {
+    pub(crate) fn access_run(&mut self, page_size: PageSize, first_pn: u64, count: u32) -> u64 {
         let mut missed = 0u64;
         for i in 0..count {
             let page_number = first_pn + i as u64;
             let tag = IotlbTag {
-                domain,
                 page_number,
                 page_size,
             };
@@ -98,7 +91,7 @@ impl ScanIotlb {
 
     pub(crate) fn invalidate(&mut self, tag: IotlbTag) {
         let key = pack_tag(tag);
-        let base = self.base(tag.page_number, tag.domain);
+        let base = self.base(tag.page_number);
         for i in base..base + self.ways {
             if self.keys[i] == key {
                 self.keys[i] = INVALID_KEY;
@@ -109,16 +102,8 @@ impl ScanIotlb {
     }
 
     pub(crate) fn invalidate_all(&mut self) {
-        self.invalidate_where(|_| true);
-    }
-
-    pub(crate) fn invalidate_domain(&mut self, domain: u32) {
-        self.invalidate_where(|key| (key >> 54) as u32 == domain);
-    }
-
-    fn invalidate_where(&mut self, matches: impl Fn(u64) -> bool) {
         for (k, s) in self.keys.iter_mut().zip(self.stamps.iter_mut()) {
-            if *k != INVALID_KEY && matches(*k) {
+            if *k != INVALID_KEY {
                 *k = INVALID_KEY;
                 *s = 0;
                 self.stats.invalidations += 1;
@@ -150,23 +135,21 @@ mod tests {
         fresh
     }
 
-    /// A tag drawn from a hot set that fits the cache (domain 0, 4 KiB
-    /// pages), a warm range larger than it over four domains and all
-    /// three page sizes, and rare far pages: hits, misses and evictions
-    /// all occur.
+    /// A tag drawn from a hot set that fits the cache (4 KiB pages), a
+    /// warm range larger than it over all three page sizes, and rare far
+    /// pages: hits, misses and evictions all occur.
     fn random_tag(rng: &mut SimRng, entries: u64) -> IotlbTag {
         let size = |rng: &mut SimRng| match rng.next_below(3) {
             0 => PageSize::Size4K,
             1 => PageSize::Size2M,
             _ => PageSize::Size1G,
         };
-        let (domain, page_number, page_size) = match rng.next_below(10) {
-            0..=5 => (0, rng.next_below(entries / 2), PageSize::Size4K),
-            6..=8 => (rng.next_below(4), rng.next_below(2 * entries), size(rng)),
-            _ => (rng.next_below(4), rng.next_below(1 << 40), size(rng)),
+        let (page_number, page_size) = match rng.next_below(10) {
+            0..=5 => (rng.next_below(entries / 2), PageSize::Size4K),
+            6..=8 => (rng.next_below(2 * entries), size(rng)),
+            _ => (rng.next_below(1 << 40), size(rng)),
         };
         IotlbTag {
-            domain: domain as u32,
             page_number,
             page_size,
         }
@@ -193,22 +176,17 @@ mod tests {
                     } else {
                         1 + rng.next_below(8) as u32
                     };
-                    let (d, s, pn) = (tag.domain, tag.page_size, tag.page_number);
+                    let (s, pn) = (tag.page_size, tag.page_number);
                     assert_eq!(
-                        fast.access_run(d, s, pn, count),
-                        scan.access_run(d, s, pn, count),
+                        fast.access_run(s, pn, count),
+                        scan.access_run(s, pn, count),
                         "access_run at op {op}"
                     );
                 }
-                940..=989 => {
+                940..=997 => {
                     let tag = random_tag(&mut rng, n);
                     fast.invalidate(tag);
                     scan.invalidate(tag);
-                }
-                990..=997 => {
-                    let domain = rng.next_below(4) as u32;
-                    fast.invalidate_domain(domain);
-                    scan.invalidate_domain(domain);
                 }
                 _ => {
                     fast.invalidate_all();

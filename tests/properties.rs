@@ -157,7 +157,6 @@ fn iotlb_capacity_and_convergence() {
         for _ in 0..2 {
             for p in 0..ws {
                 tlb.access(IotlbTag {
-                    domain: 0,
                     page_number: p,
                     page_size: PageSize::Size2M,
                 });
@@ -166,7 +165,6 @@ fn iotlb_capacity_and_convergence() {
         tlb.reset_stats();
         for p in 0..ws {
             tlb.access(IotlbTag {
-                domain: 0,
                 page_number: p,
                 page_size: PageSize::Size2M,
             });
