@@ -328,3 +328,70 @@ fn chaos_telemetry_is_deterministic() {
         assert_eq!(ma.faults, mb.faults, "{name}: fault summary diverged");
     }
 }
+
+/// FNV-1a-64, as in `goldens.rs`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// The `"counters":{...}` object of an exported metrics JSON.
+fn counters_section(json: &str) -> &str {
+    let start = json.find("\"counters\":{").expect("counters section");
+    let end = start + json[start..].find('}').expect("counters section closes");
+    &json[start..=end]
+}
+
+/// The exported counter section of a fault-plan run is pinned: every
+/// name (the `faults.*` and `pcie.replay.*` families only appear with a
+/// plan) and every value, as `(fnv, len)` of the section. The goldens in
+/// `goldens.rs` hash fault-free runs only. The section reports deltas
+/// since arming, so the registry's lifetime values are pinned as well.
+#[test]
+fn chaos_counter_export_is_pinned() {
+    for (name, cfg, golden) in [
+        (
+            "chaos-replay",
+            scenarios::chaos_replay(),
+            (16258930305031523274u64, 1268usize, 10494893279852478811u64),
+        ),
+        (
+            "chaos-invalidate",
+            scenarios::chaos_invalidate(),
+            (7743911441831628596, 1267, 1732493192475124134),
+        ),
+    ] {
+        let plan = RunPlan::quick();
+        let mut sim = Simulation::new(cfg);
+        let m = sim
+            .try_run(plan.warmup, plan.measure)
+            .unwrap_or_else(|e| panic!("{name} must not stall: {e}"));
+        let json = metrics_json(&m, &sim.world().counters, None);
+        let section = counters_section(&json);
+        assert!(section.contains("\"faults.injected."), "{name}: {section}");
+        assert!(
+            section.contains("\"pcie.replay.naks\""),
+            "{name}: {section}"
+        );
+        let lifetimes: String = sim
+            .world()
+            .counters
+            .snapshot()
+            .into_iter()
+            .map(|(n, _)| format!("{n}={};", sim.world().counters.lifetime(&n)))
+            .collect();
+        assert_eq!(
+            (
+                fnv64(section.as_bytes()),
+                section.len(),
+                fnv64(lifetimes.as_bytes())
+            ),
+            golden,
+            "{name}: counter export moved: {section} lifetimes {lifetimes}"
+        );
+    }
+}
