@@ -51,8 +51,8 @@ pub use hostcc_host::{FaultKind, FaultPlan, FaultSpec, FaultSummary};
 
 // Observability layer: tracing, counters, timelines and exporters.
 pub use hostcc_host::{
-    chrome_trace_json, metrics_json, CounterRegistry, CounterSource, Stage, StageBreakdown,
-    StageClass, TimelineRecorder, TraceConfig, TraceEvent, Tracer,
+    chrome_trace_json, metrics_json, CounterRegistry, Stage, StageBreakdown, StageClass,
+    TimelineRecorder, TraceConfig, TraceEvent, Tracer,
 };
 
 // Continuous host-congestion telemetry: sampler config, episode records

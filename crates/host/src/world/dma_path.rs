@@ -18,7 +18,6 @@ use hostcc_nic::Nic;
 use hostcc_pcie::{CreditState, WriteCredits};
 use hostcc_sim::{Resolution, Scheduler, SerialLink, SimTime};
 use hostcc_telemetry::SignalInputs;
-use hostcc_trace::CounterRegistry;
 
 /// The PCIe/IOMMU/memory path.
 pub(crate) struct DmaPath {
@@ -262,10 +261,6 @@ impl DmaPath {
 
     // ---- observation ----
 
-    pub(crate) fn credit_stalls(&self) -> u64 {
-        self.credits.stalls()
-    }
-
     /// The datapath's telemetry gauges and lifetime counters. The
     /// memory-system calls are pure memoization, so reading cannot
     /// perturb the run.
@@ -291,10 +286,16 @@ impl DmaPath {
         }
     }
 
-    pub(crate) fn collect_counters(&self, counters: &mut CounterRegistry) {
-        counters.collect(&self.credits);
-        counters.collect(&self.iommu);
-        counters.collect(&self.mem);
+    pub(crate) fn credits(&self) -> &CreditState {
+        &self.credits
+    }
+
+    pub(crate) fn iommu(&self) -> &Iommu {
+        &self.iommu
+    }
+
+    pub(crate) fn mem(&self) -> &MemorySystem {
+        &self.mem
     }
 }
 

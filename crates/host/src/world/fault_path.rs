@@ -11,7 +11,6 @@ use hostcc_faults::{FaultState, FaultSummary, RecoveryTracker};
 use hostcc_nic::Nic;
 use hostcc_pcie::{ReplayChannel, ReplayConfig};
 use hostcc_sim::{stream_seed, SimRng, SimTime, SnapError};
-use hostcc_trace::CounterRegistry;
 
 /// The fault path.
 pub(crate) struct FaultPath {
@@ -215,7 +214,7 @@ impl FaultPath {
         self.recovery.summarize(&faults.counters)
     }
 
-    pub(crate) fn collect_counters(&self, counters: &mut CounterRegistry) {
-        counters.collect(&self.replay);
+    pub(crate) fn replay(&self) -> &ReplayChannel {
+        &self.replay
     }
 }

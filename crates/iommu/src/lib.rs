@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counters;
 mod device;
 mod iotlb;
 #[cfg(test)]

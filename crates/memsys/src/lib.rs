@@ -14,7 +14,6 @@
 mod antagonist;
 mod config;
 mod controller;
-mod counters;
 mod curve;
 mod ddio;
 

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 mod buffer;
-mod counters;
 mod nic;
 mod ring;
 

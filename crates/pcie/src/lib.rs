@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counters;
 mod credits;
 mod link;
 mod reads;

@@ -60,10 +60,10 @@ where
         }
         w.end_obj();
     }
-    for series in timeline.series() {
-        for &(t_ns, value) in &series.points {
+    for &name in timeline.names() {
+        for (t_ns, value) in timeline.series(name) {
             w.begin_obj();
-            w.key("name").str(&series.name);
+            w.key("name").str(name);
             w.key("cat").str("timeline");
             w.key("ph").str("C");
             w.key("pid").int(0);
@@ -94,7 +94,7 @@ mod tests {
             TraceEvent::value(3_000, Stage::CwndUpdate, 8.5),
         ];
         let mut tl = TimelineRecorder::new(1);
-        tl.offer("nic.buffer_bytes", 10_000, 4096.0);
+        tl.offer(10_000, [("nic.buffer_bytes", 4096.0)]);
         let doc = chrome_trace_json(events.iter(), &tl);
         let v = json::parse(&doc).expect("valid JSON");
         let items = v.get("traceEvents").unwrap().as_arr().unwrap();

@@ -1,21 +1,13 @@
-//! A named counter registry shared by every datapath component.
+//! A named counter registry.
 //!
 //! Components keep their own cheap internal counters (plain `u64` fields
-//! on their stats structs) and *publish* them here by name when asked.
-//! The registry supports interval accounting: `mark_baseline()` at the
-//! end of warm-up records current values, and `snapshot()` reports the
-//! delta since — the same discipline `MetricsCollector::arm` applies to
-//! the headline metrics.
+//! on their stats structs); the host testbed publishes them here by name
+//! when asked. The registry supports interval accounting:
+//! `mark_baseline()` at the end of warm-up records current values, and
+//! `snapshot()` reports the delta since — the same discipline
+//! `MetricsCollector::arm` applies to the headline metrics.
 
 use std::collections::BTreeMap;
-
-/// A component that can publish named counters.
-pub trait CounterSource {
-    /// Write current lifetime counter values into `reg` (use
-    /// [`CounterRegistry::set`] with stable dotted names, e.g.
-    /// `"nic.drops.buffer_full"`).
-    fn export_counters(&self, reg: &mut CounterRegistry);
-}
 
 /// Named `u64` counters with baseline/interval support. Iteration order
 /// is the lexicographic name order (BTreeMap), so exports are
@@ -44,13 +36,8 @@ impl CounterRegistry {
         }
     }
 
-    /// Ask a source to publish its counters.
-    pub fn collect(&mut self, source: &dyn CounterSource) {
-        source.export_counters(self);
-    }
-
     /// Record current values as the measurement baseline (call at the end
-    /// of warm-up, after a `collect` pass).
+    /// of warm-up, after the counters were set).
     pub fn mark_baseline(&mut self) {
         self.baseline = self.values.clone();
     }
@@ -90,31 +77,15 @@ impl CounterRegistry {
 mod tests {
     use super::*;
 
-    struct Dev {
-        hits: u64,
-        misses: u64,
-    }
-
-    impl CounterSource for Dev {
-        fn export_counters(&self, reg: &mut CounterRegistry) {
-            reg.set("dev.hits", self.hits);
-            reg.set("dev.misses", self.misses);
-        }
-    }
-
     #[test]
     fn collect_and_snapshot() {
         let mut reg = CounterRegistry::new();
-        let mut dev = Dev {
-            hits: 10,
-            misses: 2,
-        };
-        reg.collect(&dev);
+        reg.set("dev.hits", 10);
+        reg.set("dev.misses", 2);
         assert_eq!(reg.lifetime("dev.hits"), 10);
         reg.mark_baseline();
-        dev.hits = 25;
-        dev.misses = 2;
-        reg.collect(&dev);
+        reg.set("dev.hits", 25);
+        reg.set("dev.misses", 2);
         assert_eq!(reg.since_baseline("dev.hits"), 15);
         assert_eq!(reg.since_baseline("dev.misses"), 0);
         let snap = reg.snapshot();

@@ -60,6 +60,17 @@ hostcc_sim::snap_fields!(FlowStats {
     data_sent, retransmits, acked, fast_retransmits, timeouts,
 } blank { FlowStats::default() });
 
+impl FlowStats {
+    /// Accumulate another flow's stats into this aggregate.
+    pub fn absorb(&mut self, other: &FlowStats) {
+        self.data_sent += other.data_sent;
+        self.retransmits += other.retransmits;
+        self.acked += other.acked;
+        self.fast_retransmits += other.fast_retransmits;
+        self.timeouts += other.timeouts;
+    }
+}
+
 /// Why the sender cannot transmit right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendBlocked {
@@ -1006,5 +1017,26 @@ mod tests {
         assert_eq!(r.duplicates(), 0);
         // Bitmap is fully drained; the stream continues in order.
         assert_eq!(r.on_data(64), 65);
+    }
+
+    #[test]
+    fn flow_stats_absorb_sums_every_field() {
+        let mut agg = FlowStats::default();
+        agg.absorb(&FlowStats {
+            data_sent: 10,
+            retransmits: 1,
+            acked: 9,
+            fast_retransmits: 1,
+            timeouts: 0,
+        });
+        agg.absorb(&FlowStats {
+            data_sent: 5,
+            retransmits: 0,
+            acked: 5,
+            fast_retransmits: 0,
+            timeouts: 2,
+        });
+        assert_eq!((agg.data_sent, agg.retransmits, agg.acked), (15, 1, 14));
+        assert_eq!((agg.fast_retransmits, agg.timeouts), (1, 2));
     }
 }

@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 mod cc;
-mod counters;
 mod dctcp;
 mod fixed;
 mod flow;

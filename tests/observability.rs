@@ -222,12 +222,12 @@ fn timeline_and_snapshot_mean_cwnd_skip_remote_receiver_slots() {
     tb.set_trace(TraceConfig::enabled(1024).with_timeline(100_000));
     let mut sim = Simulation::from_testbed(tb);
     let m = sim.run(SimDuration::from_millis(1), SimDuration::from_millis(1));
-    let series = sim
+    let (_, last) = sim
         .world()
         .timeline
-        .get("cc.mean_cwnd")
+        .series("cc.mean_cwnd")
+        .last()
         .expect("the mem tick records cc.mean_cwnd");
-    let &(_, last) = series.points.last().expect("sampled at least once");
     assert_eq!(m.mean_cwnd, 8.0);
     assert_eq!(last, m.mean_cwnd);
 }
