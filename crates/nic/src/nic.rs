@@ -44,7 +44,9 @@ pub struct RxQueue {
     /// Completion queue.
     pub cq: CompletionRing,
     /// IOVA the thread's outbound ACK packets are read from (one small
-    /// buffer, reused; contributes the "ACK packet" IOTLB access).
+    /// buffer, reused; contributes the "ACK packet" IOTLB access). The
+    /// receiver stage keeps its own copy and is the only reader; this one
+    /// stays only for the checkpoint image until the next format change.
     pub ack_buffer: Iova,
 }
 
