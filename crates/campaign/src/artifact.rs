@@ -10,6 +10,7 @@
 //! skips (with a count, so the caller can log it) rather than failing.
 
 use crate::{io_err, CampaignError};
+use hostcc::substrate::trace::json;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -75,43 +76,24 @@ pub fn read_journal(path: &Path) -> Result<(Vec<JournalEntry>, usize), CampaignE
         if line.is_empty() {
             continue;
         }
-        let parsed = (|| {
-            if !line.ends_with('}') {
-                return None;
-            }
+        let parsed = json::parse(line).ok().and_then(|v| {
+            // Numbers parse as f64, exact for any t_ns below 2^53 ns.
+            let t_ns = v
+                .get("t_ns")?
+                .as_f64()
+                .filter(|t| *t >= 0.0 && t.fract() == 0.0)?;
             Some(JournalEntry {
-                label: json_str_field(line, "label")?,
-                status: json_str_field(line, "status")?,
-                t_ns: json_u64_field(line, "t_ns")?,
+                label: v.get("label")?.as_str()?.to_string(),
+                status: v.get("status")?.as_str()?.to_string(),
+                t_ns: t_ns as u64,
             })
-        })();
+        });
         match parsed {
             Some(e) => entries.push(e),
             None => skipped += 1,
         }
     }
     Ok((entries, skipped))
-}
-
-/// Extract `"key":"value"` from a flat JSON object line. Good enough for
-/// the artifacts this crate itself writes (no escapes, no nesting).
-pub fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-/// Extract `"key":123` from a flat JSON object line.
-pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -155,12 +137,20 @@ mod tests {
         };
         append_journal(&p, &a).unwrap();
         append_journal(&p, &b).unwrap();
-        // Simulate a crash mid-append: a torn trailing line.
+        // A line whose fields come in another order still reads.
         let mut f = fs::OpenOptions::new().append(true).open(&p).unwrap();
+        f.write_all(b"{\"t_ns\":42,\"status\":\"done\",\"label\":\"incast-s4-none-o0\"}\n")
+            .unwrap();
+        // Simulate a crash mid-append: a torn trailing line.
         f.write_all(b"{\"label\":\"incast-s3-none").unwrap();
         drop(f);
+        let c = JournalEntry {
+            label: "incast-s4-none-o0".into(),
+            status: "done".into(),
+            t_ns: 42,
+        };
         let (entries, skipped) = read_journal(&p).unwrap();
-        assert_eq!(entries, vec![a, b]);
+        assert_eq!(entries, vec![a, b, c]);
         assert_eq!(skipped, 1, "torn line skipped, not fatal");
         // A missing journal reads as empty.
         let (entries, skipped) = read_journal(&d.join("absent.jsonl")).unwrap();
