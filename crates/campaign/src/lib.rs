@@ -56,11 +56,13 @@ pub enum CampaignError {
         /// What was wrong with it.
         reason: String,
     },
-    /// A scenario name the campaign registry does not know.
+    /// A scenario name that is neither in `hostcc::scenarios::NAMED` nor
+    /// `fleet`.
     UnknownScenario(String),
     /// A fault name outside replay|flap|stall|storm|throttle|preempt|none.
     UnknownFault(String),
-    /// An override entry that is not `key=value` with a known key.
+    /// An override entry that is not `key=value` with a key and value
+    /// `hostcc::scenarios::set` accepts.
     BadOverride(String),
     /// `campaign bisect` was pointed at a label not in the manifest grid.
     UnknownPoint(String),
@@ -88,11 +90,11 @@ impl std::fmt::Display for CampaignError {
                 write!(f, "manifest line {line}: {reason}")
             }
             CampaignError::UnknownScenario(name) => {
-                write!(
-                    f,
-                    "unknown scenario `{name}` (expected one of {})",
-                    manifest::SCENARIO_NAMES.join(", ")
-                )
+                write!(f, "unknown scenario `{name}` (expected one of ")?;
+                for (scenario, _) in hostcc::scenarios::NAMED {
+                    write!(f, "{scenario}, ")?;
+                }
+                write!(f, "fleet)")
             }
             CampaignError::UnknownFault(name) => {
                 write!(
@@ -105,8 +107,8 @@ impl std::fmt::Display for CampaignError {
                 write!(
                     f,
                     "bad override `{entry}` (expected none or \
-                     key=value[;key=value...] with keys \
-                     threads|senders|antagonists|iommu)"
+                     key=value[;key=value...] with keys {})",
+                    hostcc::scenarios::OVERRIDE_KEYS.join("|")
                 )
             }
             CampaignError::UnknownPoint(label) => {

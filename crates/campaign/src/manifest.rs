@@ -30,18 +30,6 @@ use hostcc::TestbedConfig;
 use hostcc_sim::SimDuration;
 use std::path::Path;
 
-/// Scenario names the campaign grid accepts (`antagonist-N` for any N).
-pub const SCENARIO_NAMES: &[&str] = &[
-    "baseline",
-    "incast",
-    "antagonist-N",
-    "blindspot",
-    "chaos-replay",
-    "chaos-flap",
-    "chaos-invalidate",
-    "fleet",
-];
-
 /// A parsed campaign manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
@@ -55,13 +43,15 @@ pub struct Manifest {
     /// runner always drives runs in these slices (checkpoint or not) so
     /// an interrupted-and-resumed run replays the identical schedule.
     pub checkpoint_every: SimDuration,
-    /// Scenario names (outermost grid axis).
+    /// Scenario names (outermost grid axis): a name of
+    /// [`scenarios::NAMED`], or `fleet`.
     pub scenarios: Vec<String>,
     /// RNG seeds.
     pub seeds: Vec<u64>,
     /// Fault-plan names (`none` for no faults).
     pub faults: Vec<String>,
-    /// Config-override specs (`none` or `key=value[;key=value...]`).
+    /// Config-override specs (`none` or `key=value[;key=value...]`, with
+    /// the keys of [`scenarios::set`]).
     pub overrides: Vec<String>,
     /// Host counts the `fleet` scenario expands through.
     pub fleet_hosts: Vec<u32>,
@@ -325,9 +315,9 @@ impl Manifest {
         if p.fleet.is_some() {
             return Err(CampaignError::FleetPoint(p.label.clone()));
         }
-        let mut cfg = scenario_config(&p.scenario)?;
-        apply_override(&mut cfg, &p.override_spec)?;
-        apply_fault(&mut cfg, &p.fault)?;
+        let mut cfg = scenarios::named(&p.scenario)
+            .ok_or_else(|| CampaignError::UnknownScenario(p.scenario.clone()))?;
+        customise(&mut cfg, p)?;
         cfg.seed = p.seed;
         Ok(cfg)
     }
@@ -345,68 +335,29 @@ impl Manifest {
         let mut cfg = FleetConfig::light_fleet(f.hosts, f.shards);
         cfg.topology = topology;
         cfg.seed = p.seed;
-        apply_override(&mut cfg.base, &p.override_spec)?;
-        apply_fault(&mut cfg.base, &p.fault)?;
+        customise(&mut cfg.base, p)?;
         Ok(cfg)
     }
 }
 
-/// Resolve a campaign scenario name to a base configuration. A campaign
-/// subset of the CLI registry: the paper's load-bearing setups plus the
-/// chaos scenarios bisect exists for.
-fn scenario_config(name: &str) -> Result<TestbedConfig, CampaignError> {
-    if let Some(n) = name.strip_prefix("antagonist-") {
-        let cores: u32 = n
-            .parse()
-            .map_err(|_| CampaignError::UnknownScenario(name.to_string()))?;
-        return Ok(scenarios::fig6(cores, true));
-    }
-    Ok(match name {
-        "baseline" => scenarios::baseline(),
-        "incast" => scenarios::fig3(12, true),
-        "blindspot" => scenarios::cc_blindspot(14, 100),
-        "chaos-replay" => scenarios::chaos_replay(),
-        "chaos-flap" => scenarios::chaos_flap(),
-        "chaos-invalidate" => scenarios::chaos_invalidate(),
-        other => return Err(CampaignError::UnknownScenario(other.to_string())),
-    })
-}
-
-/// Apply an override spec (`none` or `key=value[;key=value...]`).
-fn apply_override(cfg: &mut TestbedConfig, spec: &str) -> Result<(), CampaignError> {
-    if spec == "none" {
-        return Ok(());
-    }
-    for kv in spec.split(';').filter(|s| !s.is_empty()) {
-        let Some((key, value)) = kv.split_once('=') else {
-            return Err(CampaignError::BadOverride(spec.to_string()));
-        };
-        let bad = || CampaignError::BadOverride(spec.to_string());
-        match key {
-            "threads" => cfg.receiver_threads = value.parse().map_err(|_| bad())?,
-            "senders" => cfg.senders = value.parse().map_err(|_| bad())?,
-            "antagonists" => cfg.antagonist_cores = value.parse().map_err(|_| bad())?,
-            "iommu" => {
-                cfg.iommu.enabled = match value {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err(bad()),
-                }
-            }
-            _ => return Err(bad()),
+/// Apply a point's override spec (`none` or `key=value[;key=value...]`,
+/// each through [`scenarios::set`]) and then its fault, the canned
+/// recurring train of [`scenarios::add_fault_train`] (`none` adds
+/// nothing).
+fn customise(cfg: &mut TestbedConfig, p: &PointSpec) -> Result<(), CampaignError> {
+    let spec = &p.override_spec;
+    if spec != "none" {
+        let bad = || CampaignError::BadOverride(spec.clone());
+        for kv in spec.split(';').filter(|s| !s.is_empty()) {
+            let (key, value) = kv.split_once('=').ok_or_else(bad)?;
+            scenarios::set(cfg, key, value).map_err(|_| bad())?;
         }
     }
-    Ok(())
-}
-
-/// Apply a named fault as the canned recurring train of
-/// [`scenarios::add_fault_train`] (`none` adds nothing).
-fn apply_fault(cfg: &mut TestbedConfig, name: &str) -> Result<(), CampaignError> {
-    if name == "none" {
-        return Ok(());
+    if p.fault != "none" {
+        scenarios::add_fault_train(cfg, &p.fault)
+            .ok_or_else(|| CampaignError::UnknownFault(p.fault.clone()))?;
     }
-    scenarios::add_fault_train(cfg, name)
-        .ok_or_else(|| CampaignError::UnknownFault(name.to_string()))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -471,6 +422,42 @@ mod tests {
         assert!(matches!(err, CampaignError::UnknownFault(_)), "{err}");
         let err = Manifest::parse("scenarios = incast\noverrides = depth=11\n").unwrap_err();
         assert!(matches!(err, CampaignError::BadOverride(_)), "{err}");
+    }
+
+    #[test]
+    fn names_and_override_keys_come_from_the_scenario_table() {
+        let sets = [
+            ("region-mib", "8"),
+            ("host-target-us", "50"),
+            ("resolution", "64"),
+            ("fuse-chains", "on"),
+        ];
+        let spec: Vec<String> = sets.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let m = Manifest::parse(&format!(
+            "scenarios = fig4-4k, blindspot\nseeds = 3\noverrides = {}\n",
+            spec.join(";")
+        ))
+        .expect("every table name and override key is accepted");
+        for p in m.points() {
+            let mut want = scenarios::named(&p.scenario).unwrap();
+            for (key, value) in sets {
+                scenarios::set(&mut want, key, value).unwrap();
+            }
+            want.seed = 3;
+            let got = m.build_config(&p).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", p.label);
+        }
+        let err = Manifest::parse("scenarios = warp-drive\n")
+            .unwrap_err()
+            .to_string();
+        for (name, _) in scenarios::NAMED {
+            assert!(err.contains(name), "{err}");
+        }
+        assert!(err.contains("fleet"), "{err}");
+        let err = Manifest::parse("scenarios = incast\noverrides = iommu=maybe\n")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(&scenarios::OVERRIDE_KEYS.join("|")), "{err}");
     }
 
     #[test]

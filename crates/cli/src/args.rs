@@ -159,20 +159,6 @@ impl ParsedArgs {
     pub fn switch(&self, flag: &str) -> bool {
         self.flags.get(flag).map(|v| v == "true").unwrap_or(false)
     }
-
-    /// An on/off flag (e.g. `--iommu off`), defaulting to `default`.
-    pub fn get_on_off(&self, flag: &str, default: bool) -> Result<bool, ArgError> {
-        match self.flags.get(flag).map(String::as_str) {
-            None => Ok(default),
-            Some("on") | Some("true") | Some("1") => Ok(true),
-            Some("off") | Some("false") | Some("0") => Ok(false),
-            Some(v) => Err(ArgError::BadValue {
-                flag: flag.to_string(),
-                value: v.to_string(),
-                expected: "on|off",
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,17 +204,6 @@ mod tests {
         assert_eq!(p.get_parsed("missing", 42u32, "integer").unwrap(), 42);
         let bad = parse(argv("run x --threads nope")).unwrap();
         assert!(bad.get_parsed("threads", 0u32, "integer").is_err());
-    }
-
-    #[test]
-    fn on_off_flags() {
-        let p = parse(argv("run x --iommu off")).unwrap();
-        assert!(!p.get_on_off("iommu", true).unwrap());
-        let p = parse(argv("run x --iommu on")).unwrap();
-        assert!(p.get_on_off("iommu", false).unwrap());
-        assert!(p.get_on_off("absent", true).unwrap());
-        let bad = parse(argv("run x --iommu maybe")).unwrap();
-        assert!(bad.get_on_off("iommu", true).is_err());
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl Iova {
         self.0 >> size.shift()
     }
 
-    /// Round down to the containing page boundary.
-    #[inline]
-    pub const fn page_base(self, size: PageSize) -> Iova {
-        Iova(self.0 & !(size.bytes() - 1))
-    }
-
     /// Byte offset within the containing page.
     #[inline]
     pub const fn page_offset(self, size: PageSize) -> u64 {
@@ -192,7 +186,6 @@ mod tests {
     fn page_number_and_base() {
         let a = Iova(0x3_5678);
         assert_eq!(a.page_number(PageSize::Size4K), 0x35);
-        assert_eq!(a.page_base(PageSize::Size4K), Iova(0x3_5000));
         assert_eq!(a.page_offset(PageSize::Size4K), 0x678);
     }
 

@@ -32,11 +32,6 @@ impl IovaAllocator {
         self.next = base + len;
         Iova(base)
     }
-
-    /// Highest address handed out so far (exclusive).
-    pub fn high_water(&self) -> u64 {
-        self.next
-    }
 }
 
 /// Bump allocator for simulated physical memory.
@@ -167,11 +162,6 @@ impl RegionRegistry {
     pub fn regions(&self) -> &[MemoryRegion] {
         &self.regions
     }
-
-    /// Total IOMMU page-table entries pinned by all registered regions.
-    pub fn total_pinned_pages(&self) -> u64 {
-        self.regions.iter().map(|r| r.page_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +175,6 @@ mod tests {
         assert_eq!(r1, Iova(0x1000));
         let r2 = a.alloc(100, 4096);
         assert_eq!(r2, Iova(0x2000));
-        assert_eq!(a.high_water(), 0x2064);
     }
 
     #[test]
@@ -205,7 +194,6 @@ mod tests {
             .register(&mut table, 0, 12 << 20, PageSize::Size2M)
             .unwrap();
         assert_eq!(r.page_count(), 6);
-        assert_eq!(reg.total_pinned_pages(), 6);
         // Translation works across the whole region and matches offsets.
         let t = table.translate(r.iova_base.add(5 << 20)).unwrap();
         assert_eq!(t.pa, r.pa_base.add(5 << 20));
@@ -226,7 +214,6 @@ mod tests {
             .unwrap();
         assert!(a.iova_base.as_u64() + a.len <= b.iova_base.as_u64());
         assert_eq!(b.page_count(), 1024); // 4 MiB of 4K pages
-        assert_eq!(reg.total_pinned_pages(), 2 + 1024);
     }
 
     #[test]

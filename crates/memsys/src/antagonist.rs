@@ -81,15 +81,6 @@ impl StreamAntagonist {
     pub fn achieved(&self, mem: &mut MemorySystem) -> f64 {
         mem.allocation(self.agent)
     }
-
-    /// Achieved (read, write) bandwidth split, bytes/sec.
-    pub fn achieved_read_write(&self, mem: &mut MemorySystem) -> (f64, f64) {
-        let total = self.achieved(mem);
-        (
-            total * self.config.read_fraction,
-            total * (1.0 - self.config.read_fraction),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -131,16 +122,6 @@ mod tests {
         // Per-core achieved bandwidth is now well below the solo figure.
         let per_core = achieved / 15.0;
         assert!(per_core < 10e9 * 0.75);
-    }
-
-    #[test]
-    fn read_write_split_matches_config() {
-        let mut mem = MemorySystem::new(MemSysConfig::default());
-        let mut s = StreamAntagonist::new(&mut mem, StreamConfig::default());
-        s.set_cores(&mut mem, 4);
-        let (r, w) = s.achieved_read_write(&mut mem);
-        assert!((r / (r + w) - 65.0 / 90.0).abs() < 1e-9);
-        assert!((r + w - s.achieved(&mut mem)).abs() < 1.0);
     }
 
     #[test]

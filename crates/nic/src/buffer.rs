@@ -146,14 +146,6 @@ impl InputBuffer {
         self.enqueued
     }
 
-    /// Queueing delay the head packet has suffered so far.
-    pub fn head_delay(&self, now: SimTime) -> SimDuration {
-        self.queue
-            .front()
-            .map(|qp| now.saturating_since(qp.arrived))
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// Time to drain the current occupancy at `bytes_per_sec` — the
     /// buffer-vs-target-delay arithmetic from §3.1.
     pub fn drain_time(&self, bytes_per_sec: f64) -> SimDuration {
@@ -249,19 +241,6 @@ mod tests {
         b.dequeue();
         assert_eq!(b.peak_bytes(), 2 * 4452);
         assert_eq!(b.occupancy_bytes(), 0);
-    }
-
-    #[test]
-    fn head_delay_measures_waiting_time() {
-        let mut store = PacketStore::new();
-        let mut b = InputBuffer::new(1 << 20);
-        put(&mut store, &mut b, SimTime::from_micros(10), 0);
-        assert_eq!(
-            b.head_delay(SimTime::from_micros(35)),
-            SimDuration::from_micros(25)
-        );
-        b.dequeue();
-        assert_eq!(b.head_delay(SimTime::from_micros(99)), SimDuration::ZERO);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl SerialLink {
     pub fn backlog_delay(&self, now: SimTime) -> SimDuration {
         self.free_at.saturating_since(now)
     }
-
-    /// Total busy (serialising) time accumulated; utilisation = busy/elapsed.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +78,6 @@ mod tests {
         // Item arriving after the link went idle starts immediately.
         let d3 = l.transmit(SimTime::from_nanos(10_000), 500);
         assert_eq!(d3.as_nanos(), 10_500);
-        assert_eq!(l.busy_time().as_nanos(), 2500);
     }
 
     #[test]

@@ -151,25 +151,6 @@ impl SimRng {
         self.next_f64() < p
     }
 
-    /// Exponentially distributed value with the given mean.
-    ///
-    /// Used for Poisson inter-arrival jitter in workload generators.
-    #[inline]
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean >= 0.0);
-        // Avoid ln(0) by mapping 0 -> smallest positive.
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
-    /// Standard normal via Box–Muller (one value per call; simple and stateless).
-    pub fn next_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = self.next_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        mean + std_dev * r * (core::f64::consts::TAU * u2).cos()
-    }
-
     fn check_restored(&mut self) -> Result<(), crate::SnapError> {
         if self.s.iter().all(|&x| x == 0) {
             // All-zero is a fixed point of xoshiro256**: unreachable from
@@ -259,26 +240,6 @@ mod tests {
             assert!((5..=7).contains(&x));
         }
         assert_eq!(r.next_range(4, 4), 4);
-    }
-
-    #[test]
-    fn exponential_mean_roughly_right() {
-        let mut r = SimRng::new(13);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| r.next_exp(250.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 250.0).abs() < 5.0, "mean {mean} too far from 250");
-    }
-
-    #[test]
-    fn normal_moments_roughly_right() {
-        let mut r = SimRng::new(17);
-        let n = 100_000;
-        let vals: Vec<f64> = (0..n).map(|_| r.next_normal(10.0, 2.0)).collect();
-        let mean = vals.iter().sum::<f64>() / n as f64;
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
     }
 
     #[test]

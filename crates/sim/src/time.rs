@@ -77,12 +77,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` if `earlier` is later than `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -113,20 +107,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
-    }
-
-    /// Duration from fractional seconds, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "negative duration");
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
-    }
-
-    /// Duration from fractional microseconds, rounding to the nearest nanosecond.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration");
-        SimDuration((us * NANOS_PER_MICRO as f64).round() as u64)
     }
 
     /// Raw nanoseconds.
@@ -251,13 +231,6 @@ impl Resolution {
     pub const fn ceil_time(self, t: SimTime) -> SimTime {
         let mask = (1u64 << self.shift) - 1;
         SimTime(t.0.saturating_add(mask) & !mask)
-    }
-
-    /// Round a duration **up** to the grid.
-    #[inline]
-    pub const fn ceil_duration(self, d: SimDuration) -> SimDuration {
-        let mask = (1u64 << self.shift) - 1;
-        SimDuration(d.0.saturating_add(mask) & !mask)
     }
 }
 
@@ -402,8 +375,6 @@ mod tests {
         let b = SimTime::from_nanos(200);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a).as_nanos(), 100);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_nanos(100)));
     }
 
     #[test]
@@ -456,10 +427,6 @@ mod tests {
         assert_eq!(r.ceil_time(SimTime::from_nanos(1)).as_nanos(), 64);
         assert_eq!(r.ceil_time(SimTime::from_nanos(64)).as_nanos(), 64);
         assert_eq!(r.ceil_time(SimTime::from_nanos(65)).as_nanos(), 128);
-        assert_eq!(
-            r.ceil_duration(SimDuration::from_nanos(100)).as_nanos(),
-            128
-        );
         // Exact resolution is the identity everywhere.
         for ns in [0u64, 1, 63, 64, 12345] {
             assert_eq!(

@@ -88,12 +88,6 @@ impl TelemetryConfig {
         self
     }
 
-    /// Override the retained-sample ring capacity.
-    pub fn with_ring_capacity(mut self, cap: usize) -> Self {
-        self.ring_capacity = cap.max(1);
-        self
-    }
-
     /// Enable the flight recorder.
     pub fn with_flight_recorder(mut self) -> Self {
         self.flight_recorder = true;
@@ -115,11 +109,9 @@ mod tests {
     fn builder_composes() {
         let c = TelemetryConfig::enabled()
             .with_interval_ns(2_500)
-            .with_ring_capacity(128)
             .with_flight_recorder();
         assert!(c.enabled && c.flight_recorder);
         assert_eq!(c.interval_ns, 2_500);
-        assert_eq!(c.ring_capacity, 128);
         assert!(!TelemetryConfig::default().enabled);
         assert_eq!(
             TelemetryConfig::enabled().with_interval_ns(0).interval_ns,
