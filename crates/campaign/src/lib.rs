@@ -108,7 +108,11 @@ impl std::fmt::Display for CampaignError {
                     f,
                     "bad override `{entry}` (expected none or \
                      key=value[;key=value...] with keys {})",
-                    hostcc::scenarios::OVERRIDE_KEYS.join("|")
+                    hostcc::scenarios::OVERRIDES
+                        .iter()
+                        .map(|&(key, ..)| key)
+                        .collect::<Vec<_>>()
+                        .join("|")
                 )
             }
             CampaignError::UnknownPoint(label) => {

@@ -595,11 +595,13 @@ impl Fleet {
         max as f64 / min as f64
     }
 
-    /// Turn super-epoch batching off (or back on). Bench ablations only:
-    /// the epoch *grid* changes with this switch, so comparisons against
-    /// pinned epoch counts must hold it fixed. Event outcomes (digests,
-    /// metrics) are unaffected either way — batching only ever extends
-    /// epochs across windows no envelope can occupy.
+    /// Turn super-epoch batching off (or back on), for bench ablations.
+    /// Only the epoch count can change: per-host digests and metrics are
+    /// identical either way, because batching only extends epochs across
+    /// windows no envelope can occupy. `tests/parallel.rs` pins both on a
+    /// fleet with no fabric edges (identical digests, 2 epochs against
+    /// more than 100), so comparisons against pinned epoch counts must
+    /// hold the switch fixed.
     pub fn set_amortization(&mut self, on: bool) {
         self.engine.set_amortization(on);
     }

@@ -392,20 +392,24 @@ pub fn named(name: &str) -> Option<TestbedConfig> {
     })
 }
 
-/// The knobs [`set`] moves: the CLI's override flags (`--threads 4`) and
-/// a campaign manifest's override keys (`threads=4`).
-pub const OVERRIDE_KEYS: &[&str] = &[
-    "threads",
-    "senders",
-    "antagonists",
-    "iommu",
-    "region-mib",
-    "host-target-us",
-    "resolution",
-    "fuse-chains",
+/// The knobs [`set`] moves, as `(key, value, help)` rows: the CLI's
+/// override flags (`--threads 4`) and a campaign manifest's override
+/// keys (`threads=4`). `value` names what the CLI flag takes; it is
+/// empty for `fuse-chains`, a bare switch on the CLI (`--fuse-chains`)
+/// that takes `on|off` in a manifest.
+#[rustfmt::skip]
+pub const OVERRIDES: &[(&str, &str, &str)] = &[
+    ("threads", "N", "receiver cores"),
+    ("senders", "N", "sender machines"),
+    ("antagonists", "N", "STREAM antagonist cores"),
+    ("iommu", "on|off", "IOMMU memory protection"),
+    ("region-mib", "N", "Rx memory region per thread, in MiB"),
+    ("host-target-us", "N", "Swift host-delay target in µs (0 keeps the scenario's)"),
+    ("resolution", "NS", "event-time grid, a power of two (1 = exact; 64 = coarse)"),
+    ("fuse-chains", "", "fuse uncontended DMA-complete chains into macro events"),
 ];
 
-/// Set the knob `key` (one of [`OVERRIDE_KEYS`]) of `cfg` from its text
+/// Set the knob `key` (a key of [`OVERRIDES`]) of `cfg` from its text
 /// `value`. `iommu` and `fuse-chains` take `on|off` (or `true|false`,
 /// `1|0`); `host-target-us 0` leaves the Swift target as it is. On a
 /// value that does not parse, `cfg` is untouched and the error says what
@@ -676,7 +680,12 @@ mod tests {
         );
         assert_eq!(
             set(&mut cfg, "depth", "11"),
-            Err(OVERRIDE_KEYS.join("|").as_str())
+            Err(OVERRIDES
+                .iter()
+                .map(|&(key, ..)| key)
+                .collect::<Vec<_>>()
+                .join("|")
+                .as_str())
         );
         assert_eq!(format!("{cfg:?}"), before);
     }

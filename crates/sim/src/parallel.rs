@@ -454,12 +454,14 @@ impl<H: ShardHost> ParallelEngine<H> {
         self.super_epochs
     }
 
-    /// Enable or disable super-epoch batching. **This changes the epoch
-    /// grid**, which is observable where cross-host envelopes interleave
-    /// with same-timestamp local events — treat it like any other
-    /// simulation parameter (the fleet layer folds it into config
-    /// fingerprints). It does NOT affect shard/placement invariance:
-    /// with either setting the grid is a pure function of global state.
+    /// Enable or disable super-epoch batching. It changes how many epochs
+    /// (barriers) a run takes, not what the hosts compute: batching only
+    /// extends an epoch across windows in which no host can send, so no
+    /// envelope can land inside one. `tests/parallel.rs` pins this on a
+    /// fleet with no fabric edges: per-host digests are identical with
+    /// batching on or off, while the epoch count falls from hundreds per
+    /// slice to one. Shard and placement invariance hold with either
+    /// setting: the grid is a pure function of global state.
     pub fn set_amortization(&mut self, on: bool) {
         self.amortize = on;
     }
