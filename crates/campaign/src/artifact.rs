@@ -16,7 +16,7 @@ use std::io::Write;
 use std::path::Path;
 
 /// Write `bytes` to `path` atomically: temp sibling + fsync + rename.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
     let tmp = path.with_extension("tmp");
     let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
     f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
@@ -27,19 +27,19 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
 
 /// One completion-journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
+pub(crate) struct JournalEntry {
     /// The grid point's label.
-    pub label: String,
+    pub(crate) label: String,
     /// `done` or `failed`.
-    pub status: String,
+    pub(crate) status: String,
     /// Simulated nanoseconds the point reached.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
 }
 
 impl JournalEntry {
     /// Render as one JSONL line (labels are `[a-z0-9.+=;-]`, statuses are
     /// fixed words — no escaping needed).
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         format!(
             "{{\"label\":\"{}\",\"status\":\"{}\",\"t_ns\":{}}}",
             self.label, self.status, self.t_ns
@@ -49,7 +49,7 @@ impl JournalEntry {
 
 /// Append one entry to the journal and fsync. Append is not atomic; the
 /// reader tolerates the torn trailing line a crash here can leave.
-pub fn append_journal(path: &Path, entry: &JournalEntry) -> Result<(), CampaignError> {
+pub(crate) fn append_journal(path: &Path, entry: &JournalEntry) -> Result<(), CampaignError> {
     let mut f = fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -63,7 +63,7 @@ pub fn append_journal(path: &Path, entry: &JournalEntry) -> Result<(), CampaignE
 
 /// Read the journal, skipping (and counting) torn or unparsable lines.
 /// A missing journal is an empty one.
-pub fn read_journal(path: &Path) -> Result<(Vec<JournalEntry>, usize), CampaignError> {
+pub(crate) fn read_journal(path: &Path) -> Result<(Vec<JournalEntry>, usize), CampaignError> {
     let text = match fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),

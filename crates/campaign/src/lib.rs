@@ -2,7 +2,7 @@
 //!
 //! A campaign is a grid of runs — scenario × seed × fault-plan ×
 //! config-override — described by a small text [`Manifest`] and executed
-//! by a persistent [`runner`] loop that is designed to be killed at any
+//! by a persistent `runner` loop that is designed to be killed at any
 //! instant and resumed without losing or corrupting anything:
 //!
 //! * each in-flight run is checkpointed every `checkpoint_every_ms` of
@@ -25,14 +25,14 @@
 //! time quanta, and report the first slot where the two state digests
 //! diverge.
 
-pub mod artifact;
+pub(crate) mod artifact;
 pub mod bisect;
-pub mod manifest;
-pub mod runner;
+pub(crate) mod manifest;
+pub(crate) mod runner;
 
-pub use bisect::{bisect, BisectReport};
-pub use manifest::{FleetSpec, Manifest, PointSpec};
-pub use runner::{execute, ExecuteOptions, RunReport};
+pub use bisect::bisect;
+pub use manifest::Manifest;
+pub use runner::{execute, ExecuteOptions};
 
 use hostcc_host::RunError;
 use std::path::PathBuf;

@@ -36,30 +36,30 @@ pub struct Manifest {
     /// Campaign name (artifact prefix; informational).
     pub name: String,
     /// Simulated warm-up discarded from the metrics.
-    pub warmup: SimDuration,
+    pub(crate) warmup: SimDuration,
     /// Simulated measurement interval.
-    pub measure: SimDuration,
+    pub(crate) measure: SimDuration,
     /// Checkpoint cadence in simulated time. Also the slice grid: the
     /// runner always drives runs in these slices (checkpoint or not) so
     /// an interrupted-and-resumed run replays the identical schedule.
-    pub checkpoint_every: SimDuration,
+    pub(crate) checkpoint_every: SimDuration,
     /// Scenario names (outermost grid axis): a name of
     /// [`scenarios::NAMED`], or `fleet`.
-    pub scenarios: Vec<String>,
+    pub(crate) scenarios: Vec<String>,
     /// RNG seeds.
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     /// Fault-plan names (`none` for no faults).
-    pub faults: Vec<String>,
+    pub(crate) faults: Vec<String>,
     /// Config-override specs (`none` or `key=value[;key=value...]`, with
     /// the keys of [`scenarios::set`]).
-    pub overrides: Vec<String>,
+    pub(crate) overrides: Vec<String>,
     /// Host counts the `fleet` scenario expands through.
-    pub fleet_hosts: Vec<u32>,
+    pub(crate) fleet_hosts: Vec<u32>,
     /// Shard (worker-thread) counts the `fleet` scenario expands through.
-    pub fleet_shards: Vec<u32>,
+    pub(crate) fleet_shards: Vec<u32>,
     /// Topology specs (`ring:K`, `tree:K`, `rack:K`) the `fleet`
     /// scenario expands through.
-    pub fleet_topologies: Vec<String>,
+    pub(crate) fleet_topologies: Vec<String>,
 }
 
 /// One grid point: everything needed to build its configuration and to
@@ -67,17 +67,17 @@ pub struct Manifest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSpec {
     /// Position in the deterministic grid order.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Scenario name.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Fault-plan name.
-    pub fault: String,
+    pub(crate) fault: String,
     /// Index into [`Manifest::overrides`].
-    pub override_idx: usize,
+    pub(crate) override_idx: usize,
     /// The override spec itself.
-    pub override_spec: String,
+    pub(crate) override_spec: String,
     /// Fleet axes, for points of the `fleet` scenario only.
     pub fleet: Option<FleetSpec>,
     /// Stable label: `{scenario}-s{seed}-{fault}-o{override_idx}`, with
@@ -85,18 +85,18 @@ pub struct PointSpec {
     /// fleet points (`:` becomes `.`). Restricted to `[a-z0-9.+=;-]`, so
     /// it is safe as a filename and needs no escaping inside the
     /// hand-rolled JSON artifacts.
-    pub label: String,
+    pub(crate) label: String,
 }
 
 /// The fleet axes of one `fleet` grid point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Host count.
-    pub hosts: u32,
+    pub(crate) hosts: u32,
     /// Worker-thread count.
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Topology spec as written in the manifest (`tree:4`, …).
-    pub topology: String,
+    pub(crate) topology: String,
 }
 
 impl Manifest {
@@ -299,7 +299,7 @@ impl Manifest {
     }
 
     /// Find a grid point by label.
-    pub fn find_point(&self, label: &str) -> Result<PointSpec, CampaignError> {
+    pub(crate) fn find_point(&self, label: &str) -> Result<PointSpec, CampaignError> {
         self.points()
             .into_iter()
             .find(|p| p.label == label)

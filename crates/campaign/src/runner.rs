@@ -54,21 +54,21 @@ pub struct RunReport {
     /// Points that failed, with the error text (also journaled).
     pub failed: Vec<(String, String)>,
     /// True when `abort_after_slices` fired (simulated crash).
-    pub aborted: bool,
+    pub(crate) aborted: bool,
 }
 
 /// Artifact layout under the campaign output directory.
 pub(crate) struct Layout {
     /// Append-only completion journal.
-    pub journal: PathBuf,
+    pub(crate) journal: PathBuf,
     /// Per-point metrics JSONL directory.
-    pub points: PathBuf,
+    pub(crate) points: PathBuf,
     /// Per-point checkpoint directory.
-    pub checkpoints: PathBuf,
+    pub(crate) checkpoints: PathBuf,
 }
 
 impl Layout {
-    pub fn new(out: &Path) -> Layout {
+    pub(crate) fn new(out: &Path) -> Layout {
         Layout {
             journal: out.join("journal.jsonl"),
             points: out.join("points"),
@@ -76,21 +76,21 @@ impl Layout {
         }
     }
 
-    pub fn artifact(&self, label: &str) -> PathBuf {
+    pub(crate) fn artifact(&self, label: &str) -> PathBuf {
         self.points.join(format!("{label}.jsonl"))
     }
 
-    pub fn checkpoint(&self, label: &str) -> PathBuf {
+    pub(crate) fn checkpoint(&self, label: &str) -> PathBuf {
         self.checkpoints.join(format!("{label}.ckpt"))
     }
 
     /// The checkpoint taken at the last slice boundary strictly before
     /// the point's first fault window — bisect's starting state.
-    pub fn prefault(&self, label: &str) -> PathBuf {
+    pub(crate) fn prefault(&self, label: &str) -> PathBuf {
         self.checkpoints.join(format!("{label}.prefault.ckpt"))
     }
 
-    pub fn create_dirs(&self, out: &Path) -> Result<(), CampaignError> {
+    pub(crate) fn create_dirs(&self, out: &Path) -> Result<(), CampaignError> {
         for d in [out, &self.points, &self.checkpoints] {
             std::fs::create_dir_all(d).map_err(|e| io_err(d, e))?;
         }

@@ -12,20 +12,20 @@ use std::collections::BTreeMap;
 /// A flag as `(name, metavar, help)`. An empty metavar marks a switch,
 /// a flag that takes no value. The override flags are the rows of
 /// [`scenarios::OVERRIDES`].
-pub type Flag = (&'static str, &'static str, &'static str);
+pub(crate) type Flag = (&'static str, &'static str, &'static str);
 
 /// One row of [`COMMANDS`].
 #[derive(Debug, PartialEq, Eq)]
-pub struct Command {
+pub(crate) struct Command {
     /// The words that select it: `run`, or `campaign run`.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Its positional arguments as usage shows them, after a space
     /// (`" <scenario>"`).
-    pub args: &'static str,
+    pub(crate) args: &'static str,
     /// What it does, in one line.
-    pub about: &'static str,
+    pub(crate) about: &'static str,
     /// The flags it reads, in groups that several commands share.
-    pub flags: &'static [&'static [Flag]],
+    pub(crate) flags: &'static [&'static [Flag]],
 }
 
 // The flag groups: each flag is declared once, in one group, and a
@@ -80,7 +80,7 @@ const BISECT: &[Flag] = &[
 
 /// Every command and the flags it reads.
 #[rustfmt::skip]
-pub const COMMANDS: &[Command] = &[
+pub(crate) const COMMANDS: &[Command] = &[
     Command { name: "list", args: "", about: "list the named scenarios", flags: &[] },
     Command {
         name: "run", args: " <scenario>", about: "run one named scenario and print its metrics",
@@ -114,7 +114,7 @@ impl Command {
     }
 
     /// This command's usage line, what it does and every flag it reads.
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let spec = |&(name, metavar, _): &Flag| format!("--{name} {metavar}");
         let all = || self.flags.iter().flat_map(|group| group.iter());
         let width = all().map(|f| spec(f).len()).max().unwrap_or(0);
@@ -127,7 +127,7 @@ impl Command {
 }
 
 /// `hostcc help`: every command's usage.
-pub fn help() -> String {
+pub(crate) fn help() -> String {
     let mut out = String::from("hostcc — host-interconnect congestion laboratory\n");
     for c in COMMANDS {
         out += "\n";
@@ -138,18 +138,18 @@ pub fn help() -> String {
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedArgs {
+pub(crate) struct ParsedArgs {
     /// The command's row.
-    pub command: &'static Command,
+    pub(crate) command: &'static Command,
     /// Positional arguments after the command.
-    pub positionals: Vec<String>,
+    pub(crate) positionals: Vec<String>,
     /// `--key value` pairs and bare `--switch`es (value = "true").
-    pub flags: BTreeMap<String, String>,
+    pub(crate) flags: BTreeMap<String, String>,
 }
 
 /// Parse errors with user-facing messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
+pub(crate) enum ArgError {
     /// No command given.
     MissingCommand,
     /// The command line starts with no command of [`COMMANDS`].
@@ -160,6 +160,13 @@ pub enum ArgError {
         command: &'static str,
         /// The flag, without its dashes.
         flag: String,
+    },
+    /// A positional argument beyond those the command's usage shows.
+    StrayArgument {
+        /// The command's name.
+        command: &'static str,
+        /// The argument.
+        word: String,
     },
     /// A value-taking `--flag` appeared with no value following it.
     MissingValue(String),
@@ -190,6 +197,10 @@ impl std::fmt::Display for ArgError {
                 f,
                 "unknown flag --{flag}; `hostcc {command} --help` lists the flags {command} reads"
             ),
+            ArgError::StrayArgument { command, word } => write!(
+                f,
+                "unexpected argument `{word}`; `hostcc {command} --help` shows what {command} takes"
+            ),
             ArgError::MissingValue(name) => {
                 write!(f, "flag --{name} requires a value, but none was given")
             }
@@ -214,7 +225,7 @@ impl From<ArgError> for String {
 
 /// Parse a raw argument vector (excluding argv[0]) against the row of
 /// the command it names. `--help` is accepted by every command.
-pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, ArgError> {
+pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, ArgError> {
     let args: Vec<String> = args.into_iter().collect();
     let first = args.first().ok_or(ArgError::MissingCommand)?;
     let (command, rest) = COMMANDS
@@ -230,6 +241,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, ArgE
     let mut it = rest.iter().cloned();
     while let Some(tok) = it.next() {
         let Some(name) = tok.strip_prefix("--") else {
+            // The usage's `<…>` tokens are all the positionals it takes.
+            if positionals.len() == command.args.matches('<').count() {
+                return Err(ArgError::StrayArgument {
+                    command: command.name,
+                    word: tok,
+                });
+            }
             positionals.push(tok);
             continue;
         };
@@ -263,7 +281,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, ArgE
 
 impl ParsedArgs {
     /// The value of `flag`, which the command's row must declare.
-    pub fn value(&self, flag: &str) -> Option<&String> {
+    pub(crate) fn value(&self, flag: &str) -> Option<&String> {
         debug_assert!(
             flag == "help" || self.command.flag(flag).is_some(),
             "`{}` reads --{flag}, which its row of COMMANDS does not declare",
@@ -273,7 +291,7 @@ impl ParsedArgs {
     }
 
     /// A flag's value parsed as `T`, or `default` when absent.
-    pub fn get_parsed<T: std::str::FromStr>(
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
         &self,
         flag: &str,
         default: T,
@@ -290,7 +308,7 @@ impl ParsedArgs {
     }
 
     /// A boolean switch.
-    pub fn switch(&self, flag: &str) -> bool {
+    pub(crate) fn switch(&self, flag: &str) -> bool {
         self.value(flag).is_some_and(|v| v == "true")
     }
 }
@@ -316,6 +334,32 @@ mod tests {
         assert_eq!(p.command.name, "campaign bisect");
         assert!(p.positionals.is_empty());
         assert_eq!(p.flags.get("point").unwrap(), "x");
+    }
+
+    #[test]
+    fn stray_positionals_rejected() {
+        for (line, command, word) in [
+            ("list extra", "list", "extra"),
+            ("run fig3 extra --quick", "run", "extra"),
+            (
+                "fleet fig3 --quick --hosts 2 --topology ring:1 --csv",
+                "fleet",
+                "fig3",
+            ),
+            ("campaign run extra --manifest m", "campaign run", "extra"),
+        ] {
+            let err = parse(argv(line)).unwrap_err();
+            let msg = err.to_string();
+            assert_eq!(
+                err,
+                ArgError::StrayArgument {
+                    command,
+                    word: word.to_string(),
+                },
+                "{line}"
+            );
+            assert!(msg.contains(word) && msg.contains(command), "{msg}");
+        }
     }
 
     #[test]

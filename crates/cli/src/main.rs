@@ -237,6 +237,14 @@ fn scenario_from(p: &ParsedArgs) -> Result<TestbedConfig, String> {
 fn trace_config_from(p: &ParsedArgs) -> Result<Option<TraceConfig>, String> {
     let timeline: u64 = p.get_parsed("timeline", 0u64, "integer")?;
     if p.value("trace-out").is_none() && !p.switch("json") && timeline == 0 {
+        if let Some(flag) = ["sample", "trace-cap"]
+            .into_iter()
+            .find(|f| p.value(f).is_some())
+        {
+            return Err(format!(
+                "--{flag} shapes a trace, but nothing is traced: add --trace-out, --json or --timeline"
+            ));
+        }
         return Ok(None);
     }
     let cap: usize = p.get_parsed("trace-cap", 200_000usize, "integer")?;
@@ -607,6 +615,27 @@ mod tests {
         )
         .unwrap();
         assert!(scenario_from(&p).unwrap_err().contains("unknown fault"));
+    }
+
+    #[test]
+    fn trace_shaping_flags_need_a_trace() {
+        for line in [
+            "run fig3 --quick --sample 16 --csv",
+            "run fig3 --trace-cap 5",
+        ] {
+            let p = parse(line.split_whitespace().map(String::from)).unwrap();
+            let err = trace_config_from(&p).unwrap_err();
+            for flag in ["--trace-out", "--json", "--timeline"] {
+                assert!(err.contains(flag), "{err}");
+            }
+        }
+        let p = parse(
+            "run fig3 --json --sample 16"
+                .split_whitespace()
+                .map(String::from),
+        )
+        .unwrap();
+        assert!(trace_config_from(&p).unwrap().is_some());
     }
 
     #[test]

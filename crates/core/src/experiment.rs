@@ -98,7 +98,7 @@ pub fn sweep<L: Send + std::fmt::Debug>(
 /// containment contract is tested through this seam (the production
 /// runner is panic-free by design, so a panicking stand-in is the only
 /// way to exercise the recovery path).
-pub fn sweep_with<L: Send + std::fmt::Debug>(
+pub(crate) fn sweep_with<L: Send + std::fmt::Debug>(
     points: Vec<(L, TestbedConfig)>,
     plan: RunPlan,
     runner: impl Fn(TestbedConfig, RunPlan) -> Result<RunMetrics, RunError> + Sync,

@@ -27,7 +27,7 @@
 //! is observable, and that is exactly where the model places it.)
 //!
 //! Determinism: each host's RNG seed derives from the fleet seed through
-//! [`stream_seed`] under [`HOST_SEED_DOMAIN`] — a pure function of
+//! [`stream_seed`] under `HOST_SEED_DOMAIN` — a pure function of
 //! `(fleet_seed, host_id)`. Neither shard count nor host→shard placement
 //! is an input anywhere in the build or wiring path, and the parallel
 //! engine's epoch/merge rules are shard-count- and placement-invariant,
@@ -48,7 +48,7 @@ use hostcc_sim::{
 /// `stream_seed` consumer (per-thread recycling streams use the raw
 /// config seed; fault RNGs use the `0xFA017` stream). XORed into the
 /// fleet seed before the per-host stream split.
-pub const HOST_SEED_DOMAIN: u64 = 0x48_4F_53_54_43_43_u64; // "HOSTCC"
+pub(crate) const HOST_SEED_DOMAIN: u64 = 0x48_4F_53_54_43_43_u64; // "HOSTCC"
 
 /// Who sends to whom in a fleet. Every variant yields a deterministic
 /// edge list (sender → receiver) in receiver-major order; receiver
@@ -115,7 +115,7 @@ impl FleetTopology {
     /// in receiver-major deterministic order. Wiring order is part of
     /// the topology (it fixes flow ids and thread assignment), never of
     /// the execution schedule.
-    pub fn edges(&self, n: u32) -> Vec<(u32, u32)> {
+    pub(crate) fn edges(&self, n: u32) -> Vec<(u32, u32)> {
         let mut edges = Vec::new();
         match *self {
             FleetTopology::FaninRing { fanin } => {
@@ -203,7 +203,7 @@ pub struct FleetConfig {
     /// Number of hosts.
     pub hosts: u32,
     /// Fleet-level seed; per-host seeds derive from it via
-    /// [`stream_seed`] under [`HOST_SEED_DOMAIN`].
+    /// [`stream_seed`] under `HOST_SEED_DOMAIN`.
     pub seed: u64,
     /// Worker threads for the parallel engine (1 = serial execution of
     /// the identical epoch schedule). Validation bounds it by the host
@@ -390,11 +390,6 @@ impl Fleet {
         })
     }
 
-    /// The configuration this fleet was built from.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// Serialize the whole fleet — epoch counters plus every host's clock,
     /// pending events and world — into one self-validating envelope. Call only between
     /// `run_to` slices (a slot boundary: cross-host messages are drained
@@ -544,11 +539,6 @@ impl Fleet {
     /// Worker-thread count the engine runs on.
     pub fn shards(&self) -> usize {
         self.engine.shards()
-    }
-
-    /// The current host→shard assignment.
-    pub fn placement(&self) -> &[u32] {
-        self.engine.placement()
     }
 
     /// Install an explicit host→shard assignment (len == hosts, every

@@ -28,8 +28,9 @@
 //! * [`model`] — the paper's Little's-law throughput bound (§3.1);
 //! * [`cluster`] — the Fig. 1 fleet scatter;
 //! * [`report`] — text/CSV tables for harness output;
-//! * re-exports of every substrate crate (`sim`, `mem`, `iommu`, `pcie`,
-//!   `memsys`, `nic`, `fabric`, `transport`, `host`).
+//! * [`substrate`] — the layers underneath: the `sim` engine, the `trace`
+//!   vocabulary, the `host` testbed, and the `mem`, `iommu`, `pcie` and
+//!   `transport` modules of `host` that harnesses drive directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,37 +43,27 @@ pub mod report;
 pub mod scenarios;
 
 pub use hostcc_host::{
-    BufferRecycling, CcKind, ConfigError, FleetHost, RunError, RunMetrics, Simulation, Testbed,
-    TestbedConfig,
+    BufferRecycling, CcKind, FleetHost, RunError, RunMetrics, Simulation, Testbed, TestbedConfig,
 };
 
 // Fault injection: deterministic chaos plans and their run summaries.
-pub use hostcc_host::{FaultKind, FaultPlan, FaultSpec, FaultSummary};
+pub use hostcc_host::{FaultKind, FaultPlan, FaultSummary};
 
 // Observability layer: tracing, counters, timelines and exporters.
 pub use hostcc_host::{
-    chrome_trace_json, metrics_json, CounterRegistry, Stage, StageBreakdown, StageClass,
-    TimelineRecorder, TraceConfig, TraceEvent, Tracer,
+    chrome_trace_json, metrics_json, CounterRegistry, Stage, StageClass, TraceConfig,
 };
 
 // Continuous host-congestion telemetry: sampler config, episode records
 // with root-cause attribution, and the flight-recorder vocabulary.
-pub use hostcc_host::{
-    EpisodeRecord, RootCause, TelemetryConfig, TelemetrySample, TelemetrySummary, TriggerKind,
-};
+pub use hostcc_host::{RootCause, TelemetryConfig, TelemetrySample, TelemetrySummary};
 
-/// Substrate crates re-exported under one roof.
+/// The simulator's layers under one roof: the `sim` engine, the `trace`
+/// crate, the `host` testbed and the datapath models of `host` that
+/// harnesses drive directly.
 pub mod substrate {
-    pub use hostcc_fabric as fabric;
-    pub use hostcc_faults as faults;
     pub use hostcc_host as host;
-    pub use hostcc_iommu as iommu;
-    pub use hostcc_mem as mem;
-    pub use hostcc_memsys as memsys;
-    pub use hostcc_nic as nic;
-    pub use hostcc_pcie as pcie;
+    pub use hostcc_host::{iommu, mem, pcie, transport};
     pub use hostcc_sim as sim;
-    pub use hostcc_telemetry as telemetry;
     pub use hostcc_trace as trace;
-    pub use hostcc_transport as transport;
 }

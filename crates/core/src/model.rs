@@ -16,16 +16,16 @@ use hostcc_host::TestbedConfig;
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputModel {
     /// Maximum packets in flight allowed by PCIe posted credits (`C`).
-    pub credits_packets: f64,
+    pub(crate) credits_packets: f64,
     /// Application payload bytes per packet.
-    pub pkt_payload_bytes: f64,
+    pub(crate) pkt_payload_bytes: f64,
     /// Per-packet latency with zero IOTLB misses, seconds (`T_base`).
-    pub t_base_s: f64,
+    pub(crate) t_base_s: f64,
     /// Additional latency per IOTLB miss, seconds (`T_miss`).
-    pub t_miss_s: f64,
+    pub(crate) t_miss_s: f64,
     /// Ceiling independent of the credit pipeline (line rate / PCIe
     /// goodput / CPU capacity), application bits/sec.
-    pub ceiling_bps: f64,
+    pub(crate) ceiling_bps: f64,
 }
 
 impl ThroughputModel {
@@ -61,14 +61,14 @@ impl ThroughputModel {
 
     /// Credit-pipeline bound at `misses_per_packet`, application bits/sec
     /// (no ceiling applied).
-    pub fn pipeline_bound_bps(&self, misses_per_packet: f64) -> f64 {
+    pub(crate) fn pipeline_bound_bps(&self, misses_per_packet: f64) -> f64 {
         let t = self.t_base_s + misses_per_packet * self.t_miss_s;
         self.credits_packets * self.pkt_payload_bytes * 8.0 / t
     }
 
     /// Modeled application throughput at `misses_per_packet`: the credit
     /// bound clipped by the line-rate/PCIe/CPU ceiling.
-    pub fn app_throughput_bps(&self, misses_per_packet: f64) -> f64 {
+    pub(crate) fn app_throughput_bps(&self, misses_per_packet: f64) -> f64 {
         self.pipeline_bound_bps(misses_per_packet)
             .min(self.ceiling_bps)
     }
@@ -80,7 +80,8 @@ impl ThroughputModel {
 
     /// Miss rate above which the credit pipeline (not the line rate)
     /// becomes the binding constraint — where the paper's model "applies".
-    pub fn binding_miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn binding_miss_rate(&self) -> f64 {
         // C·pkt·8 / (t_base + M·t_miss) = ceiling  =>  solve for M.
         let t_at_ceiling = self.credits_packets * self.pkt_payload_bytes * 8.0 / self.ceiling_bps;
         ((t_at_ceiling - self.t_base_s) / self.t_miss_s).max(0.0)
@@ -156,7 +157,7 @@ mod tests {
     fn four_kib_pages_have_costlier_misses() {
         let cfg2m = TestbedConfig::default();
         let cfg4k = TestbedConfig {
-            data_page: hostcc_mem::PageSize::Size4K,
+            data_page: hostcc_host::mem::PageSize::Size4K,
             ..TestbedConfig::default()
         };
         let m2 = ThroughputModel::from_config(&cfg2m);

@@ -6,10 +6,10 @@
 //! manifests run by name, and [`set`] is the one vocabulary both use to
 //! move a knob of them.
 
+use hostcc_host::mem::PageSize;
+use hostcc_host::transport::DctcpConfig;
 use hostcc_host::{CcKind, FaultKind, TestbedConfig};
-use hostcc_mem::PageSize;
 use hostcc_sim::SimDuration;
-use hostcc_transport::DctcpConfig;
 
 /// Baseline testbed (§3 setup): 40 senders, Swift, hugepages, 12 MiB
 /// regions, IOMMU on, no antagonist.
@@ -88,11 +88,11 @@ pub fn with_dctcp(mut cfg: TestbedConfig) -> TestbedConfig {
 pub fn with_host_aware(mut cfg: TestbedConfig) -> TestbedConfig {
     let swift = match &cfg.cc {
         CcKind::Swift(sc) => sc.clone(),
-        _ => hostcc_transport::SwiftConfig::default(),
+        _ => hostcc_host::transport::SwiftConfig::default(),
     };
-    cfg.cc = CcKind::HostAware(hostcc_transport::HostAwareConfig {
+    cfg.cc = CcKind::HostAware(hostcc_host::transport::HostAwareConfig {
         swift,
-        ..hostcc_transport::HostAwareConfig::default()
+        ..hostcc_host::transport::HostAwareConfig::default()
     });
     cfg
 }
@@ -222,12 +222,12 @@ pub fn with_line_rate_generation(mut cfg: TestbedConfig, gen_mult: u32) -> Testb
     cfg.credits.posted_header *= m;
     cfg.credits.posted_data *= m;
     if m >= 2 {
-        cfg.pcie.gen = hostcc_pcie::PcieGen::Gen4;
+        cfg.pcie.gen = hostcc_host::pcie::PcieGen::Gen4;
         // DDR4-2400 -> DDR5-4800.
         cfg.memsys.channel_mts *= 2.0;
     }
     if m >= 4 {
-        cfg.pcie.gen = hostcc_pcie::PcieGen::Gen5;
+        cfg.pcie.gen = hostcc_host::pcie::PcieGen::Gen5;
         cfg.memsys.channels *= 2;
     }
     // Faster cores / more receive offload: per-packet CPU cost shrinks
@@ -560,10 +560,10 @@ mod tests {
         let g2 = with_line_rate_generation(baseline(), 2);
         assert_eq!(g2.sender_link_bps, base.sender_link_bps * 2.0);
         assert_eq!(g2.access_link_bps, base.access_link_bps * 2.0);
-        assert_eq!(g2.pcie.gen, hostcc_pcie::PcieGen::Gen4);
+        assert_eq!(g2.pcie.gen, hostcc_host::pcie::PcieGen::Gen4);
         assert_eq!(g2.memsys.channels, base.memsys.channels);
         let g4 = with_line_rate_generation(baseline(), 4);
-        assert_eq!(g4.pcie.gen, hostcc_pcie::PcieGen::Gen5);
+        assert_eq!(g4.pcie.gen, hostcc_host::pcie::PcieGen::Gen5);
         assert_eq!(g4.memsys.channels, base.memsys.channels * 2);
         assert_eq!(g4.credits.posted_data, base.credits.posted_data * 4);
         assert_eq!(g4.core_pkt_cost, base.core_pkt_cost / 4);

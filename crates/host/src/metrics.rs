@@ -1,7 +1,7 @@
 //! Run metrics: everything the paper's figures plot, measured after a
 //! configurable warm-up.
 
-use hostcc_faults::FaultSummary;
+use crate::faults::FaultSummary;
 use hostcc_sim::{Histogram, SimDuration, SimTime};
 use hostcc_telemetry::TelemetrySummary;
 use hostcc_trace::StageBreakdown;
@@ -33,7 +33,7 @@ pub struct RunMetrics {
     pub walk_memory_accesses: u64,
     /// Mean total memory-bus bandwidth allocated (bytes/sec), averaged
     /// over mem ticks — the Fig. 6 top panel.
-    pub mean_memory_bandwidth: f64,
+    pub(crate) mean_memory_bandwidth: f64,
     /// Mean NIC share of the memory bus (bytes/sec).
     pub mean_nic_memory_bandwidth: f64,
     /// Host delay (NIC arrival → receiver stack done) distribution, ns.
@@ -126,49 +126,49 @@ impl RunMetrics {
 #[derive(Debug)]
 pub struct MetricsCollector {
     /// Measurement enabled (post-warm-up).
-    pub armed: bool,
+    pub(crate) armed: bool,
     /// When measurement began.
-    pub started: SimTime,
+    pub(crate) started: SimTime,
     /// See [`RunMetrics`].
-    pub delivered_payload_bytes: u64,
+    pub(crate) delivered_payload_bytes: u64,
     /// Delivered packet count.
-    pub delivered_packets: u64,
+    pub(crate) delivered_packets: u64,
     /// Wire bytes arriving at the NIC.
-    pub nic_arrival_wire_bytes: u64,
+    pub(crate) nic_arrival_wire_bytes: u64,
     /// Sender transmissions.
-    pub data_packets_sent: u64,
+    pub(crate) data_packets_sent: u64,
     /// Buffer-full drops.
-    pub drops_buffer_full: u64,
+    pub(crate) drops_buffer_full: u64,
     /// Descriptor-starvation drops.
-    pub drops_no_descriptor: u64,
+    pub(crate) drops_no_descriptor: u64,
     /// Switch drops.
-    pub drops_fabric: u64,
+    pub(crate) drops_fabric: u64,
     /// IOTLB lookups.
-    pub iotlb_lookups: u64,
+    pub(crate) iotlb_lookups: u64,
     /// IOTLB misses.
-    pub iotlb_misses: u64,
+    pub(crate) iotlb_misses: u64,
     /// Walk accesses.
-    pub walk_memory_accesses: u64,
+    pub(crate) walk_memory_accesses: u64,
     /// Sum of memory-bandwidth samples.
-    pub mem_bw_sum: f64,
+    pub(crate) mem_bw_sum: f64,
     /// Sum of NIC-share samples.
-    pub nic_bw_sum: f64,
+    pub(crate) nic_bw_sum: f64,
     /// Number of bandwidth samples.
-    pub mem_bw_samples: u64,
+    pub(crate) mem_bw_samples: u64,
     /// Host-delay histogram (ns).
-    pub host_delay: Histogram,
+    pub(crate) host_delay: Histogram,
     /// RTT histogram (ns).
-    pub rtt: Histogram,
+    pub(crate) rtt: Histogram,
     /// Retransmissions.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Timeouts.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Occupancy samples (time ns since arm, bytes).
-    pub occupancy_samples: Vec<(u64, u64)>,
+    pub(crate) occupancy_samples: Vec<(u64, u64)>,
     /// Per-stage host-delay decomposition. Recorded whenever armed —
     /// independently of any tracer — so traced and untraced runs produce
     /// bit-identical metrics.
-    pub stage_breakdown: StageBreakdown,
+    pub(crate) stage_breakdown: StageBreakdown,
 }
 
 hostcc_sim::snap_fields!(MetricsCollector {
@@ -186,7 +186,7 @@ impl Default for MetricsCollector {
 
 impl MetricsCollector {
     /// A disarmed collector (counts nothing until `arm`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsCollector {
             armed: false,
             started: SimTime::ZERO,
@@ -213,14 +213,19 @@ impl MetricsCollector {
     }
 
     /// Start measuring at `now` (end of warm-up).
-    pub fn arm(&mut self, now: SimTime) {
+    pub(crate) fn arm(&mut self, now: SimTime) {
         *self = MetricsCollector::new();
         self.armed = true;
         self.started = now;
     }
 
     /// Snapshot the interval `[started, now]` into a `RunMetrics`.
-    pub fn snapshot(&self, now: SimTime, nic_buffer_peak: u64, mean_cwnd: f64) -> RunMetrics {
+    pub(crate) fn snapshot(
+        &self,
+        now: SimTime,
+        nic_buffer_peak: u64,
+        mean_cwnd: f64,
+    ) -> RunMetrics {
         let samples = self.mem_bw_samples.max(1) as f64;
         RunMetrics {
             measured: now.saturating_since(self.started),

@@ -20,7 +20,7 @@ hostcc_sim::snap_fields!(VariableRateLink { bytes_per_sec, free_at }
 
 impl VariableRateLink {
     /// A pipe draining at `bytes_per_sec`.
-    pub fn new(bytes_per_sec: f64) -> Self {
+    pub(crate) fn new(bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "rate must be positive");
         VariableRateLink {
             bytes_per_sec,
@@ -38,18 +38,19 @@ impl VariableRateLink {
     /// Change the drain rate from `now` onwards. Work already accepted
     /// keeps its committed finish time (we don't re-plan the in-flight
     /// item; the error is bounded by one item's service time).
-    pub fn set_rate(&mut self, _now: SimTime, bytes_per_sec: f64) {
+    pub(crate) fn set_rate(&mut self, _now: SimTime, bytes_per_sec: f64) {
         self.bytes_per_sec = bytes_per_sec.max(1.0);
     }
 
     /// Current drain rate, bytes/sec.
-    pub fn rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn rate(&self) -> f64 {
         self.bytes_per_sec
     }
 
     /// Accept `bytes` arriving at `at`; returns the serialisation finish
     /// time (earliest-start, FIFO).
-    pub fn transmit(&mut self, at: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn transmit(&mut self, at: SimTime, bytes: u64) -> SimTime {
         let start = if at > self.free_at { at } else { self.free_at };
         let ser = SimDuration::for_bytes(bytes, self.bytes_per_sec);
         let done = start + ser;
@@ -58,12 +59,14 @@ impl VariableRateLink {
     }
 
     /// When the pipe goes idle.
-    pub fn free_at(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn free_at(&self) -> SimTime {
         self.free_at
     }
 
     /// Backlog an arrival at `now` would wait behind.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn backlog(&self, now: SimTime) -> SimDuration {
         self.free_at.saturating_since(now)
     }
 }

@@ -30,23 +30,17 @@ impl<E> Default for Scheduler<E> {
 
 impl<E> Scheduler<E> {
     /// An empty scheduler at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_resolution(Resolution::EXACT)
     }
 
     /// An empty scheduler whose queue quantises event timestamps up to
     /// the given resolution grid (identity at [`Resolution::EXACT`]).
-    pub fn with_resolution(res: Resolution) -> Self {
+    pub(crate) fn with_resolution(res: Resolution) -> Self {
         Scheduler {
             now: SimTime::ZERO,
             queue: EventQueue::with_resolution(res),
         }
-    }
-
-    /// Current simulation time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Schedule `event` to fire `delay` from now.
@@ -220,7 +214,7 @@ impl<W: World> Engine<W> {
     /// deadline still run), the queue empties, or the watchdog trips.
     ///
     /// On return the clock is at `deadline` (clamped to the last event
-    /// time when the deadline is [`SimTime::MAX`], i.e. for
+    /// time when the deadline is `SimTime::MAX`, i.e. for
     /// [`run_to_completion`](Self::run_to_completion)) — even when the
     /// queue drained early. Callers that alternate drain/refill thus
     /// anchor subsequent relative scheduling at the deadline, not at

@@ -33,7 +33,7 @@ impl Histogram {
     }
 
     /// `sub_bits` linear sub-bucket bits per octave (1..=8).
-    pub fn with_precision(sub_bits: u32) -> Self {
+    pub(crate) fn with_precision(sub_bits: u32) -> Self {
         assert!((1..=8).contains(&sub_bits), "sub_bits out of range");
         Histogram {
             sub_bits,
@@ -93,7 +93,7 @@ impl Histogram {
     }
 
     /// Record `count` samples of the same value.
-    pub fn record_n(&mut self, value: u64, count: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, count: u64) {
         if count == 0 {
             return;
         }
@@ -118,7 +118,7 @@ impl Histogram {
     }
 
     /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.total == 0 {
             0
         } else {
@@ -147,7 +147,7 @@ impl Histogram {
 
     /// Value at quantile `q` in [0, 1]. Returns the lower bound of the bucket
     /// containing the q-th sample (so the error is bounded by bucket width).
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -184,7 +184,8 @@ impl Histogram {
     }
 
     /// Merge another histogram recorded with the same precision.
-    pub fn merge(&mut self, other: &Histogram) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.sub_bits, other.sub_bits, "precision mismatch");
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
@@ -199,7 +200,8 @@ impl Histogram {
     }
 
     /// Discard all samples.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.counts.clear();
         self.total = 0;
         self.min = u64::MAX;

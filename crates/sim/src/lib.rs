@@ -14,7 +14,7 @@
 //!   conservative parallel execution of many coupled sub-simulations in
 //!   lookahead-bounded epochs;
 //! * [`SimRng`] — a seedable, stable xoshiro256** generator;
-//! * statistics: [`Running`], [`Ewma`], [`Histogram`];
+//! * statistics: [`Ewma`], [`Histogram`];
 //! * pacing: [`SerialLink`].
 //!
 //! Everything is synchronous and allocation-light, in the spirit of
@@ -40,16 +40,15 @@ pub use engine::{DispatchProfile, Engine, RunOutcome, Scheduler, World};
 pub use hist::Histogram;
 pub use pacer::SerialLink;
 pub use parallel::{Envelope, ParallelEngine, ShardHost, WorkerProfile};
-pub use rng::{stream_seed, SimRng, SplitMix64};
+pub use rng::{stream_seed, SimRng};
 #[doc(hidden)]
 pub use snap::field_min_bytes as snap_field_min_bytes;
 pub use snap::{
-    check_resave, decode, fnv1a_64, Snap, SnapError, SnapReader, SnapWriter, SNAP_HEADER_LEN,
-    SNAP_MAGIC, SNAP_VERSION,
+    check_resave, decode, fnv1a_64, Snap, SnapError, SnapReader, SnapWriter, SNAP_VERSION,
 };
 pub use wheel::TimingWheel;
 
 /// The engine's event queue: the timing wheel.
 pub type EventQueue<E> = TimingWheel<E>;
-pub use stats::{Ewma, Running};
-pub use time::{Resolution, SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
+pub use stats::Ewma;
+pub use time::{Resolution, SimDuration, SimTime};

@@ -308,7 +308,7 @@ impl TreeBarrier {
 /// zero-cost hosts (nothing measured yet) still spread by count rather
 /// than piling onto one shard. Deterministic — and because placement is
 /// unobservable, any output is digest-preserving.
-pub fn balanced_placement(costs: &[u64], shards: usize) -> Vec<u32> {
+pub(crate) fn balanced_placement(costs: &[u64], shards: usize) -> Vec<u32> {
     let shards = shards.max(1);
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by_key(|&h| (std::cmp::Reverse(costs[h]), h));
@@ -323,7 +323,7 @@ pub fn balanced_placement(costs: &[u64], shards: usize) -> Vec<u32> {
 }
 
 /// Round-robin host→shard map: host `i` on shard `i % shards`.
-pub fn round_robin_placement(hosts: usize, shards: usize) -> Vec<u32> {
+pub(crate) fn round_robin_placement(hosts: usize, shards: usize) -> Vec<u32> {
     let shards = shards.max(1);
     (0..hosts).map(|i| (i % shards) as u32).collect()
 }
@@ -385,11 +385,6 @@ impl<H: ShardHost> ParallelEngine<H> {
         self.shards
     }
 
-    /// The synchronisation lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// The current host→shard assignment.
     pub fn placement(&self) -> &[u32] {
         &self.placement
@@ -414,12 +409,12 @@ impl<H: ShardHost> ParallelEngine<H> {
 
     /// Per-host lifetime dispatched-event counts — the measured costs
     /// that feed [`rebalance`](Self::rebalance).
-    pub fn host_costs(&self) -> Vec<u64> {
+    pub(crate) fn host_costs(&self) -> Vec<u64> {
         self.hosts.iter().map(|h| h.dispatched()).collect()
     }
 
     /// Repartition hosts onto shards by measured cost (greedy LPT over
-    /// [`host_costs`](Self::host_costs)). Returns the new placement.
+    /// `host_costs`). Returns the new placement.
     /// Observationally a no-op: digests do not depend on placement. Since
     /// placement is affinity (see the module docs on work stealing), a
     /// balanced map mostly saves steals rather than barrier waits.
@@ -464,11 +459,6 @@ impl<H: ShardHost> ParallelEngine<H> {
     /// setting: the grid is a pure function of global state.
     pub fn set_amortization(&mut self, on: bool) {
         self.amortize = on;
-    }
-
-    /// Whether super-epoch batching is enabled.
-    pub fn amortization(&self) -> bool {
-        self.amortize
     }
 
     /// Per-worker host wall time and steals, summed over every `run_to`

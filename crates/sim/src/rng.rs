@@ -16,7 +16,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// A generator starting from `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
@@ -24,7 +24,7 @@ impl SplitMix64 {
     /// `u64` (every input bit flips each output bit with probability
     /// ~1/2). Useful on its own to decorrelate structured seeds.
     #[inline]
-    pub fn mix(x: u64) -> u64 {
+    pub(crate) fn mix(x: u64) -> u64 {
         let mut z = x;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -33,7 +33,7 @@ impl SplitMix64 {
 
     /// Next 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         Self::mix(self.state)
     }
@@ -86,7 +86,8 @@ impl SimRng {
     /// Derive an independent child generator (for per-component streams).
     ///
     /// Each call advances this generator, so successive forks are distinct.
-    pub fn fork(&mut self) -> SimRng {
+    #[cfg(test)]
+    pub(crate) fn fork(&mut self) -> SimRng {
         // Mix two outputs through SplitMix64 for a well-separated child seed.
         let a = self.next_u64();
         let b = self.next_u64();
@@ -161,18 +162,13 @@ impl SimRng {
     }
 
     /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
+    #[cfg(test)]
+    pub(crate) fn shuffle<T>(&mut self, slice: &mut [T]) {
         let n = slice.len();
         for i in (1..n).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
-    }
-
-    /// Pick a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "choose from empty slice");
-        &slice[self.next_below(slice.len() as u64) as usize]
     }
 }
 

@@ -69,7 +69,7 @@ pub const SNAP_HEADER_LEN: usize = 8 + 4 + 8 + 8;
 pub enum SnapError {
     /// The buffer ended before the field being read.
     Eof,
-    /// The envelope does not start with [`SNAP_MAGIC`].
+    /// The envelope does not start with `SNAP_MAGIC`.
     BadMagic,
     /// The envelope's format version is not the one this build writes.
     BadVersion {
@@ -562,16 +562,6 @@ impl SnapWriter {
         SnapWriter { buf: Vec::new() }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The raw payload (no envelope).
     pub fn into_payload(self) -> Vec<u8> {
         self.buf
@@ -595,7 +585,7 @@ impl SnapWriter {
     }
 
     /// Write a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -605,7 +595,7 @@ impl SnapWriter {
     }
 
     /// Write a little-endian `u128`.
-    pub fn u128(&mut self, v: u128) {
+    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -621,7 +611,7 @@ impl SnapWriter {
     }
 
     /// Write a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
 
@@ -687,7 +677,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -721,7 +711,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 B")))
     }
 
@@ -731,7 +721,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, SnapError> {
+    pub(crate) fn u128(&mut self) -> Result<u128, SnapError> {
         Ok(u128::from_le_bytes(
             self.take(16)?.try_into().expect("16 B"),
         ))
@@ -755,12 +745,12 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read an `f64` from raw bits.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a `bool`; anything but 0/1 is corruption.
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),

@@ -3,6 +3,7 @@
 //! per-packet logs.
 
 /// Welford online mean/variance accumulator.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
 pub struct Running {
     n: u64,
@@ -12,11 +13,13 @@ pub struct Running {
     max: f64,
 }
 
+#[cfg(test)]
 crate::snap_fields!(Running { n, mean, m2, min, max } blank { Running::new() });
 
+#[cfg(test)]
 impl Running {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Running {
             n: 0,
             mean: 0.0,
@@ -27,7 +30,7 @@ impl Running {
     }
 
     /// Fold in one sample.
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -41,12 +44,12 @@ impl Running {
     }
 
     /// Samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
     /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -55,7 +58,7 @@ impl Running {
     }
 
     /// Population variance.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -63,13 +66,8 @@ impl Running {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -78,7 +76,7 @@ impl Running {
     }
 
     /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -87,7 +85,7 @@ impl Running {
     }
 
     /// Merge another accumulator into this one (Chan's parallel algorithm).
-    pub fn merge(&mut self, other: &Running) {
+    pub(crate) fn merge(&mut self, other: &Running) {
         if other.n == 0 {
             return;
         }
@@ -147,7 +145,8 @@ impl Ewma {
     }
 
     /// Whether at least one sample has been recorded.
-    pub fn is_initialized(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_initialized(&self) -> bool {
         self.initialized
     }
 

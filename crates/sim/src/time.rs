@@ -28,7 +28,7 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
     /// The greatest representable instant; used as an "infinitely far" deadline.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -58,18 +58,6 @@ impl SimTime {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Time as fractional seconds (for reporting only; not for ordering).
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Time as fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
     }
 
     /// Saturating difference `self - earlier` (zero if `earlier` is later).
@@ -104,8 +92,9 @@ impl SimDuration {
     }
 
     /// Duration from whole seconds.
+    #[cfg(test)]
     #[inline]
-    pub const fn from_secs(s: u64) -> Self {
+    pub(crate) const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 
@@ -214,7 +203,7 @@ impl Resolution {
 
     /// log2 of the grid step.
     #[inline]
-    pub const fn shift(self) -> u32 {
+    pub(crate) const fn shift(self) -> u32 {
         self.shift
     }
 

@@ -225,7 +225,7 @@ impl<E> TimingWheel<E> {
 
     /// An empty queue whose event timestamps are quantised up to the
     /// given resolution grid.
-    pub fn with_resolution(res: Resolution) -> Self {
+    pub(crate) fn with_resolution(res: Resolution) -> Self {
         let bshift = Self::bucket_shift(res);
         TimingWheel {
             shift: res.shift(),
@@ -266,16 +266,9 @@ impl<E> TimingWheel<E> {
             + std::mem::size_of::<u64>() * (NEAR_WORDS + NEAR_SUM_WORDS + FAR_WORDS + FAR_SUM_WORDS)
     }
 
-    /// An empty queue with pre-allocated node and overflow capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.nodes.reserve(cap);
-        q.overflow.reserve(cap);
-        q
-    }
-
     /// The queue's resolution grid.
-    pub fn resolution(&self) -> Resolution {
+    #[cfg(test)]
+    pub(crate) fn resolution(&self) -> Resolution {
         Resolution::from_nanos(1u64 << self.shift).expect("shift came from a Resolution")
     }
 
@@ -707,29 +700,31 @@ impl<E> TimingWheel<E> {
 
     /// Timestamp of the earliest pending event.
     #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.next_time.map(|t| SimTime::from_nanos(t << self.shift))
     }
 
     /// Number of pending events.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.near_len + self.far_len + self.overflow.len()
     }
 
     /// Whether no events are pending.
+    #[cfg(test)]
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Total number of events scheduled over the queue's lifetime.
-    pub fn scheduled_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
 
     /// Total number of events dispatched over the queue's lifetime.
-    pub fn dispatched_total(&self) -> u64 {
+    pub(crate) fn dispatched_total(&self) -> u64 {
         self.popped
     }
 }

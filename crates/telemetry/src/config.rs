@@ -15,7 +15,7 @@ pub struct TelemetryConfig {
     pub interval_ns: u64,
     /// Retained-sample ring capacity (the flight recorder dumps from this
     /// window; the streaming sink sees every sample regardless).
-    pub ring_capacity: usize,
+    pub(crate) ring_capacity: usize,
     /// Whether the flight recorder captures dumps on triggers.
     pub flight_recorder: bool,
     /// Samples copied into each flight dump (bounded by `ring_capacity`).
@@ -24,26 +24,26 @@ pub struct TelemetryConfig {
     pub flight_max_dumps: usize,
     /// Buffer-occupancy fraction at/above which a sample counts toward
     /// episode onset.
-    pub onset_buffer_frac: f64,
+    pub(crate) onset_buffer_frac: f64,
     /// Buffer-occupancy fraction at/below which a sample counts toward
     /// episode clear (hysteresis: strictly below `onset_buffer_frac`).
-    pub clear_buffer_frac: f64,
+    pub(crate) clear_buffer_frac: f64,
     /// Credit-stall events in one sampling window at/above which a sample
     /// counts toward onset. Loaded hosts see steady stall backgrounds in
     /// the low hundreds per 5 µs window; the default only fires on
     /// multi-x bursts (sustained posted-credit starvation).
-    pub onset_stall_events: u64,
+    pub(crate) onset_stall_events: u64,
     /// Consecutive onset-qualifying samples before an episode opens.
-    pub onset_samples: u32,
+    pub(crate) onset_samples: u32,
     /// Consecutive clear-qualifying samples before an episode closes.
-    pub clear_samples: u32,
+    pub(crate) clear_samples: u32,
     /// Z-score at/above which a cause signal's deviation from the
     /// episode-free baseline attributes the episode.
-    pub z_threshold: f64,
+    pub(crate) z_threshold: f64,
     /// Baseline samples required before z-scores are trusted.
-    pub baseline_min_samples: u64,
+    pub(crate) baseline_min_samples: u64,
     /// Episode-table capacity (preallocated; overflow is counted).
-    pub max_episodes: usize,
+    pub(crate) max_episodes: usize,
     /// Drops in one sampling window at/above which the flight recorder
     /// fires a drop-burst dump.
     pub drop_burst_threshold: u64,

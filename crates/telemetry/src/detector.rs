@@ -242,7 +242,7 @@ hostcc_sim::snap_fields!(EpisodeDetector {
 impl EpisodeDetector {
     /// A detector with thresholds from `cfg`; episode storage is
     /// preallocated to `cfg.max_episodes`.
-    pub fn new(cfg: &TelemetryConfig) -> Self {
+    pub(crate) fn new(cfg: &TelemetryConfig) -> Self {
         EpisodeDetector {
             cfg: *cfg,
             in_episode: false,
@@ -256,7 +256,7 @@ impl EpisodeDetector {
     }
 
     /// Feed one sample through the segmentation state machine.
-    pub fn on_sample(&mut self, s: &TelemetrySample) {
+    pub(crate) fn on_sample(&mut self, s: &TelemetrySample) {
         let congested = s.buffer_frac >= self.cfg.onset_buffer_frac
             || s.drops > 0
             || s.credit_stalls >= self.cfg.onset_stall_events;
@@ -306,7 +306,7 @@ impl EpisodeDetector {
     }
 
     /// Episodes discarded because the table was full.
-    pub fn dropped_episodes(&self) -> u64 {
+    pub(crate) fn dropped_episodes(&self) -> u64 {
         self.dropped
     }
 

@@ -40,8 +40,10 @@ mod recorder;
 mod sample;
 
 pub use config::TelemetryConfig;
-pub use detector::{EpisodeDetector, EpisodeRecord, RootCause};
-pub use recorder::{FlightDump, FlightRecorder, TriggerKind};
+pub(crate) use detector::EpisodeDetector;
+pub use detector::{EpisodeRecord, RootCause};
+pub use recorder::TriggerKind;
+pub(crate) use recorder::{FlightDump, FlightRecorder};
 pub use sample::{SignalInputs, TelemetrySample};
 
 use hostcc_trace::SampleRing;
@@ -124,7 +126,8 @@ impl std::fmt::Debug for Telemetry {
 
 impl Telemetry {
     /// A disabled instance: hooks are no-ops, no events are scheduled.
-    pub fn disabled() -> Self {
+    #[cfg(test)]
+    pub(crate) fn disabled() -> Self {
         Self::new(TelemetryConfig::disabled())
     }
 
@@ -169,11 +172,6 @@ impl Telemetry {
     /// Sampling interval in nanoseconds.
     pub fn interval_ns(&self) -> u64 {
         self.cfg.interval_ns
-    }
-
-    /// The configuration this runtime was built from.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
     }
 
     /// Install a streaming sink: every subsequent sample is appended to
@@ -252,7 +250,7 @@ impl Telemetry {
         self.stream(&s);
     }
 
-    /// Fault-window-open hook (`hostcc-faults` integration): snapshot the
+    /// Fault-window-open hook (called by the host's fault plan): snapshot the
     /// telemetry leading into the window.
     pub fn on_fault_window(&mut self, t_ns: u64) {
         if self.cfg.enabled {

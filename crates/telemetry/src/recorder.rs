@@ -23,15 +23,6 @@ pub enum TriggerKind {
 }
 
 impl TriggerKind {
-    /// Stable kebab-case name for exports and assertions.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TriggerKind::DropBurst => "drop-burst",
-            TriggerKind::FaultWindow => "fault-window",
-            TriggerKind::Stall => "stall",
-        }
-    }
-
     fn tag(&self) -> u8 {
         match self {
             TriggerKind::DropBurst => 0,
@@ -70,7 +61,7 @@ impl hostcc_sim::Snap for TriggerKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
     /// What fired the dump.
-    pub trigger: TriggerKind,
+    pub(crate) trigger: TriggerKind,
     /// Trigger time, nanoseconds.
     pub t_ns: u64,
     /// The retained samples at trigger time, oldest first, at most
@@ -108,7 +99,7 @@ hostcc_sim::snap_fields!(FlightRecorder { last_capture_ns, triggered, captured, 
 impl FlightRecorder {
     /// A recorder with all dump storage preallocated (no-op slots when the
     /// flight recorder is off).
-    pub fn new(cfg: &TelemetryConfig) -> Self {
+    pub(crate) fn new(cfg: &TelemetryConfig) -> Self {
         let enabled = cfg.enabled && cfg.flight_recorder;
         let dump_samples = cfg.flight_dump_samples.min(cfg.ring_capacity).max(1);
         let slots = if enabled {
@@ -136,7 +127,12 @@ impl FlightRecorder {
     /// Record a trigger at `t_ns`, copying the tail of `ring` into the
     /// next free dump slot. Triggers inside the cooldown window, or after
     /// all slots are used, are counted but capture nothing.
-    pub fn trigger(&mut self, kind: TriggerKind, t_ns: u64, ring: &SampleRing<TelemetrySample>) {
+    pub(crate) fn trigger(
+        &mut self,
+        kind: TriggerKind,
+        t_ns: u64,
+        ring: &SampleRing<TelemetrySample>,
+    ) {
         if !self.enabled {
             return;
         }
@@ -158,13 +154,13 @@ impl FlightRecorder {
     }
 
     /// The captured dumps, in trigger order.
-    pub fn dumps(&self) -> &[FlightDump] {
+    pub(crate) fn dumps(&self) -> &[FlightDump] {
         &self.slots[..self.captured]
     }
 
     /// Lifetime trigger count, including triggers that captured nothing
     /// (cooldown or exhausted slots).
-    pub fn triggered(&self) -> u64 {
+    pub(crate) fn triggered(&self) -> u64 {
         self.triggered
     }
 

@@ -89,7 +89,8 @@ impl TelemetrySample {
     }
 
     /// IOTLB miss rate over the window's lookups (0 when idle).
-    pub fn iotlb_miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn iotlb_miss_rate(&self) -> f64 {
         if self.iotlb_lookups == 0 {
             return 0.0;
         }
@@ -97,7 +98,8 @@ impl TelemetrySample {
     }
 
     /// Mean host delay over the window's packets, ns.
-    pub fn mean_host_delay_ns(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_host_delay_ns(&self) -> f64 {
         if self.packets == 0 {
             return 0.0;
         }
@@ -105,7 +107,7 @@ impl TelemetrySample {
     }
 
     /// Mean CPU-stage time per packet, ns.
-    pub fn cpu_ns_per_packet(&self) -> f64 {
+    pub(crate) fn cpu_ns_per_packet(&self) -> f64 {
         if self.packets == 0 {
             return 0.0;
         }
@@ -113,7 +115,8 @@ impl TelemetrySample {
     }
 
     /// Mean fabric delay over the window's ACKs, ns.
-    pub fn mean_fabric_delay_ns(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_fabric_delay_ns(&self) -> f64 {
         if self.acks == 0 {
             return 0.0;
         }

@@ -48,7 +48,7 @@ impl CounterRegistry {
     }
 
     /// A counter's value since the baseline (saturating; 0 when absent).
-    pub fn since_baseline(&self, name: &str) -> u64 {
+    pub(crate) fn since_baseline(&self, name: &str) -> u64 {
         let now = self.lifetime(name);
         let base = self.baseline.get(name).copied().unwrap_or(0);
         now.saturating_sub(base)

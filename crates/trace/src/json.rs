@@ -59,7 +59,7 @@ impl Value {
 }
 
 /// Escape a string into a JSON string literal (with quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -80,7 +80,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Format an f64 as a JSON number (no NaN/Inf — clamped to null-safe 0).
-pub fn num(x: f64) -> String {
+pub(crate) fn num(x: f64) -> String {
     if !x.is_finite() {
         return "0".to_string();
     }
@@ -202,9 +202,9 @@ impl JsonWriter {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the error.
-    pub at: usize,
+    pub(crate) at: usize,
     /// What went wrong.
-    pub msg: &'static str,
+    pub(crate) msg: &'static str,
 }
 
 impl std::fmt::Display for ParseError {

@@ -40,4 +40,4 @@ pub use counters::CounterRegistry;
 pub use ring::SampleRing;
 pub use stage::{Stage, StageBreakdown, StageClass};
 pub use timeline::TimelineRecorder;
-pub use tracer::{EventKind, TraceConfig, TraceEvent, Tracer};
+pub use tracer::{TraceConfig, TraceEvent, Tracer};

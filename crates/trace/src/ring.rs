@@ -48,13 +48,9 @@ impl<T: Copy> SampleRing<T> {
         self.slots.is_empty()
     }
 
-    /// Maximum samples retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lifetime samples offered (including overwritten ones).
-    pub fn pushed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pushed(&self) -> u64 {
         self.pushed
     }
 
@@ -65,7 +61,7 @@ impl<T: Copy> SampleRing<T> {
     }
 
     /// Drop all samples (capacity retained).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.head = 0;
     }

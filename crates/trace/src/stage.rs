@@ -101,17 +101,6 @@ impl StageClass {
             StageClass::Cpu => "cpu",
         }
     }
-
-    /// The span stage this class corresponds to in the event taxonomy.
-    pub fn stage(self) -> Stage {
-        match self {
-            StageClass::Buffer => Stage::BufferWait,
-            StageClass::Pcie => Stage::PcieTransfer,
-            StageClass::Iommu => Stage::IommuTranslate,
-            StageClass::Memory => Stage::MemoryGrant,
-            StageClass::Cpu => Stage::CpuProcess,
-        }
-    }
 }
 
 /// Per-stage host-delay histograms: one packet contributes one sample to
@@ -121,15 +110,15 @@ impl StageClass {
 #[derive(Debug, Clone, Default)]
 pub struct StageBreakdown {
     /// NIC input-buffer wait (ns).
-    pub buffer: Histogram,
+    pub(crate) buffer: Histogram,
     /// PCIe serialisation + fixed DMA latency (ns).
-    pub pcie: Histogram,
+    pub(crate) pcie: Histogram,
     /// IOMMU translation (ns).
-    pub iommu: Histogram,
+    pub(crate) iommu: Histogram,
     /// Memory-bus serialisation + commit (ns).
-    pub memory: Histogram,
+    pub(crate) memory: Histogram,
     /// Receiver-core wait + processing (ns).
-    pub cpu: Histogram,
+    pub(crate) cpu: Histogram,
 }
 
 hostcc_sim::snap_fields!(StageBreakdown { buffer, pcie, iommu, memory, cpu } blank { StageBreakdown::default() });

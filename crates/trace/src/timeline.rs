@@ -59,7 +59,7 @@ impl TimelineRecorder {
     }
 
     /// The recorded series' names, in column order.
-    pub fn names(&self) -> &[&'static str] {
+    pub(crate) fn names(&self) -> &[&'static str] {
         &self.names
     }
 

@@ -25,18 +25,18 @@ pub enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Simulation time of the event start, nanoseconds.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Which datapath stage produced it.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// Instant, span or value payload.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Sender index of the packet's flow (`u32::MAX` when not
     /// packet-scoped).
-    pub flow: u32,
+    pub(crate) flow: u32,
     /// Receiver thread (Perfetto track), `u32::MAX` when not applicable.
-    pub thread: u32,
+    pub(crate) thread: u32,
     /// Packet sequence number (0 when not packet-scoped).
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 impl TraceEvent {
@@ -81,12 +81,12 @@ impl TraceEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch. When false, every tracer call is a single branch.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Ring-buffer capacity in events; when full, the oldest events are
     /// evicted (the tail of a run is usually the interesting part).
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Record one in every `sample_every` packet lifecycles (1 = all).
-    pub sample_every: u32,
+    pub(crate) sample_every: u32,
     /// Timeline sampling period in nanoseconds (0 disables the periodic
     /// time-series recorder).
     pub timeline_period_ns: u64,
@@ -94,7 +94,7 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// Tracing off (the default for ordinary runs).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TraceConfig {
             enabled: false,
             capacity: 0,
@@ -173,11 +173,6 @@ impl Tracer {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.cfg.enabled
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> TraceConfig {
-        self.cfg
     }
 
     /// Sampling gate for a packet lifecycle (or any other repeated item):

@@ -136,6 +136,11 @@ fn fig1_shape() {
         s.utilization_drop_correlation
     );
     assert!(s.any_drop_fraction > 0.1, "some hosts must drop");
+    assert!(
+        s.low_util_drop_fraction > 0.0,
+        "some hosts below 50% utilisation must drop: {}",
+        s.low_util_drop_fraction
+    );
 }
 
 #[test]
